@@ -13,7 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .evolve import heat_evolve, kernel_column, resolvent_power_apply, sup_kernel, wave_evolve
+from .evolve import EIG_POINT_CAP, heat_evolve, kernel_column, resolvent_power_apply
+from .evolve import sup_kernel, wave_evolve
 from .grid import cut_conductance, markov_check
 from .metric import ball_volume, distance_field
 
@@ -100,16 +101,16 @@ def _w_norm2(u, vol):
 @_timed
 def conservation_defect(op, t_grid, backend="chebyshev", tol=1e-9) -> CheckRecord:
     """max_t || e^{-tA} 1 - 1 ||_inf; zero row sums make this solver noise."""
-    ones = np.ones(op.size)
+    ts = [float(t) for t in t_grid]
+    evolved = heat_evolve(op, np.ones(op.size), ts, backend=backend).values
     worst = 0.0
     worst_t = None
     table = []
-    for t in t_grid:
-        f = heat_evolve(op, ones, float(t), backend=backend)
-        defect = float(np.abs(f.values - 1.0).max())
-        table.append({"t": float(t), "defect": defect})
+    for t, values in zip(ts, evolved):
+        defect = float(np.abs(values - 1.0).max())
+        table.append({"t": t, "defect": defect})
         if defect > worst:
-            worst, worst_t = defect, float(t)
+            worst, worst_t = defect, t
     status = Status.HOLDS if worst < tol else Status.VIOLATED
     witness = None if status is Status.HOLDS else {"t": worst_t, "defect": worst}
     return CheckRecord(
@@ -156,12 +157,58 @@ def structure_check(op, seed=0, row_tol_factor=1e-13, psd_tol_factor=1e-10) -> C
 # off-diagonal bounds
 
 
-def _evolve_best(op, phi, t):
+def _evolve_best(op, phi, ts):
     """Eigen-backed evolution when available (1D small), else Chebyshev with
     a tight tolerance: off-diagonal margins need tail-accurate values."""
-    if op.mesh.dimension == 1 and op.size <= 4200:
-        return heat_evolve(op, phi, t, backend="eig").values
-    return heat_evolve(op, phi, t, tol=1e-13).values
+    if op.mesh.dimension == 1 and op.size <= EIG_POINT_CAP:
+        return heat_evolve(op, phi, ts, backend="eig").values
+    return heat_evolve(op, phi, ts, tol=1e-13).values
+
+
+def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid, rel_tol, abs_tol):
+    """|(1_i, S_t 1_j)| <= exp(-d_ij^2/(4 c_norm t)) ||1_i||_2 ||1_j||_2 over
+    the pairs i < j of node masks, at every t; dist[i][j] is the pair
+    distance, reported in column dist_col.  All masks at all times are
+    evolved in one call."""
+    vol = op.mesh.cell_volume
+    masks = [m.astype(float) for m in masks]
+    norms = [_w_norm2(m, vol) for m in masks]
+    ts = [float(t) for t in t_grid]
+    evolved = _evolve_best(op, np.column_stack(masks), ts)
+    table = []
+    worst_margin = np.inf
+    violations = []
+    for t, block in zip(ts, evolved):
+        columns = np.ascontiguousarray(block.T)
+        for i in range(len(masks)):
+            for j in range(i + 1, len(masks)):
+                d = dist[i][j]
+                lhs = abs(_w_ip(masks[i], columns[j], vol))
+                bound = float(np.exp(-(d**2) / (4.0 * c_norm * t)) * norms[i] * norms[j])
+                ok = lhs <= bound * (1.0 + rel_tol) + abs_tol
+                log_margin = float(np.log(max(bound + abs_tol, 1e-300)) - np.log(max(lhs, 1e-300)))
+                worst_margin = min(worst_margin, log_margin)
+                table.append(
+                    {
+                        "t": t,
+                        "pair": f"{i}-{j}",
+                        dist_col: d,
+                        "lhs": lhs,
+                        "bound": bound,
+                        "log_margin": log_margin,
+                        "holds": int(ok),
+                    }
+                )
+                if not ok:
+                    violations.append({"t": t, "pair": (i, j), "lhs": lhs, "bound": bound})
+    return CheckRecord(
+        name,
+        anchor,
+        Status.HOLDS if not violations else Status.VIOLATED,
+        margin=worst_margin,
+        witness={"violations": violations[:8]} if violations else None,
+        table=table,
+    )
 
 
 @_timed
@@ -172,52 +219,17 @@ def offdiagonal_gaussian_check(op, mesh, balls, t_grid, rel_tol=1e-6, abs_tol=1e
     `balls` is a list of dicts {center, radius, field} whose DistanceField
     was computed at the operator's epsilon.
     """
-    vol = mesh.cell_volume
-    masks = []
-    norms = []
-    for b in balls:
-        m = b["field"].values < b["radius"]
-        masks.append(m.astype(float))
-        norms.append(_w_norm2(m.astype(float), vol))
-    table = []
-    worst_margin = np.inf
-    violations = []
-    for t in t_grid:
-        t = float(t)
-        evolved = [_evolve_best(op, m, t) for m in masks]
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                fi = balls[i]["field"]
-                cj = mesh.nearest_index(balls[j]["center"])
-                dij = float(fi.values[cj])
-                dtilde = max(dij - balls[i]["radius"] - balls[j]["radius"], 0.0)
-                lhs = abs(_w_ip(masks[i], evolved[j], vol))
-                gauss = 0.0 if np.isinf(dtilde) else np.exp(-(dtilde**2) / (4.0 * t))
-                bound = gauss * norms[i] * norms[j]
-                ok = lhs <= bound * (1.0 + rel_tol) + abs_tol
-                log_margin = float(np.log(max(bound + abs_tol, 1e-300)) - np.log(max(lhs, 1e-300)))
-                worst_margin = min(worst_margin, log_margin)
-                table.append(
-                    {
-                        "t": t,
-                        "pair": f"{i}-{j}",
-                        "d_tilde": dtilde,
-                        "lhs": lhs,
-                        "bound": bound,
-                        "log_margin": log_margin,
-                        "holds": int(ok),
-                    }
-                )
-                if not ok:
-                    violations.append({"t": t, "pair": (i, j), "lhs": lhs, "bound": bound})
-    status = Status.HOLDS if not violations else Status.VIOLATED
-    return CheckRecord(
+    masks = [b["field"].values < b["radius"] for b in balls]
+
+    def gap(bi, bj):
+        d = float(bi["field"].values[mesh.nearest_index(bj["center"])])
+        return max(d - bi["radius"] - bj["radius"], 0.0)
+
+    dist = [[gap(bi, bj) for bj in balls] for bi in balls]
+    return _pairwise_bound(
         "offdiagonal_gaussian",
         "|(phi1, S_t phi2)| <= exp(-d~_C^2/(4t)) ||phi1||_2 ||phi2||_2",
-        status,
-        margin=worst_margin,
-        witness={"violations": violations[:8]} if violations else None,
-        table=table,
+        op, masks, dist, "d_tilde", 1.0, t_grid, rel_tol, abs_tol,
     )
 
 
@@ -225,62 +237,22 @@ def _box_gap(box1, box2):
     """Euclidean distance between two axis-aligned boxes."""
     b1 = np.atleast_2d(np.asarray(box1, dtype=float))
     b2 = np.atleast_2d(np.asarray(box2, dtype=float))
-    gap2 = 0.0
-    for (a1, c1), (a2, c2) in zip(b1, b2):
-        g = max(a2 - c1, a1 - c2, 0.0)
-        gap2 += g * g
-    return float(np.sqrt(gap2))
+    gap = np.maximum(np.maximum(b2[:, 0] - b1[:, 1], b1[:, 0] - b2[:, 1]), 0.0)
+    return float(np.sqrt(np.sum(gap * gap)))
 
 
 @_timed
 def euclidean_offdiagonal_check(op, mesh, boxes, t_grid, c_norm, rel_tol=1e-6, abs_tol=1e-12):
     """Euclidean-distance variant for arbitrary box-supported sets:
     |(phi1, S_t phi2)| <= exp(-d_e^2/(4 ||C|| t)) ||phi1||_2 ||phi2||_2."""
-    vol = mesh.cell_volume
     pts = mesh.points()
-    masks = []
-    for bx in boxes:
-        b = np.atleast_2d(np.asarray(bx, dtype=float))
-        m = np.ones(mesh.size, dtype=bool)
-        for ax in range(mesh.dimension):
-            m &= (pts[:, ax] >= b[ax, 0]) & (pts[:, ax] <= b[ax, 1])
-        masks.append(m.astype(float))
-    norms = [_w_norm2(m, vol) for m in masks]
-    table = []
-    violations = []
-    worst_margin = np.inf
-    for t in t_grid:
-        t = float(t)
-        evolved = [_evolve_best(op, m, t) for m in masks]
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                d_e = _box_gap(boxes[i], boxes[j])
-                lhs = abs(_w_ip(masks[i], evolved[j], vol))
-                bound = float(np.exp(-(d_e**2) / (4.0 * c_norm * t)) * norms[i] * norms[j])
-                ok = lhs <= bound * (1.0 + rel_tol) + abs_tol
-                log_margin = float(np.log(max(bound + abs_tol, 1e-300)) - np.log(max(lhs, 1e-300)))
-                worst_margin = min(worst_margin, log_margin)
-                table.append(
-                    {
-                        "t": t,
-                        "pair": f"{i}-{j}",
-                        "d_e": d_e,
-                        "lhs": lhs,
-                        "bound": bound,
-                        "log_margin": log_margin,
-                        "holds": int(ok),
-                    }
-                )
-                if not ok:
-                    violations.append({"t": t, "pair": (i, j), "lhs": lhs, "bound": bound})
-    status = Status.HOLDS if not violations else Status.VIOLATED
-    return CheckRecord(
+    spans = [np.atleast_2d(np.asarray(bx, dtype=float)) for bx in boxes]
+    masks = [np.all((pts >= b[:, 0]) & (pts <= b[:, 1]), axis=1) for b in spans]
+    dist = [[_box_gap(bi, bj) for bj in boxes] for bi in boxes]
+    return _pairwise_bound(
         "euclidean_offdiagonal",
         "|(phi1, S_t phi2)| <= exp(-d_e^2/(4 ||C|| t)) ||phi1||_2 ||phi2||_2",
-        status,
-        margin=worst_margin,
-        witness={"violations": violations[:8]} if violations else None,
-        table=table,
+        op, masks, dist, "d_e", c_norm, t_grid, rel_tol, abs_tol,
     )
 
 
@@ -458,15 +430,16 @@ def invariance_defect(op, omega_mask, t, nprobe=16, seed=0, tol=1e-8) -> CheckRe
     rng = np.random.default_rng(seed)
     vol = op.mesh.cell_volume
     omega = np.asarray(omega_mask, dtype=bool)
-    worst = 0.0
+    probes = []
     for _ in range(nprobe):
         phi = rng.standard_normal(op.size) * omega
         nrm = _w_norm2(phi, vol)
-        if nrm == 0:
-            continue
-        phi /= nrm
-        out = heat_evolve(op, phi, float(t)).values
-        worst = max(worst, _w_norm2(out * (~omega), vol))
+        if nrm != 0:
+            probes.append(phi / nrm)
+    worst = 0.0
+    if probes:
+        out = heat_evolve(op, np.column_stack(probes), float(t)).values
+        worst = max(_w_norm2(col * (~omega), vol) for col in out.T)
     return CheckRecord(
         "invariance",
         "S_t L2(Omega) contained in L2(Omega) (invariant component)",
@@ -533,9 +506,7 @@ def smalltime_decay_fit(
             margin=None,
             fitted={"reason": "t grid empty after mesh-resolution filter", "t_min": t_min},
         )
-    sups = np.array(
-        [sup_kernel(op, t, boundary_margin=boundary_margin).value for t in ts]
-    )
+    sups = sup_kernel(op, ts, boundary_margin=boundary_margin).value
     slope, _, stderr = _fit_loglog(ts, sups)
     bound_slope = -d / (2.0 * gamma_pred)
     t_ref = ts[-1]
@@ -576,11 +547,11 @@ def largetime_floor_check(
     forbids t^{-d/2} decay).  Elliptic control mode: sup * t^{d/2} stays in
     the given band around (4 pi)^{-d/2}."""
     d = mesh.dimension
+    ts = [float(t) for t in t_grid]
+    sups = sup_kernel(op, ts, boundary_margin=boundary_margin).value
     table = []
     violations = []
-    for t in t_grid:
-        t = float(t)
-        s = sup_kernel(op, t, boundary_margin=boundary_margin).value
+    for t, s in zip(ts, sups.tolist()):
         prod = s * t ** (d / 2.0)
         row = {"t": t, "sup_kernel": s, "sup_times_t_half_d": prod}
         if mode == "separated":
@@ -668,20 +639,13 @@ def ondiagonal_lower_check(
     strictly positive, the square-norm identity)."""
     pts = mesh.points()
     vol = mesh.cell_volume
-    table = []
-    values = []
-    for c in centers:
-        c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-        m = np.ones(mesh.size, dtype=bool)
-        for ax in range(mesh.dimension):
-            m &= np.abs(pts[:, ax] - c_arr[ax]) <= diameter / 2.0
-        phi = m.astype(float)
-        l1 = float(np.abs(phi).sum() * vol)
-        out = heat_evolve(op, phi, float(t)).values
-        val = _w_ip(phi, out, vol) / l1**2
-        values.append(val)
-        table.append({"center": float(c_arr[0]), "value": val})
-    values = np.array(values)
+    centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
+    bumps = [np.all(np.abs(pts - c) <= diameter / 2.0, axis=1).astype(float) for c in centers]
+    out = np.ascontiguousarray(heat_evolve(op, np.column_stack(bumps), float(t)).values.T)
+    values = np.array(
+        [_w_ip(phi, ev, vol) / float(np.abs(phi).sum() * vol) ** 2 for phi, ev in zip(bumps, out)]
+    )
+    table = [{"center": float(c[0]), "value": float(v)} for c, v in zip(centers, values)]
     if mode == "uniform":
         ok = values.min() >= uniformity * values.max()
         margin = float(values.min() / values.max())

@@ -11,12 +11,21 @@ sqrt(t * lambda_max), with squaring-free substepping past the degree cap.
 
 For 1D operators (tridiagonal matrices) a full eigendecomposition is cheap up
 to a few thousand points and is the preferred backend for whole-diagonal
-kernel scans; it is cached on the operator and optionally memoized on disk
-under $DEGENLAB_CACHE.
+kernel scans.  It is computed once per operator (concurrent callers wait on
+the operator's lock) and optionally memoized on disk under $DEGENLAB_CACHE,
+written through a temporary file and validated on load.
+
+heat_evolve and sup_kernel are the batched entry points: they take a block of
+columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
+so one Chebyshev recurrence serves a whole time grid and every (t, column)
+result is bitwise the one-vector, one-t result; the eig backend does one GEMM
+over all (t, column) pairs.
 """
 
 import hashlib
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,7 @@ from .grid import DiscreteOperator
 EIG_POINT_CAP = 4200  # dense eigenvector matrix stays comfortably in memory
 CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
+BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
 
 
 @dataclass
@@ -60,10 +70,17 @@ class WaveField:
 
 
 def operator_eig(op: DiscreteOperator, point_cap=EIG_POINT_CAP):
-    """Full spectrum and eigenvectors of the operator; cached on the operator
-    object and, when $DEGENLAB_CACHE is set, memoized on disk."""
-    if op._eig is not None:
-        return op._eig
+    """Full spectrum and eigenvectors of the operator; computed once per
+    operator (concurrent callers wait for the first) and, when
+    $DEGENLAB_CACHE is set, memoized on disk."""
+    if op._eig is None:
+        with op._lock:
+            if op._eig is None:
+                op._eig = _compute_eig(op, point_cap)
+    return op._eig
+
+
+def _compute_eig(op, point_cap):
     N = op.size
     if N > point_cap:
         raise ValueError(f"eigendecomposition disabled for N={N} > {point_cap}")
@@ -71,32 +88,41 @@ def operator_eig(op: DiscreteOperator, point_cap=EIG_POINT_CAP):
     key = None
     if cache_dir:
         A = op.matrix.tocsr()
-        hval = hashlib.sha256()
-        hval.update(A.indptr.tobytes())
-        hval.update(A.indices.tobytes())
-        hval.update(A.data.tobytes())
-        key = os.path.join(cache_dir, f"eig_{hval.hexdigest()[:24]}.npz")
-        if os.path.exists(key):
-            data = np.load(key)
-            op._eig = (data["lam"], data["V"])
-            return op._eig
+        digest = hashlib.sha256(A.indptr.tobytes() + A.indices.tobytes() + A.data.tobytes())
+        key = os.path.join(cache_dir, f"eig_{digest.hexdigest()[:24]}.npz")
+        try:
+            with open(key, "rb") as fh, np.load(fh) as data:
+                lam, V = data["lam"], data["V"]
+            if lam.shape == (N,) and V.shape == (N, N) and np.all(np.isfinite(lam)):
+                return lam, V
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            pass  # missing or damaged: recompute and rewrite
     if op.mesh.dimension == 1:
-        d = op.matrix.diagonal()
-        e = op.matrix.diagonal(1)
-        lam, V = eigh_tridiagonal(d, e)
+        lam, V = eigh_tridiagonal(op.matrix.diagonal(), op.matrix.diagonal(1))
     else:
         lam, V = eigh(op.matrix.toarray())
     lam = np.maximum(lam, 0.0)
-    op._eig = (lam, V)
     if key:
         os.makedirs(cache_dir, exist_ok=True)
-        np.savez(key, lam=lam, V=V)
-    return op._eig
+        # a crash mid-write leaves a stray temporary, never a truncated entry
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, lam=lam, V=V)
+            os.replace(tmp, key)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    return lam, V
 
 
-def _eig_expm_apply(op, phi, t):
+def _eig_expm_apply(op, phi, ts):
+    """V exp(-t Lambda) V^T phi for all t in ts: one GEMM over every (t, column)."""
     lam, V = operator_eig(op)
-    return V @ (np.exp(-t * lam) * (V.T @ phi))
+    decay = np.exp(np.multiply.outer(-ts, lam))
+    scaled = decay.reshape(decay.shape + (1,) * (phi.ndim - 1)) * (V.T @ phi)
+    out = V @ np.moveaxis(scaled, 0, 1).reshape(op.size, -1)
+    return np.moveaxis(out.reshape((op.size, len(ts)) + phi.shape[1:]), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,44 +131,80 @@ def _eig_expm_apply(op, phi, t):
 
 def _cheb_coefficients(a, tol):
     """Coefficients c_k with exp(-a(1+xi)) = sum c_k T_k(xi) on [-1, 1]:
-    c_0 = e^{-a} I_0(a), c_k = 2 e^{-a} (-1)^k I_k(a)."""
+    c_0 = e^{-a} I_0(a), c_k = 2 e^{-a} (-1)^k I_k(a).  Raises SolverError
+    when the degree cap would leave a tail above tol."""
     guess = int(np.sqrt(80.0 * max(a, 1.0))) + 80
-    k = np.arange(guess + 1)
-    mags = ive(k, a)
-    tails = mags[::-1].cumsum()[::-1]
+    mags = ive(np.arange(guess + 2), a)
+    tails = mags[:-1][::-1].cumsum()[::-1]
     keep = np.nonzero(tails > 0.25 * tol)[0]
     deg = int(keep[-1]) + 1 if keep.size else 1
-    deg = min(deg, guess)
+    if deg > guess:
+        # I_{k+1}(a) / I_k(a) decreases in k: a geometric series from the
+        # first coefficient past the cap bounds what the cap discards
+        tail = 2.0 * mags[-1] / (1.0 - mags[-1] / mags[-2])
+        if tail > tol:
+            raise SolverError(f"Chebyshev degree cap {guess} leaves a tail {tail:.3e} > {tol:.3e}")
+        deg = guess
     c = mags[: deg + 1].copy()
     c[1:] *= 2.0
     c[1::2] *= -1.0
     return c
 
 
-def _cheb_expm_apply(op, phi, t, tol):
-    """p(A) phi with p ~ exp(-t .) uniformly on [0, lambda_max] within tol."""
+def _cheb_sums(A, scale, y, coefs):
+    """sum_k c[k] T_k(M) y with M = scale * A - I for every coefficient
+    vector in coefs (longest first) and the (N, k) block y, from one
+    three-term recurrence up to the largest degree.  Each sum sees the same
+    operations, in the same order, as a recurrence run for it alone."""
+    C = np.zeros((len(coefs), len(coefs[0]), 1, 1))
+    for i, c in enumerate(coefs):
+        C[i, : len(c), 0, 0] = c
+    w_prev = y
+    w = scale * (A @ y) - y  # T_1(M) y
+    acc = C[:, 0] * w_prev + C[:, 1] * w
+    live = len(coefs)
+    for k in range(2, len(coefs[0])):
+        # T_{k+1} = 2 M T_k - T_{k-1}
+        w_prev, w = w, 2.0 * scale * (A @ w) - 2.0 * w - w_prev
+        while len(coefs[live - 1]) <= k:
+            live -= 1
+        acc[:live] += C[:live, k] * w
+    return acc
+
+
+def _cheb_expm_apply(op, phi, ts, tol):
+    """p_t(A) phi with p_t ~ exp(-t .) uniformly on [0, lambda_max] within
+    tol, stacked over t > 0 in ts.  Times without substeps share one
+    recurrence, which takes the columns of phi in cache-sized slices."""
     lmax = op.spectral_norm_bound
-    a = 0.5 * t * lmax
-    if a == 0.0:
-        return phi.copy()
-    nsub = 1
-    deg_est = int(np.sqrt(80.0 * max(a, 1.0))) + 80
-    if deg_est > CHEB_DEGREE_CAP:
-        nsub = int(np.ceil(80.0 * a / CHEB_DEGREE_CAP**2)) + 1
-    c = _cheb_coefficients(a / nsub, tol / nsub)
-    A = op.matrix
-    scale = 2.0 / lmax
-    y = phi
-    for _ in range(nsub):
-        w_prev = y
-        w = scale * (A @ y) - y  # T_1(M) y with M = (2/lmax) A - I
-        acc = c[0] * w_prev + (c[1] * w if len(c) > 1 else 0.0)
-        for ck in c[2:]:
-            # T_{k+1} = 2 M T_k - T_{k-1}
-            w_prev, w = w, 2.0 * scale * (A @ w) - 2.0 * w - w_prev
-            acc = acc + ck * w
-        y = acc
-    return y
+    cols = phi.reshape(op.size, -1)
+    out = np.empty((len(ts),) + cols.shape)
+    shared, substepped = [], []
+    for i, t in enumerate(ts):
+        a = 0.5 * t * lmax
+        nsub = 1
+        deg_est = int(np.sqrt(80.0 * max(a, 1.0))) + 80
+        if deg_est > CHEB_DEGREE_CAP:
+            nsub = int(np.ceil(80.0 * a / CHEB_DEGREE_CAP**2)) + 1
+        if a == 0.0:
+            out[i] = cols
+        elif nsub == 1:
+            shared.append((i, _cheb_coefficients(a, tol)))
+        else:
+            substepped.append((i, nsub, _cheb_coefficients(a / nsub, tol / nsub)))
+    shared.sort(key=lambda ic: -len(ic[1]))
+    rows, coefs = [i for i, _ in shared], [c for _, c in shared]
+    width = max(1, BLOCK_BYTES // (8 * op.size))
+    for j in range(0, cols.shape[1], width):
+        y = np.ascontiguousarray(cols[:, j : j + width])
+        if shared:
+            out[rows, :, j : j + width] = _cheb_sums(op.matrix, 2.0 / lmax, y, coefs)
+        for i, nsub, c in substepped:
+            z = y
+            for _ in range(nsub):
+                z = _cheb_sums(op.matrix, 2.0 / lmax, z, [c])[0]
+            out[i, :, j : j + width] = z
+    return out.reshape((len(ts),) + phi.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -187,34 +249,44 @@ def _implicit_evolve(op, phi, t, dt, theta):
 def heat_evolve(
     op: DiscreteOperator,
     phi0,
-    t: float,
+    t,
     backend: str = "chebyshev",
     tol: float = DEFAULT_TOL,
     dt: float | None = None,
 ) -> HeatField:
     """Approximation of e^{-tA} phi0.
 
+    phi0 is a vector or an (N, k) block of columns and t a time or a
+    sequence of times; with a sequence, values gains a leading time axis.
+    Each (t, column) result equals a call for that vector and that t alone,
+    bitwise for 'chebyshev' and up to GEMM roundoff for 'eig'.
+
     Backends: 'chebyshev' (uniform error <= tol * ||phi0||_2 on the Gershgorin
     interval), 'eig' (exact up to roundoff, 1D / small N), 'backward_euler'
     (first order, unconditionally positivity preserving for M-matrices),
     'crank_nicolson' (second order in dt).
     """
-    if t < 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0):
         raise ValueError("t must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)
-    if t == 0.0:
-        return HeatField(phi0.copy(), 0.0, op.mesh)
     if backend == "chebyshev":
-        vals = _cheb_expm_apply(op, phi0, t, tol)
+        evolve = lambda s: _cheb_expm_apply(op, phi0, s, tol)
     elif backend == "eig":
-        vals = _eig_expm_apply(op, phi0, t)
-    elif backend == "backward_euler":
-        vals = _implicit_evolve(op, phi0, t, dt or t / 128.0, theta=1.0)
-    elif backend == "crank_nicolson":
-        vals = _implicit_evolve(op, phi0, t, dt or t / 256.0, theta=0.5)
+        evolve = lambda s: _eig_expm_apply(op, phi0, s)
+    elif backend in ("backward_euler", "crank_nicolson"):
+        theta, steps = (1.0, 128.0) if backend == "backward_euler" else (0.5, 256.0)
+        evolve = lambda s: [_implicit_evolve(op, phi0, u, dt or u / steps, theta) for u in s]
     else:
         raise ValueError(f"unknown backend '{backend}'")
-    return HeatField(vals, t, op.mesh)
+    vals = np.empty((ts.size,) + phi0.shape)
+    live = ts > 0
+    vals[~live] = phi0
+    if live.any():
+        vals[live] = evolve(ts[live])
+    if np.ndim(t) == 0:
+        return HeatField(vals[0], float(t), op.mesh)
+    return HeatField(vals, ts, op.mesh)
 
 
 def kernel_column(op: DiscreteOperator, source_index: int, t: float, backend="chebyshev"):
@@ -238,42 +310,55 @@ class SupKernelValue:
 
 def sup_kernel(
     op: DiscreteOperator,
-    t: float,
+    t,
     strategy: str = "auto",
     sample_indices=None,
     boundary_margin: float = 0.0,
 ) -> SupKernelValue:
-    """Max on-diagonal kernel density sup_x K_t(x; x).
+    """Max on-diagonal kernel density sup_x K_t(x; x); for a sequence of
+    times, value and t of the result are arrays.
 
     1D operators up to the eigendecomposition cap scan the entire diagonal
-    exactly; otherwise the scan runs over the declared sample set by column
-    evolutions.  boundary_margin excludes diagonal entries within that
-    distance of the box boundary, where the reflecting truncation inflates
-    the on-diagonal value (image terms) relative to the free-space kernel.
+    exactly, as (V * V) exp(-lambda t) over row slices of V; otherwise the
+    scan runs over the declared sample set by blocks of kernel columns.
+    boundary_margin excludes diagonal entries within that distance of the box
+    boundary, where the reflecting truncation inflates the on-diagonal value
+    (image terms) relative to the free-space kernel.
     """
-    if t <= 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts <= 0):
         raise ValueError("t must be > 0")
     mesh = op.mesh
     vol = mesh.cell_volume
     keep = _interior_mask(mesh, boundary_margin)
+    idx = np.flatnonzero(keep)
+    width = max(1, BLOCK_BYTES // (8 * op.size))
+    best = np.full(ts.size, -np.inf)
     if strategy == "auto":
         strategy = "eig" if (mesh.dimension == 1 and op.size <= EIG_POINT_CAP) else "columns"
     if strategy == "eig":
         lam, V = operator_eig(op)
-        diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
-        value = float(diag[keep].max() / vol)
-        return SupKernelValue(value, "eig", t)
-    if strategy == "columns":
-        idx = np.arange(op.size)[keep]
+        decay = np.exp(-np.multiply.outer(lam, ts))
+        for lo in range(0, idx.size, width):
+            rows = V[idx[lo : lo + width]]
+            best = np.maximum(best, ((rows * rows) @ decay).max(axis=0))
+        best /= vol
+    elif strategy == "columns":
         if sample_indices is not None:
             sample_indices = np.asarray(sample_indices)
             idx = sample_indices[keep[sample_indices]]
-        best = -np.inf
-        for i in idx:
-            col = kernel_column(op, int(i), t)
-            best = max(best, float(col.values[i]))
-        return SupKernelValue(best, "columns", t)
-    raise ValueError(f"unknown strategy '{strategy}'")
+        for lo in range(0, idx.size, width):
+            cols = idx[lo : lo + width]
+            pick = np.arange(cols.size)
+            deltas = np.zeros((op.size, cols.size))
+            deltas[cols, pick] = 1.0 / vol
+            diag = heat_evolve(op, deltas, ts).values[:, cols, pick]
+            best = np.maximum(best, diag.max(axis=1))
+    else:
+        raise ValueError(f"unknown strategy '{strategy}'")
+    if np.ndim(t) == 0:
+        return SupKernelValue(float(best[0]), strategy, float(t))
+    return SupKernelValue(best, strategy, ts)
 
 
 def _interior_mask(mesh, margin):

@@ -1,6 +1,12 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+
+import degenlab.evolve as evolve_mod
 
 from degenlab import (
     CoefficientProfile,
@@ -15,7 +21,7 @@ from degenlab import (
     viscosity_shift,
     wave_evolve,
 )
-from degenlab.errors import CflError
+from degenlab.errors import CflError, SolverError
 
 
 def power1d(delta, domain=(-8.0, 8.0)):
@@ -131,6 +137,98 @@ class TestHeatEvolve:
         assert errs[-1] / np.linalg.norm(phi) < 2e-2
 
 
+def cheb_reference(op, phi, t, tol=1e-12):
+    """The one-vector, one-t Chebyshev recurrence (no substeps)."""
+    lmax = op.spectral_norm_bound
+    c = evolve_mod._cheb_coefficients(0.5 * t * lmax, tol)
+    A, scale = op.matrix, 2.0 / lmax
+    w_prev, w = phi, scale * (A @ phi) - phi
+    acc = c[0] * w_prev + c[1] * w
+    for ck in c[2:]:
+        w_prev, w = w, 2.0 * scale * (A @ w) - 2.0 * w - w_prev
+        acc = acc + ck * w
+    return acc
+
+
+class TestBatchedEvolve:
+    """Blocks of columns and sequences of times against one vector and one t
+    at a time, the reference path."""
+
+    @pytest.mark.parametrize("which", ["laplace_op", "cut_op"])
+    def test_chebyshev_block_multitime_bitwise(self, which, request, monkeypatch):
+        op = request.getfixturevalue(which)
+        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 3 * 8 * op.size)  # slices of 3, 3, 1
+        rng = np.random.default_rng(21)
+        block = rng.standard_normal((op.size, 7))
+        ts = [0.3, 0.0, 0.01, 1.0]
+        out = heat_evolve(op, block, ts).values
+        assert out.shape == (len(ts), op.size, 7)
+        for i, t in enumerate(ts):
+            for j in range(block.shape[1]):
+                ref = cheb_reference(op, block[:, j], t) if t else block[:, j]
+                assert np.array_equal(out[i, :, j], ref)
+        vec = heat_evolve(op, block[:, 0], ts).values
+        assert all(np.array_equal(vec[i], out[i, :, 0]) for i in range(len(ts)))
+        assert np.array_equal(heat_evolve(op, block[:, 1], 0.3).values, out[0, :, 1])
+
+    def test_substepped_time_joins_block(self, monkeypatch):
+        # past the degree cap a time is split into substeps; a low cap makes
+        # t = 1 substepped while t = 0.05 still shares the recurrence
+        monkeypatch.setattr(evolve_mod, "CHEB_DEGREE_CAP", 200)
+        mesh = build_mesh(1, (-8.0, 8.0), 256)
+        op = assemble(power1d(0.0), mesh, 0.0)
+        lam, V = operator_eig(op)
+        rng = np.random.default_rng(22)
+        block = rng.standard_normal((op.size, 3))
+        ts = [1.0, 0.05]
+        out = heat_evolve(op, block, ts).values
+        for j in range(3):
+            for i, t in enumerate(ts):
+                assert np.array_equal(out[i, :, j], heat_evolve(op, block[:, j], t).values)
+                exact = V @ (np.exp(-t * lam) * (V.T @ block[:, j]))
+                assert np.abs(out[i, :, j] - exact).max() < 1e-10
+        assert np.array_equal(out[1, :, 0], cheb_reference(op, block[:, 0], 0.05))
+
+    def test_eig_block_matches_per_vector(self):
+        # GEMM and GEMV sum the same products in other orders: on unit-sized
+        # data they agree to a few ulps of 1, not bitwise
+        mesh = build_mesh(1, (-4.0, 4.0), 400)
+        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        lam, V = operator_eig(op)
+        xs = mesh.axis(0)
+        block = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
+        ts = [0.01, 0.2, 1.0]
+        out = heat_evolve(op, block, ts, backend="eig").values
+        vol = mesh.cell_volume
+        for i, t in enumerate(ts):
+            for j in range(block.shape[1]):
+                ref = V @ (np.exp(-t * lam) * (V.T @ block[:, j]))
+                assert np.abs(out[i, :, j] - ref).max() <= 16 * np.finfo(float).eps
+                for k in range(block.shape[1]):
+                    lhs, lhs_ref = (np.dot(block[:, k], v) * vol for v in (out[i, :, j], ref))
+                    assert abs(lhs - lhs_ref) <= 1e-15
+
+    @pytest.mark.parametrize("margin", [0.0, 1.0])
+    def test_sup_kernel_multitime_matches_einsum(self, margin):
+        mesh = build_mesh(1, (-4.0, 4.0), 600)
+        op = assemble(power1d(0.25, domain=(-4.0, 4.0)), mesh, 0.0)
+        ts = np.geomspace(1e-3, 5.0, 9)
+        got = sup_kernel(op, ts, boundary_margin=margin)
+        assert got.strategy == "eig" and np.array_equal(got.t, ts)
+        lam, V = operator_eig(op)
+        keep = np.abs(mesh.axis(0)) <= 4.0 - margin
+        for t, value in zip(ts, got.value):
+            diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
+            ref = diag[keep].max() / mesh.cell_volume
+            assert abs(value - ref) <= 1e-15 * ref
+
+
+class TestChebyshevBudget:
+    def test_capped_tail_raises(self):
+        with pytest.raises(SolverError):
+            evolve_mod._cheb_coefficients(1.0, 1e-300)
+
+
 class TestKernelColumn:
     def test_column_mass_one(self, laplace_op):
         col = kernel_column(laplace_op, laplace_op.size // 2, 0.2)
@@ -190,6 +288,10 @@ class TestSupKernel:
         se = sup_kernel(op, 0.2)
         sc = sup_kernel(op, 0.2, strategy="columns", sample_indices=np.arange(op.size))
         assert sc.value == pytest.approx(se.value, rel=1e-8)
+        ts = [0.05, 0.2]
+        multi = sup_kernel(op, ts, strategy="columns", sample_indices=np.arange(op.size))
+        assert multi.value[1] == sc.value
+        assert multi.value[0] == pytest.approx(sup_kernel(op, 0.05).value, rel=1e-8)
 
 
 class TestResolvent:
@@ -303,6 +405,61 @@ class TestEigCache:
         op2 = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
         lam2, _ = operator_eig(op2)
         assert np.array_equal(lam1, lam2)
+
+    def test_truncated_entry_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
+        mesh = build_mesh(1, (-1.0, 1.0), 64)
+        lam1, V1 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        (path,) = tmp_path.glob("eig_*.npz")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        lam2, V2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        assert np.array_equal(lam1, lam2) and np.array_equal(V1, V2)
+        assert path.read_bytes() == data
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_wrong_shape_entry_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
+        mesh = build_mesh(1, (-1.0, 1.0), 64)
+        lam1, _ = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        (path,) = tmp_path.glob("eig_*.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, lam=np.full(65, np.nan), V=np.zeros((3, 3)))
+        lam2, V2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        assert np.array_equal(lam1, lam2) and V2.shape == (65, 65)
+
+    def test_threads_decompose_once(self, monkeypatch):
+        calls = []
+        real = evolve_mod.eigh_tridiagonal
+
+        def counting(d, e):
+            calls.append(1)
+            time.sleep(0.05)  # hold the window open for the other threads
+            return real(d, e)
+
+        monkeypatch.setattr(evolve_mod, "eigh_tridiagonal", counting)
+        mesh = build_mesh(1, (-1.0, 1.0), 128)
+        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
+        start = threading.Barrier(4)
+        results = []
+
+        def worker():
+            start.wait(timeout=10)
+            results.append(operator_eig(op))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 4 and all(r is results[0] for r in results)
+        assert len(calls) == 1
 
     def test_tridiagonal_matches_dense(self):
         mesh = build_mesh(1, (-1.0, 1.0), 48)
