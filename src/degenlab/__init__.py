@@ -38,13 +38,11 @@ from .evolve import (
     HeatField,
     SupKernelValue,
     WaveField,
-    field_to_csv,
     heat_evolve,
     kernel_column,
     operator_eig,
     resolvent_power_apply,
     sup_kernel,
-    sup_series_to_csv,
     wave_evolve,
 )
 from .grid import DiscreteOperator, Mesh, assemble, build_mesh, cut_conductance, markov_check
@@ -52,10 +50,8 @@ from .metric import (
     DistanceField,
     HolderFit,
     ball_volume,
-    ball_volumes_to_csv,
     distance_1d,
     distance_field,
-    distance_field_to_csv,
     holder_fit,
 )
 
@@ -86,13 +82,11 @@ __all__ = [
     "HeatField",
     "SupKernelValue",
     "WaveField",
-    "field_to_csv",
     "heat_evolve",
     "kernel_column",
     "operator_eig",
     "resolvent_power_apply",
     "sup_kernel",
-    "sup_series_to_csv",
     "wave_evolve",
     "DiscreteOperator",
     "Mesh",
@@ -103,9 +97,7 @@ __all__ = [
     "DistanceField",
     "HolderFit",
     "ball_volume",
-    "ball_volumes_to_csv",
     "distance_1d",
     "distance_field",
-    "distance_field_to_csv",
     "holder_fit",
 ]

@@ -16,7 +16,6 @@ and a piece-ratio divergence test.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -720,7 +719,3 @@ def load_sampled_csv(path, dimension, shape=None):
         raise SchemaError("2D sampled profile needs a 'shape' [ny, nx] entry")
     ny, nx = shape
     return data.reshape(ny, nx, 3)
-
-
-def profile_json_dumps(profile: CoefficientProfile) -> str:
-    return json.dumps(profile_to_json(profile), sort_keys=True)

@@ -7,7 +7,6 @@ Anchors state the inequality or identity being exercised.  Checks are pure
 given their seed, so records are reproducible bit for bit.
 """
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .evolve import EIG_POINT_CAP, heat_evolve, kernel_column, resolvent_power_apply
 from .evolve import sup_kernel, wave_evolve
-from .grid import cut_conductance, markov_check
+from .grid import assemble, build_mesh, cut_conductance, markov_check
 from .metric import ball_volume, distance_field
 
 
@@ -43,7 +42,6 @@ class CheckRecord:
             "anchor": self.anchor,
             "status": self.status.value,
             "margin": self.margin,
-            "runtime": self.runtime,
         }
         if self.fitted is not None:
             doc["fitted"] = self.fitted
@@ -74,18 +72,6 @@ class DiagnosticsReport:
         }
 
 
-def _timed(fn):
-    """Fill record.runtime with the wall time of the check body."""
-
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rec = fn(*args, **kwargs)
-        rec.runtime = time.perf_counter() - t0
-        return rec
-
-    return wrapper
-
-
 def _w_ip(u, v, vol):
     return float(np.dot(u, v) * vol)
 
@@ -98,7 +84,6 @@ def _w_norm2(u, vol):
 # conservation and structure
 
 
-@_timed
 def conservation_defect(op, t_grid, backend="chebyshev", tol=1e-9) -> CheckRecord:
     """max_t || e^{-tA} 1 - 1 ||_inf; zero row sums make this solver noise."""
     ts = [float(t) for t in t_grid]
@@ -123,7 +108,6 @@ def conservation_defect(op, t_grid, backend="chebyshev", tol=1e-9) -> CheckRecor
     )
 
 
-@_timed
 def structure_check(op, seed=0, row_tol_factor=1e-13, psd_tol_factor=1e-10) -> CheckRecord:
     """Markov-generator invariants: exact symmetry, nonpositive off-diagonal
     entries, zero row sums, positive semidefiniteness on random probes."""
@@ -211,7 +195,6 @@ def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid, rel
     )
 
 
-@_timed
 def offdiagonal_gaussian_check(op, mesh, balls, t_grid, rel_tol=1e-6, abs_tol=1e-12):
     """|(phi_1, S_t phi_2)| <= exp(-d~^2/(4t)) ||phi_1||_2 ||phi_2||_2 with
     d~ = (d_C(x1;x2) - r1 - r2) v 0, for indicator functions of metric balls.
@@ -241,7 +224,6 @@ def _box_gap(box1, box2):
     return float(np.sqrt(np.sum(gap * gap)))
 
 
-@_timed
 def euclidean_offdiagonal_check(op, mesh, boxes, t_grid, c_norm, rel_tol=1e-6, abs_tol=1e-12):
     """Euclidean-distance variant for arbitrary box-supported sets:
     |(phi1, S_t phi2)| <= exp(-d_e^2/(4 ||C|| t)) ||phi1||_2 ||phi2||_2."""
@@ -278,7 +260,6 @@ def smooth_bump(pts, box):
     return out
 
 
-@_timed
 def wave_speed_check(
     op,
     profile,
@@ -340,7 +321,6 @@ def wave_speed_check(
 # separation probes
 
 
-@_timed
 def separation_probe(
     profile,
     box,
@@ -350,9 +330,7 @@ def separation_probe(
     cut=0.0,
     cut_interval=None,
     bump=None,
-    dt=None,
     stabilize_tol=0.05,
-    assemble_fn=None,
 ):
     """Leakage-under-refinement probe of the separation dichotomy.
 
@@ -363,9 +341,6 @@ def separation_probe(
     within stabilize_tol is NonSeparating; strict monotone decrease with the
     leakage/conductance ratio within [0.1, 10] of its median is Separating.
     """
-    from .grid import assemble as _assemble, build_mesh
-
-    assemble_fn = assemble_fn or _assemble
     lo, hi = box
     if cut_interval is None:
         w = 0.25 * (hi - lo)
@@ -385,8 +360,8 @@ def separation_probe(
         phi /= phi.sum() * mesh.cell_volume
         right = xs > cut
         for eps in epsilon_list:
-            opv = assemble_fn(profile, mesh, float(eps))
-            f = heat_evolve(opv, phi, float(t), backend="backward_euler", dt=dt)
+            opv = assemble(profile, mesh, float(eps))
+            f = heat_evolve(opv, phi, float(t), backend="backward_euler")
             leakage = float(f.values[right].sum() * mesh.cell_volume)
             cond = cut_conductance(profile, mesh, cut_interval, float(eps))
             table.append(
@@ -423,7 +398,6 @@ def separation_probe(
     )
 
 
-@_timed
 def invariance_defect(op, omega_mask, t, nprobe=16, seed=0, tol=1e-8) -> CheckRecord:
     """|| 1_{Omega^c} e^{-tA} (phi 1_Omega) ||_2 maximized over seeded random
     phi, unit-normalized on Omega; ~0 certifies S_t L_2(Omega) c L_2(Omega)."""
@@ -449,7 +423,6 @@ def invariance_defect(op, omega_mask, t, nprobe=16, seed=0, tol=1e-8) -> CheckRe
     )
 
 
-@_timed
 def form_additivity_defect(op, omega_mask, nprobe=16, seed=0, tol=1e-12) -> CheckRecord:
     """|phi^T A phi - (phi 1_O)^T A (phi 1_O) - (phi 1_Oc)^T A (phi 1_Oc)|
     relative to 1 + phi^T A phi, maximized over seeded random phi; exactly 0
@@ -488,7 +461,6 @@ def _fit_loglog(x, y):
     return float(coef[0]), float(np.exp(coef[1])), stderr
 
 
-@_timed
 def smalltime_decay_fit(
     op, mesh, gamma_pred, t_grid, c_norm, boundary_margin=0.0, overshoot=1.10
 ) -> CheckRecord:
@@ -533,7 +505,6 @@ def smalltime_decay_fit(
     )
 
 
-@_timed
 def largetime_floor_check(
     op,
     mesh,
@@ -581,7 +552,6 @@ def largetime_floor_check(
     )
 
 
-@_timed
 def resolvent_volume_scaling(
     op, profile, mesh, origin, r_grid, m, epsilon=0.0, slope_tol=0.15, ratio_cap=3.0
 ) -> CheckRecord:
@@ -629,7 +599,6 @@ def resolvent_volume_scaling(
     )
 
 
-@_timed
 def ondiagonal_lower_check(
     op, mesh, t, diameter, centers, mode="uniform", uniformity=1e-3
 ) -> CheckRecord:
@@ -662,7 +631,6 @@ def ondiagonal_lower_check(
     )
 
 
-@_timed
 def kernel_cut_check(op, mesh, source_index, t, cut_mask, tol=0.0) -> CheckRecord:
     """Kernel column from one side of an exact cut is identically zero on the
     other side (block-diagonal generator; sparse products keep exact zeros)."""

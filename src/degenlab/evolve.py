@@ -40,6 +40,7 @@ EIG_POINT_CAP = 4200  # dense eigenvector matrix stays comfortably in memory
 CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
 BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
+IMPLICIT_STEPS = 128  # backward-Euler steps per evolution time
 
 
 @dataclass
@@ -229,16 +230,12 @@ def _factorized_shift_solver(op, coef):
     return lu.solve
 
 
-def _implicit_evolve(op, phi, t, dt, theta):
-    """theta = 1: backward Euler; theta = 0.5: Crank-Nicolson."""
-    nsteps = max(int(np.ceil(t / dt - 1e-12)), 1)
-    step = t / nsteps
-    solve = _factorized_shift_solver(op, theta * step)
-    u = phi.astype(float, copy=True)
-    explicit = (1.0 - theta) * step
-    for _ in range(nsteps):
-        rhs = u if explicit == 0.0 else u - explicit * (op.matrix @ u)
-        u = solve(rhs)
+def _implicit_evolve(op, phi, t):
+    """Backward Euler: IMPLICIT_STEPS solves with (I + (t / IMPLICIT_STEPS) A)."""
+    solve = _factorized_shift_solver(op, t / IMPLICIT_STEPS)
+    u = phi
+    for _ in range(IMPLICIT_STEPS):
+        u = solve(u)
     return u
 
 
@@ -252,7 +249,6 @@ def heat_evolve(
     t,
     backend: str = "chebyshev",
     tol: float = DEFAULT_TOL,
-    dt: float | None = None,
 ) -> HeatField:
     """Approximation of e^{-tA} phi0.
 
@@ -263,8 +259,8 @@ def heat_evolve(
 
     Backends: 'chebyshev' (uniform error <= tol * ||phi0||_2 on the Gershgorin
     interval), 'eig' (exact up to roundoff, 1D / small N), 'backward_euler'
-    (first order, unconditionally positivity preserving for M-matrices),
-    'crank_nicolson' (second order in dt).
+    (128 steps, first order, unconditionally positivity preserving for
+    M-matrices).
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0):
@@ -274,9 +270,8 @@ def heat_evolve(
         evolve = lambda s: _cheb_expm_apply(op, phi0, s, tol)
     elif backend == "eig":
         evolve = lambda s: _eig_expm_apply(op, phi0, s)
-    elif backend in ("backward_euler", "crank_nicolson"):
-        theta, steps = (1.0, 128.0) if backend == "backward_euler" else (0.5, 256.0)
-        evolve = lambda s: [_implicit_evolve(op, phi0, u, dt or u / steps, theta) for u in s]
+    elif backend == "backward_euler":
+        evolve = lambda s: [_implicit_evolve(op, phi0, u) for u in s]
     else:
         raise ValueError(f"unknown backend '{backend}'")
     vals = np.empty((ts.size,) + phi0.shape)
@@ -463,36 +458,3 @@ def wave_evolve(op: DiscreteOperator, phi0, t: float, cfl_safety: float = 0.5) -
 def _leapfrog_energy(A, u, u_prev, dt):
     v = (u - u_prev) / dt
     return float(v @ v + u @ (A @ u_prev))
-
-
-# ---------------------------------------------------------------------------
-# field export
-
-
-def field_to_csv(field, mesh, path):
-    """CSV rows (x[, y], value) for a heat or wave field (or a raw vector)."""
-    import csv
-
-    if isinstance(field, HeatField):
-        values = field.values
-    elif isinstance(field, WaveField):
-        values = field.displacement
-    else:
-        values = np.asarray(field)
-    pts = mesh.points()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"] if pts.shape[1] == 1 else ["x", "y", "value"])
-        for p, v in zip(pts, values):
-            w.writerow([format(c, ".17g") for c in p] + [format(v, ".17g")])
-
-
-def sup_series_to_csv(pairs, path):
-    """CSV rows (t, value) for a sup-kernel time series."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for t, v in pairs:
-            w.writerow([format(float(t), ".17g"), format(float(v), ".17g")])

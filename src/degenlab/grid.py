@@ -9,7 +9,6 @@ off-diagonals, zero row sums, positive semidefinite; its negative exponential
 is automatically a conservative positivity-preserving contraction semigroup.
 """
 
-import csv
 import threading
 from dataclasses import dataclass
 
@@ -107,46 +106,15 @@ class DiscreteOperator:
     def size(self):
         return self.matrix.shape[0]
 
-    def __matmul__(self, v):
-        return self.matrix @ v
-
     def quadratic_form(self, phi):
         return float(phi @ (self.matrix @ phi))
 
-    def to_coo_csv(self, path):
-        """3-column (row, col, value) export of the nonzero entries."""
-        coo = self.matrix.tocoo()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "col", "value"])
-            order = np.lexsort((coo.col, coo.row))
-            for i in order:
-                w.writerow([coo.row[i], coo.col[i], format(coo.data[i], ".17g")])
 
-
-def _face_values(profile, mids, epsilon, averaging, nodes_a=None, nodes_b=None):
-    if averaging == "midpoint":
-        return profile.scalar_values(mids) + epsilon
-    if averaging == "harmonic":
-        ca = profile.scalar_values(nodes_a)
-        cb = profile.scalar_values(nodes_b)
-        s = ca + cb
-        hm = np.where(s > 0, 2.0 * ca * cb / np.where(s > 0, s, 1.0), 0.0)
-        return hm + epsilon
-    raise ValueError(f"unknown face averaging '{averaging}'")
-
-
-def assemble(
-    profile: CoefficientProfile,
-    mesh: Mesh,
-    epsilon: float,
-    averaging: str = "midpoint",
-) -> DiscreteOperator:
+def assemble(profile: CoefficientProfile, mesh: Mesh, epsilon: float) -> DiscreteOperator:
     """Finite-volume assembly of the viscosity generator on the mesh.
 
-    Face conductances sample the coefficient at face midpoints by default
-    (exact conductance/integral duality); 'harmonic' averages the two node
-    values instead, for sensitivity studies.  2D requires a scalar profile:
+    Face conductances sample the coefficient at face midpoints (exact
+    conductance/integral duality).  2D requires a scalar profile:
     the 5-point stencil stays an M-matrix unconditionally only without cross
     terms.
     """
@@ -162,7 +130,7 @@ def assemble(
     if mesh.dimension == 1:
         xs = mesh.axis(0)
         mids = 0.5 * (xs[:-1] + xs[1:])
-        g = _face_values(profile, mids, epsilon, averaging, xs[:-1], xs[1:]) / h**2
+        g = (profile.scalar_values(mids) + epsilon) / h**2
         rows_i = np.arange(mesh.n)
         rows_j = rows_i + 1
     else:
@@ -172,9 +140,7 @@ def assemble(
         mx = np.column_stack(
             [0.5 * (xs[IX.ravel()] + xs[IX.ravel() + 1]), ys[IY.ravel()]]
         )
-        ax_a = np.column_stack([xs[IX.ravel()], ys[IY.ravel()]])
-        ax_b = np.column_stack([xs[IX.ravel() + 1], ys[IY.ravel()]])
-        gx = _face_values(profile, mx, epsilon, averaging, ax_a, ax_b) / h**2
+        gx = (profile.scalar_values(mx) + epsilon) / h**2
         ix_i = IX.ravel() * npa + IY.ravel()
         ix_j = (IX.ravel() + 1) * npa + IY.ravel()
         # y-direction faces: (ix, iy) -- (ix, iy+1)
@@ -182,9 +148,7 @@ def assemble(
         my = np.column_stack(
             [xs[JX.ravel()], 0.5 * (ys[JY.ravel()] + ys[JY.ravel() + 1])]
         )
-        ay_a = np.column_stack([xs[JX.ravel()], ys[JY.ravel()]])
-        ay_b = np.column_stack([xs[JX.ravel()], ys[JY.ravel() + 1]])
-        gy = _face_values(profile, my, epsilon, averaging, ay_a, ay_b) / h**2
+        gy = (profile.scalar_values(my) + epsilon) / h**2
         iy_i = JX.ravel() * npa + JY.ravel()
         iy_j = JX.ravel() * npa + JY.ravel() + 1
         g = np.concatenate([gx, gy])

@@ -4,15 +4,15 @@ In 1D the distance between x and y is the integral of (c + eps)^(-1/2),
 computed by graded quadrature that is exact about each declared degeneracy
 and deterministic: the same nodes serve every epsilon, so epsilon-monotone
 families of distances come out exactly monotone.  On meshes, distance fields
-are Dijkstra shortest paths on the 2-neighbor (1D) or 8-neighbor (2D) grid
-graph with metric edge weights; +inf is a first-class value (unreachable
-components across exact cuts).
+are Dijkstra shortest paths (scipy.sparse.csgraph) on the 2-neighbor (1D) or
+8-neighbor (2D) grid graph with metric edge weights; +inf is a first-class
+value (unreachable components across exact cuts).
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coeffs import CoefficientProfile, PowerDegenerate, RadialShell
 from .quadrature import graded_tail, integrate_graded
@@ -21,6 +21,8 @@ from .quadrature import graded_tail, integrate_graded
 _G8_X, _G8_W = np.polynomial.legendre.leggauss(8)
 _G8_X = 0.5 * (_G8_X + 1.0)
 _G8_W = 0.5 * _G8_W
+# edges whose midpoint c + eps is below EDGE_FLOOR^2 get the sub-quadrature too
+EDGE_FLOOR = 1e-6
 
 
 @dataclass
@@ -135,45 +137,28 @@ def distance_field(
     origin,
     epsilon: float = 0.0,
     sources=None,
-    edge_floor: float = 1e-6,
 ) -> DistanceField:
-    """Dijkstra distance field from the origin point (or the given source
-    index set) on the grid graph with edge weights length * (c + eps)^(-1/2)
-    sampled at edge midpoints; near-degenerate edges get an 8-point Gauss
-    sub-quadrature along the edge, and the two edges abutting a declared 1D
-    center use the exact graded integral."""
+    """Shortest-path distance field from the origin point (or the given
+    source index set) on the grid graph with edge weights length *
+    (c + eps)^(-1/2) sampled at edge midpoints; near-degenerate edges get an
+    8-point Gauss sub-quadrature along the edge, and the two edges abutting a
+    declared 1D center use the exact graded integral.  One csgraph Dijkstra
+    over the finite-weight edges, so nodes behind an exact cut stay +inf."""
+    # kept out of `import degenlab`: only distance fields need csgraph
+    from scipy.sparse.csgraph import dijkstra
+
     if sources is None:
         sources = [mesh.nearest_index(origin)]
-    heads, tails, weights = _edge_graph(profile, mesh, epsilon, edge_floor)
-    N = mesh.size
-    adj_index = [[] for _ in range(N)]
-    for e, (i, j) in enumerate(zip(heads, tails)):
-        adj_index[i].append(e)
-        adj_index[j].append(e)
-    dist = np.full(N, np.inf)
-    heap = []
-    for s in sources:
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, int(s)))
-    seen = np.zeros(N, dtype=bool)
-    while heap:
-        d, i = heapq.heappop(heap)
-        if seen[i]:
-            continue
-        seen[i] = True
-        for e in adj_index[i]:
-            j = tails[e] if heads[e] == i else heads[e]
-            w = weights[e]
-            if not np.isfinite(w) or seen[j]:
-                continue
-            nd = d + w
-            if nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, int(j)))
+    heads, tails, weights = _edge_graph(profile, mesh, epsilon)
+    finite = np.isfinite(weights)
+    graph = sp.csr_matrix(
+        (weights[finite], (heads[finite], tails[finite])), shape=(mesh.size, mesh.size)
+    )
+    dist = dijkstra(graph, directed=False, indices=sources, min_only=True)
     return DistanceField(origin, dist, epsilon, "GraphGeodesic", mesh)
 
 
-def _edge_graph(profile, mesh, epsilon, edge_floor):
+def _edge_graph(profile, mesh, epsilon):
     """Edge list (heads, tails, weights) of the 2-/8-neighbor grid graph."""
     pts = mesh.points()
     N = mesh.size
@@ -198,10 +183,9 @@ def _edge_graph(profile, mesh, epsilon, edge_floor):
     with np.errstate(divide="ignore"):
         weights = lengths / np.sqrt(c_mid)
 
-    refine = c_mid < max(edge_floor, 0.0) ** 2
-    near = _near_degenerate_edges(profile, mids, mesh.h)
-    for e in np.nonzero(refine | near)[0]:
-        weights[e] = _edge_weight_quadrature(profile, a[e], b[e], epsilon, mesh.h)
+    refine = (c_mid < EDGE_FLOOR**2) | _near_degenerate_edges(profile, mids, mesh.h)
+    if refine.any():
+        weights[refine] = _edge_weight_quadrature(profile, a[refine], b[refine], epsilon)
     return heads, tails, weights
 
 
@@ -213,24 +197,24 @@ def _near_degenerate_edges(profile, mids, h):
     return rho <= 8.0 * h
 
 
-def _edge_weight_quadrature(profile, a, b, epsilon, h):
-    """Metric length of the edge a-b by Gauss sub-quadrature; for 1D edges
-    that touch a declared center, the exact graded integral instead."""
-    if profile.dimension == 1:
-        x0, x1 = sorted((a[0], b[0]))
-        for z in _degeneracy_points(profile):
-            if x0 - 1e-12 <= z <= x1 + 1e-12:
-                f_r = _offset_integrand(profile, z, +1.0, epsilon)
-                f_l = _offset_integrand(profile, z, -1.0, epsilon)
-                right = _graded_or_inf(f_r, x1 - z) if x1 > z else 0.0
-                left = _graded_or_inf(f_l, z - x0) if z > x0 else 0.0
-                return left + right
-    seg = a + np.outer(_G8_X, b - a)
-    vals = profile.scalar_values(seg) + epsilon
-    length = float(np.linalg.norm(b - a))
+def _edge_weight_quadrature(profile, a, b, epsilon):
+    """Metric lengths of the edges a[e]-b[e] by 8-point Gauss sub-quadrature,
+    all edges in one coefficient evaluation; 1D edges that touch a declared
+    center take the exact graded integral instead."""
+    E, d = a.shape
+    seg = a[:, None, :] + _G8_X[:, None] * (b - a)[:, None, :]  # (E, 8, d) nodes
+    vals = profile.scalar_values(seg.reshape(-1, d)).reshape(E, 8) + epsilon
     with np.errstate(divide="ignore"):
-        integrand = 1.0 / np.sqrt(vals)
-    return length * float(np.dot(_G8_W, integrand))
+        weights = np.linalg.norm(b - a, axis=1) * ((1.0 / np.sqrt(vals)) @ _G8_W)
+    if d == 1:
+        x0, x1 = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
+        # reversed, so that an edge touching two centers keeps the first
+        for z in reversed(_degeneracy_points(profile)):
+            f_l = _offset_integrand(profile, z, -1.0, epsilon)
+            f_r = _offset_integrand(profile, z, +1.0, epsilon)
+            for e in np.flatnonzero((x0 - 1e-12 <= z) & (z <= x1 + 1e-12)):
+                weights[e] = _graded_or_inf(f_l, z - x0[e]) + _graded_or_inf(f_r, x1[e] - z)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -248,29 +232,6 @@ def ball_volume(field: DistanceField, r: float, mask=None) -> float:
     if mask is not None:
         inside = inside & mask
     return float(np.count_nonzero(inside) * field.mesh.cell_volume)
-
-
-def distance_field_to_csv(field: DistanceField, path):
-    """CSV rows (x[, y], d); +inf serializes as 'inf'."""
-    import csv
-
-    pts = field.mesh.points()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "d"] if pts.shape[1] == 1 else ["x", "y", "d"])
-        for p, v in zip(pts, field.values):
-            w.writerow([format(c, ".17g") for c in p] + ["inf" if np.isinf(v) else format(v, ".17g")])
-
-
-def ball_volumes_to_csv(field: DistanceField, radii, path, mask=None):
-    """CSV rows (r, volume) over the given radii."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "volume"])
-        for r in radii:
-            w.writerow([format(float(r), ".17g"), format(ball_volume(field, float(r), mask), ".17g")])
 
 
 @dataclass

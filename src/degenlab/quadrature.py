@@ -137,15 +137,3 @@ def integrate_graded(f_offset, span, levels=48, kappa=4):
         if 0 < r < 0.999:
             total += pieces[-1] * r / (1.0 - r)
     return total
-
-
-def integrate_segment(f, a, b, nparts=8):
-    """Composite 16-point Gauss rule for a smooth integrand on [a, b]."""
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, nparts + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x = lo + (hi - lo) * _GL_X
-        total += (hi - lo) * np.dot(_GL_W, f(x))
-    return float(total)

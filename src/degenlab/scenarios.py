@@ -8,6 +8,7 @@ every check derives its random seed from the scenario seed and its own index.
 """
 
 import hashlib
+import time
 
 import numpy as np
 
@@ -67,9 +68,11 @@ class ScenarioContext:
         digest = hashlib.sha256(f"{self.seed}:{check_index}:{check_name}".encode()).digest()
         return int.from_bytes(digest[:4], "little")
 
-    def omega_mask(self, spec):
-        """Resolve a region spec into a boolean node mask."""
-        pts = self.mesh.points()
+    def omega_mask(self, spec, mesh=None):
+        """Resolve a region spec into a boolean node mask on the given mesh
+        (the scenario mesh by default)."""
+        mesh = self.mesh if mesh is None else mesh
+        pts = mesh.points()
         kind = spec.get("kind")
         if kind == "halfline":
             x0 = float(spec["x"])
@@ -79,7 +82,7 @@ class ScenarioContext:
             lo, hi = spec["lo"], spec["hi"]
             return (pts[:, 0] > lo) & (pts[:, 0] < hi)
         if kind == "euclidean_ball":
-            c = np.asarray(spec.get("center", [0.0] * self.mesh.dimension), dtype=float)
+            c = np.asarray(spec.get("center", [0.0] * mesh.dimension), dtype=float)
             return np.linalg.norm(pts - c, axis=1) < float(spec["radius"])
         if kind == "under_surface":
             fam = self.profile.family
@@ -172,36 +175,23 @@ def _run_invariance(ctx, params, seed):
 def _run_invariance_refinement(ctx, params, seed):
     """Invariance defect across a refinement sequence; Holds iff the defect
     decreases monotonically (curved interfaces separate only in the limit)."""
-    import time as _time
-
-    t0 = _time.perf_counter()
     t = float(params.get("t", 0.5))
     rows = []
     for n in params["n_list"]:
         mesh = build_mesh(ctx.mesh.dimension, ctx.mesh.box, int(n))
         op = assemble(ctx.profile, mesh, params.get("epsilon", 0.0))
-        pts = mesh.points()
-        spec = params["omega"]
-        if spec.get("kind") == "under_surface":
-            omega = pts[:, 1] < ctx.profile.family.phi(pts[:, 0])
-        elif spec.get("kind") == "euclidean_ball":
-            c = np.asarray(spec.get("center", [0.0] * mesh.dimension), dtype=float)
-            omega = np.linalg.norm(pts - c, axis=1) < float(spec["radius"])
-        else:
-            raise SchemaError(f"unsupported omega kind for refinement: {spec.get('kind')}")
+        omega = ctx.omega_mask(params["omega"], mesh)
         rec = diagnose.invariance_defect(op, omega, t, seed=seed, tol=np.inf)
         rows.append({"n": int(n), "defect": rec.margin})
     defects = [r["defect"] for r in rows]
     ok = all(b < a for a, b in zip(defects, defects[1:]))
-    out = CheckRecord(
+    return CheckRecord(
         "invariance_refinement",
         "S_t L2(Omega) contained in L2(Omega): defect decreasing under refinement",
         Status.HOLDS if ok else Status.VIOLATED,
         margin=defects[-1],
         table=rows,
     )
-    out.runtime = _time.perf_counter() - t0
-    return out
 
 
 def _run_form_additivity(ctx, params, seed):
@@ -275,13 +265,10 @@ def _run_kernel_cut(ctx, params, seed):
 
 
 def _run_classify(ctx, params, seed):
-    import time as _time
-
-    t0 = _time.perf_counter()
     cl = classify(ctx.profile)
     expected = params.get("expect")
     ok = expected is None or cl.verdict.value == expected
-    rec = CheckRecord(
+    return CheckRecord(
         "classify",
         "int 1/mu_m locally finite <=> closable; divergent across a zero <=> separating",
         Status.HOLDS if ok else Status.VIOLATED,
@@ -292,14 +279,9 @@ def _run_classify(ctx, params, seed):
             for row in cl.integrability_table
         ],
     )
-    rec.runtime = _time.perf_counter() - t0
-    return rec
 
 
 def _run_holder(ctx, params, seed):
-    import time as _time
-
-    t0 = _time.perf_counter()
     fit = holder_fit(
         ctx.profile,
         float(params.get("origin", 0.0)),
@@ -309,7 +291,7 @@ def _run_holder(ctx, params, seed):
     expect = params.get("expect_gamma")
     tol = float(params.get("tol", 0.02))
     ok = expect is None or abs(fit.gamma_hat - float(expect)) <= tol
-    rec = CheckRecord(
+    return CheckRecord(
         "holder",
         "a1 |x-y| <= d_C(x;y) <= a2 (|x-y|^gamma v |x-y|): comparison exponent fit",
         Status.HOLDS if ok else Status.VIOLATED,
@@ -317,8 +299,6 @@ def _run_holder(ctx, params, seed):
         fitted={"gamma_hat": fit.gamma_hat, "a_hat": fit.a_hat, "stderr": fit.stderr},
         table=[{"gamma_hat": fit.gamma_hat, "a_hat": fit.a_hat, "residual": fit.residual}],
     )
-    rec.runtime = _time.perf_counter() - t0
-    return rec
 
 
 CHECKS = {
@@ -384,7 +364,9 @@ def run_checks(ctx, threads=1):
 
     def run_one(job):
         i, name, params = job
+        t0 = time.perf_counter()
         rec = CHECKS[name](ctx, params, ctx.seed_for(i, name))
+        rec.runtime = time.perf_counter() - t0
         return i, rec
 
     if threads > 1:

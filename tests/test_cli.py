@@ -87,6 +87,7 @@ class TestRun:
         assert csvs
         for name in csvs:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         r1 = json.loads((out1 / "report.json").read_text())
         r2 = json.loads((out2 / "report.json").read_text())
         for a, b in zip(r1["records"], r2["records"]):

@@ -115,13 +115,6 @@ class TestHeatEvolve:
         out = heat_evolve(op, ones, 0.3, backend="backward_euler").values
         assert np.abs(out - 1.0).max() < 1e-10
 
-    def test_crank_nicolson_matches_chebyshev(self, laplace_op):
-        rng = np.random.default_rng(16)
-        phi = rng.standard_normal(laplace_op.size)
-        ref = heat_evolve(laplace_op, phi, 0.25).values
-        cn = heat_evolve(laplace_op, phi, 0.25, backend="crank_nicolson", dt=1e-3).values
-        assert np.linalg.norm(cn - ref) <= 1e-4 * np.linalg.norm(phi)
-
     def test_epsilon_convergence_to_block_limit(self):
         # viscous evolutions approach the eps = 0 (block-diagonal) evolution
         mesh = build_mesh(1, (-4.0, 4.0), 511)
@@ -469,19 +462,3 @@ class TestEigCache:
         e = op.matrix.diagonal(1)
         lam_ref = eigh_tridiagonal(d, e, eigvals_only=True)
         assert np.allclose(lam, np.maximum(lam_ref, 0.0), atol=1e-10)
-
-
-class TestFieldExport:
-    def test_heat_and_wave_csv(self, laplace_op, tmp_path):
-        from degenlab import field_to_csv, sup_series_to_csv
-
-        col = kernel_column(laplace_op, 1024, 0.1)
-        path = tmp_path / "field.csv"
-        field_to_csv(col, laplace_op.mesh, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x,value"
-        xs = laplace_op.mesh.axis(0)
-        w = wave_evolve(laplace_op, np.exp(-(xs**2)), 0.5)
-        field_to_csv(w, laplace_op.mesh, tmp_path / "wave.csv")
-        sup_series_to_csv([(0.1, 1.0), (0.2, 0.5)], tmp_path / "sup.csv")
-        assert (tmp_path / "sup.csv").read_text().splitlines()[0] == "t,value"

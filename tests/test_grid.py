@@ -90,14 +90,6 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(p, mesh, 0.0)
 
-    def test_harmonic_averaging_flag(self):
-        mesh = build_mesh(1, (-1.0, 1.0), 64)
-        p = power1d(0.5, domain=(-1.0, 1.0))
-        op_mid = assemble(p, mesh, 0.0)
-        op_har = assemble(p, mesh, 0.0, averaging="harmonic")
-        # harmonic mean <= midpoint value for this concave profile shape
-        assert op_har.matrix.diagonal().sum() <= op_mid.matrix.diagonal().sum()
-
     def test_form_monotone_in_epsilon(self):
         mesh = build_mesh(1, (-2.0, 2.0), 128)
         p = power1d(0.5, domain=(-2.0, 2.0))
@@ -120,15 +112,6 @@ class TestAssemble:
             full = op.quadratic_form(phi)
             split = op.quadratic_form(phi * left) + op.quadratic_form(phi * ~left)
             assert abs(full - split) <= 1e-14 * (1 + abs(full))
-
-    def test_coo_csv_export(self, tmp_path):
-        mesh = build_mesh(1, (-1.0, 1.0), 8)
-        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        path = tmp_path / "op.csv"
-        op.to_coo_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "row,col,value"
-        assert len(rows) == 1 + op.matrix.nnz
 
 
 class TestCutConductance:

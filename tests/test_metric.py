@@ -13,6 +13,7 @@ from degenlab import (
     distance_field,
     holder_fit,
 )
+from degenlab import metric
 
 
 def power1d(delta, domain=(-8.0, 8.0)):
@@ -139,6 +140,79 @@ class TestDistanceField:
         assert np.all(np.isinf(fld.values[outside]))
 
 
+def shell2d():
+    """2D radial shell on N = 100 nodes whose plateau |r - 1| <= 0.15 is an
+    exact cut: the inside, the plateau nodes and the outside are disconnected."""
+    p = CoefficientProfile(2, RadialShell(0.75, 1.0, width=0.3), (-2.0, 2.0))
+    return p, build_mesh(2, (-2.0, 2.0), 9)
+
+
+SHELL_ORIGINS = ((0.0, 0.0), (1.6, 0.0), (-1.6, 1.6))
+
+
+def per_edge_gauss(profile, a, b, epsilon):
+    """Reference edge weights: one 8-point Gauss rule per edge."""
+    out = []
+    with np.errstate(divide="ignore"):
+        for aa, bb in zip(a, b):
+            seg = aa + np.outer(metric._G8_X, bb - aa)
+            vals = profile.scalar_values(seg) + epsilon
+            out.append(np.linalg.norm(bb - aa) * np.dot(metric._G8_W, 1.0 / np.sqrt(vals)))
+    return np.array(out)
+
+
+class TestGraphEngine:
+    def test_multi_source_is_min_of_single_sources(self):
+        p, mesh = shell2d()
+        sources = [mesh.nearest_index(o) for o in SHELL_ORIGINS]
+        multi = distance_field(p, mesh, None, sources=sources).values
+        singles = [distance_field(p, mesh, None, sources=[s]).values for s in sources]
+        assert np.array_equal(multi, np.minimum.reduce(singles))
+        assert np.isinf(multi).any() and np.isfinite(multi).sum() > len(sources)
+
+    def test_matches_all_pairs_reference(self):
+        p, mesh = shell2d()
+        heads, tails, weights = metric._edge_graph(p, mesh, 0.0)
+        # Floyd-Warshall over the whole edge list, cut edges (+inf) included
+        D = np.full((mesh.size, mesh.size), np.inf)
+        np.fill_diagonal(D, 0.0)
+        D[heads, tails] = weights
+        D[tails, heads] = weights
+        for k in range(mesh.size):
+            D = np.minimum(D, D[:, k, None] + D[None, k, :])
+        for origin in SHELL_ORIGINS:
+            got = distance_field(p, mesh, origin).values
+            ref = D[mesh.nearest_index(origin)]
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            fin = np.isfinite(ref)
+            assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_vectorised_edge_weights_match_per_edge_gauss(self, epsilon):
+        p, mesh = shell2d()
+        pts = mesh.points()
+        heads, tails, _ = metric._edge_graph(p, mesh, epsilon)
+        a, b = pts[heads], pts[tails]
+        got = metric._edge_weight_quadrature(p, a, b, epsilon)
+        ref = per_edge_gauss(p, a, b, epsilon)
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        fin = np.isfinite(ref)
+        assert fin.sum() > 100
+        assert np.all(np.abs(got[fin] - ref[fin]) <= 4 * np.spacing(ref[fin]))
+
+    def test_1d_center_edges_take_the_graded_integral(self):
+        p = power1d(0.75, domain=(-1.0, 1.0))
+        mesh = build_mesh(1, (-1.0, 1.0), 15)  # the center 0 is a face midpoint
+        pts = mesh.points()
+        a, b = pts[:-1], pts[1:]
+        got = metric._edge_weight_quadrature(p, a, b, 0.0)
+        mid = mesh.n // 2
+        assert got[mid] == pytest.approx(distance_1d(p, a[mid, 0], b[mid, 0]), rel=1e-9)
+        others = np.arange(mesh.n) != mid
+        ref = per_edge_gauss(p, a[others], b[others], 0.0)
+        assert np.all(np.abs(got[others] - ref) <= 4 * np.spacing(ref))
+
+
 class TestBallVolume:
     def test_r_zero_convention(self):
         p = power1d(0.0, domain=(-1.0, 1.0))
@@ -195,19 +269,3 @@ class TestHolderFit:
         fld = distance_field(p, mesh, (0.0,))
         fit = holder_fit(fld, (0.0,), (2e-2, 0.5))
         assert abs(fit.gamma_hat - 0.5) <= 0.05
-
-
-class TestExports:
-    def test_distance_and_volume_csv(self, tmp_path):
-        from degenlab import ball_volumes_to_csv, distance_field_to_csv
-
-        p = CoefficientProfile(1, RadialShell(0.75, 1.0, width=0.3), (-2.0, 2.0))
-        mesh = build_mesh(1, (-2.0, 2.0), 64)
-        fld = distance_field(p, mesh, (0.0,))
-        path = tmp_path / "d.csv"
-        distance_field_to_csv(fld, path)
-        body = path.read_text()
-        assert body.splitlines()[0] == "x,d"
-        assert "inf" in body  # outside the plateau shell is unreachable
-        ball_volumes_to_csv(fld, [0.1, 0.5, 1.0], tmp_path / "vol.csv")
-        assert (tmp_path / "vol.csv").read_text().splitlines()[0] == "r,volume"
