@@ -3,7 +3,8 @@
 Outputs per run: report.json (statuses, margins, fits), report.md (rendered
 from the same formatted values as the CSVs), one CSV per check record, and
 run_meta.json (timing; the only file allowed to differ between identical
-runs).  Exit codes: 0 all checks hold, 2 at least one Violated, 1 error.
+runs).  Exit codes: 0 all checks hold, 2 at least one Violated, 3 none
+Violated but at least one Inconclusive, 1 error.
 """
 
 import argparse
@@ -151,7 +152,7 @@ def run(scenario_path, out_dir=None, threads=1, overrides=(), plots=False, base_
         )
         fh.write("\n")
 
-    return 2 if report.worst_status is Status.VIOLATED else 0
+    return {Status.VIOLATED: 2, Status.INCONCLUSIVE: 3}.get(report.worst_status, 0)
 
 
 def _maybe_plot(path, rec):

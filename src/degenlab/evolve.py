@@ -13,7 +13,10 @@ For 1D operators (tridiagonal matrices) a full eigendecomposition is cheap up
 to a few thousand points and is the preferred backend for whole-diagonal
 kernel scans.  It is computed once per operator (concurrent callers wait on
 the operator's lock) and optionally memoized on disk under $DEGENLAB_CACHE,
-written through a temporary file and validated on load.
+written through a temporary file and validated on load.  A tridiagonal matrix
+that equals its own reversal bit for bit (an even coefficient on a symmetric
+box) commutes with the reflection, so its even and odd eigenvectors come from
+two half-size tridiagonal problems; any other matrix takes one full solve.
 
 heat_evolve and sup_kernel are the batched entry points: they take a block of
 columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
@@ -23,6 +26,7 @@ over all (t, column) pairs.
 """
 
 import hashlib
+import logging
 import os
 import tempfile
 import zipfile
@@ -41,6 +45,8 @@ CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
 BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
 IMPLICIT_STEPS = 128  # backward-Euler steps per evolution time
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -95,12 +101,15 @@ def _compute_eig(op, point_cap):
             with open(key, "rb") as fh, np.load(fh) as data:
                 lam, V = data["lam"], data["V"]
             if lam.shape == (N,) and V.shape == (N, N) and np.all(np.isfinite(lam)):
+                log.debug("operator_eig N=%d: disk cache hit %s", N, key)
                 return lam, V
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
             pass  # missing or damaged: recompute and rewrite
+        log.debug("operator_eig N=%d: disk cache miss %s", N, key)
     if op.mesh.dimension == 1:
-        lam, V = eigh_tridiagonal(op.matrix.diagonal(), op.matrix.diagonal(1))
+        lam, V = _tridiagonal_eig(op.matrix.diagonal(), op.matrix.diagonal(1))
     else:
+        log.debug("operator_eig N=%d: dense eigh", N)
         lam, V = eigh(op.matrix.toarray())
     lam = np.maximum(lam, 0.0)
     if key:
@@ -115,6 +124,63 @@ def _compute_eig(op, point_cap):
             os.unlink(tmp)
             raise
     return lam, V
+
+
+def _tridiagonal_eig(d, e):
+    """eigh_tridiagonal(d, e): ascending lam and orthonormal columns of V.
+
+    When d and e are palindromes the matrix commutes with the reflection
+    J (i -> N-1-i), and its eigenvectors split into even (Jv = v) and odd
+    (Jv = -v) ones, each fixed by its half on rows m = N // 2 onward
+    (Cantoni and Butler, Linear Algebra Appl. 13, 1976).  On that half the
+    matrix acts as a tridiagonal block of size about N/2: for odd N, the
+    even block couples the center with weight sqrt(2) and the odd block
+    starts past it; for even N, the two blocks differ only in their first
+    entry, d[m] +- e[m-1].  The full vectors mirror the half vectors with
+    weight 1/sqrt(2); lam is sorted stably, even before odd on ties.
+    """
+    N = d.size
+    if N < 2 or not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
+        log.debug("tridiagonal eig N=%d: one full solve", N)
+        return eigh_tridiagonal(d, e)
+    m, odd = N // 2, N % 2
+    if odd:
+        d_even, e_even = d[m:], e[m:].copy()
+        e_even[0] *= np.sqrt(2.0)
+        d_odd, e_odd = d[m + 1 :], e[m + 1 :]
+    else:
+        d_even, d_odd = d[m:].copy(), d[m:].copy()
+        d_even[0] += e[m - 1]
+        d_odd[0] -= e[m - 1]
+        e_even = e_odd = e[m:]
+    lam_even, W_even = eigh_tridiagonal(d_even, e_even)
+    lam_odd, W_odd = eigh_tridiagonal(d_odd, e_odd)
+    n_even = lam_even.size
+    log.debug("tridiagonal eig N=%d: mirror split %d even + %d odd", N, n_even, lam_odd.size)
+    lam = np.concatenate([lam_even, lam_odd])
+    order = np.argsort(lam, kind="stable")
+    sign = np.where(order < n_even, 1.0, -1.0)
+    # rows m.. hold the half vectors; row m - 1 - k (N even) or m - k
+    # (N odd) mirrors row m + k, which is row m + k of the reversed view.
+    # Row blocks are gathered by np.take (a column scatter into V is slow);
+    # order is a permutation, so mode="clip" never clips and skips a copy.
+    V = np.empty((N, N))
+    V_rev = V[::-1]
+    rows = max(1, BLOCK_BYTES // (8 * N))
+    half = np.empty((rows, N))
+    for lo in range(odd, N - m, rows):
+        hi = min(lo + rows, N - m)
+        blk = half[: hi - lo]
+        blk[:, :n_even] = W_even[lo:hi]
+        blk[:, n_even:] = W_odd[lo - odd : hi - odd]
+        blk *= np.sqrt(0.5)
+        np.take(blk, order, axis=1, out=V[m + lo : m + hi], mode="clip")
+        np.multiply(V[m + lo : m + hi], sign, out=V_rev[m + lo : m + hi])
+    if odd:  # the center row: even vectors unscaled, odd vectors vanish
+        center = np.zeros(N)
+        center[:n_even] = W_even[0]
+        V[m] = center[order]
+    return lam[order], V
 
 
 def _eig_expm_apply(op, phi, ts):

@@ -138,6 +138,22 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 2
 
+    def test_inconclusive_check_exits_3(self, tmp_path):
+        # every time lies below the resolved window 10 h^2 ||C||: no fit
+        doc = builtin_by_name("degenerate1d-d025")
+        doc["mesh"]["n"] = 256
+        doc["checks"] = [
+            {"check": "structure"},
+            {"check": "smalltime_decay", "params": {"gamma": 1.0, "t_grid": [1e-4, 2e-4, 4e-4]}},
+        ]
+        path = tmp_path / "inconclusive.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.run(str(path), out_dir=str(out)) == 3
+        report = json.loads((out / "report.json").read_text())
+        statuses = {r["name"]: r["status"] for r in report["records"]}
+        assert statuses == {"structure": "Holds", "smalltime_decay": "Inconclusive"}
+
 
 class TestListScenarios:
     def test_catalogue_size_and_claims(self, capsys):

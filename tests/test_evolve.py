@@ -421,16 +421,26 @@ class TestEigCache:
         lam2, V2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
         assert np.array_equal(lam1, lam2) and V2.shape == (65, 65)
 
+    def test_debug_log_names_split_and_cache(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
+        caplog.set_level("DEBUG", logger="degenlab.evolve")
+        mesh = build_mesh(1, (-1.0, 1.0), 64)
+        operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        text = caplog.text
+        assert "N=65: disk cache miss" in text and "N=65: disk cache hit" in text
+        assert "N=65: mirror split 33 even + 32 odd" in text
+
     def test_threads_decompose_once(self, monkeypatch):
         calls = []
-        real = evolve_mod.eigh_tridiagonal
+        real = evolve_mod._tridiagonal_eig
 
         def counting(d, e):
             calls.append(1)
             time.sleep(0.05)  # hold the window open for the other threads
             return real(d, e)
 
-        monkeypatch.setattr(evolve_mod, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(evolve_mod, "_tridiagonal_eig", counting)
         mesh = build_mesh(1, (-1.0, 1.0), 128)
         op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
         start = threading.Barrier(4)
@@ -462,3 +472,89 @@ class TestEigCache:
         e = op.matrix.diagonal(1)
         lam_ref = eigh_tridiagonal(d, e, eigvals_only=True)
         assert np.allclose(lam, np.maximum(lam_ref, 0.0), atol=1e-10)
+
+
+def mirror_tridiagonal(N, rng):
+    """Random tridiagonal (d, e) with d and e palindromes."""
+    h, g = rng.standard_normal(N), rng.standard_normal(N - 1)
+    return h + h[::-1], g + g[::-1]
+
+
+class TestMirrorSplit:
+    """_tridiagonal_eig on matrices equal to their own reversal: two
+    half-size solves, checked against the full eigenproblem."""
+
+    @pytest.fixture()
+    def solve_sizes(self, monkeypatch):
+        """Sizes of the eigh_tridiagonal calls made through evolve."""
+        sizes = []
+        real = evolve_mod.eigh_tridiagonal
+
+        def counting(d, e):
+            sizes.append(d.size)
+            return real(d, e)
+
+        monkeypatch.setattr(evolve_mod, "eigh_tridiagonal", counting)
+        return sizes
+
+    def assert_eigenpairs(self, d, e, lam, V):
+        N = d.size
+        A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        bound = 64 * N * np.finfo(float).eps * np.linalg.norm(A, 2)
+        assert lam.shape == (N,) and V.shape == (N, N)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - eigh_tridiagonal(d, e, eigvals_only=True)).max() <= bound
+        assert np.linalg.norm(A @ V - V * lam, 2) <= bound
+        assert np.linalg.norm(V.T @ V - np.eye(N), 2) <= 64 * N * np.finfo(float).eps
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 64, 65, 257])
+    def test_random_mirror_matrices(self, N, solve_sizes):
+        rng = np.random.default_rng(N)
+        d, e = mirror_tridiagonal(N, rng)
+        lam, V = evolve_mod._tridiagonal_eig(d, e)
+        assert solve_sizes == ([1] if N == 1 else [N - N // 2, N // 2])
+        self.assert_eigenpairs(d, e, lam, V)
+
+    def test_even_n_parity_ties(self):
+        # a zero conductance between the two middle points (an aligned cut)
+        # decouples two mirror-image halves: every eigenvalue is double
+        rng = np.random.default_rng(7)
+        d, e = mirror_tridiagonal(64, rng)
+        e[31] = 0.0
+        lam, V = evolve_mod._tridiagonal_eig(d, e)
+        assert np.array_equal(lam[0::2], lam[1::2])
+        # stable order: the even vector of each pair comes first
+        assert np.array_equal(V[::-1, 0::2], V[:, 0::2])
+        assert np.array_equal(V[::-1, 1::2], -V[:, 1::2])
+        self.assert_eigenpairs(d, e, lam, V)
+
+    @pytest.mark.parametrize("where", ["d", "e"])
+    def test_one_ulp_asymmetry_takes_full_solve(self, where, solve_sizes):
+        rng = np.random.default_rng(3)
+        d, e = mirror_tridiagonal(65, rng)
+        x = d if where == "d" else e
+        x[0] = np.nextafter(x[0], np.inf)
+        lam, V = evolve_mod._tridiagonal_eig(d, e)
+        assert solve_sizes == [65]
+        lam_ref, V_ref = eigh_tridiagonal(d, e)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(V, V_ref)
+
+    def test_power_law_operator_matches_unsplit(self):
+        mesh = build_mesh(1, (-4.0, 4.0), 512)
+        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        d, e = op.matrix.diagonal(), op.matrix.diagonal(1)
+        assert op.size == 513 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+        lam, V = eigh_tridiagonal(d, e)
+        unsplit = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        unsplit._eig = (np.maximum(lam, 0.0), V)
+        xs = mesh.axis(0)
+        phi = np.column_stack([np.exp(-((xs - c) ** 2)) for c in (-1.5, 0.0, 0.7)])
+        ts = [0.01, 0.3, 2.0]
+        got = heat_evolve(op, phi, ts, backend="eig").values
+        ref = heat_evolve(unsplit, phi, ts, backend="eig").values
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for margin in (0.0, 1.0):
+            s_got = sup_kernel(op, ts, boundary_margin=margin)
+            s_ref = sup_kernel(unsplit, ts, boundary_margin=margin)
+            assert s_got.strategy == s_ref.strategy == "eig"
+            assert np.all(np.abs(s_got.value - s_ref.value) <= 1e-12 * s_ref.value)
