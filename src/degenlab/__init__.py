@@ -20,10 +20,7 @@ from .coeffs import (
     SurfaceDegenerate,
     Verdict,
     classify,
-    eval_coefficient,
     profile_from_json,
-    profile_to_json,
-    smallest_eigenvalue,
     viscosity_shift,
 )
 from .errors import (
@@ -68,10 +65,7 @@ __all__ = [
     "SurfaceDegenerate",
     "Verdict",
     "classify",
-    "eval_coefficient",
     "profile_from_json",
-    "profile_to_json",
-    "smallest_eigenvalue",
     "viscosity_shift",
     "CflError",
     "DomainError",

@@ -221,10 +221,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -381,11 +381,6 @@ class CoefficientProfile:
 # operations
 
 
-def eval_coefficient(profile: CoefficientProfile, x) -> np.ndarray:
-    """Symmetric PSD coefficient matrix at x (includes the viscosity shift)."""
-    return profile.matrix(x)
-
-
 def viscosity_shift(profile: CoefficientProfile, epsilon: float) -> CoefficientProfile:
     """Profile whose evaluations equal the originals plus epsilon * I."""
     if epsilon < 0:
@@ -398,11 +393,6 @@ def viscosity_shift(profile: CoefficientProfile, epsilon: float) -> CoefficientP
         gamma_hint=profile.gamma_hint,
         cut_hint=profile.cut_hint,
     )
-
-
-def smallest_eigenvalue(profile: CoefficientProfile, x) -> float:
-    """mu_m(x), the smallest eigenvalue of the coefficient matrix at x."""
-    return float(profile.smallest_eigenvalues(x)[0])
 
 
 class Verdict(str, Enum):
@@ -580,13 +570,6 @@ def classify(profile: CoefficientProfile, cfg: QuadratureConfig | None = None) -
                 div_threshold=cfg.div_threshold,
                 ratio_cutoff=cfg.ratio_cutoff,
             )
-            inv_sqrt = graded_tail(
-                lambda rho: 1.0 / np.sqrt(np.maximum(f(rho), 1e-300)),
-                span,
-                levels=cfg.levels,
-                div_threshold=cfg.div_threshold,
-                ratio_cutoff=cfg.ratio_cutoff,
-            )
             table.append(
                 {
                     "zero": z0,
@@ -594,9 +577,6 @@ def classify(profile: CoefficientProfile, cfg: QuadratureConfig | None = None) -
                     "span": span,
                     "inv_mu": inv.value,
                     "inv_mu_divergent": inv.divergent,
-                    "inv_mu_ratio": inv.ratio,
-                    "inv_sqrt_mu": inv_sqrt.value,
-                    "inv_sqrt_mu_divergent": inv_sqrt.divergent,
                     "levels": inv.levels,
                 }
             )
@@ -616,43 +596,6 @@ def classify(profile: CoefficientProfile, cfg: QuadratureConfig | None = None) -
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def profile_to_json(profile: CoefficientProfile) -> dict:
-    fam = profile.family
-    if isinstance(fam, PowerDegenerate):
-        centers = [list(c) if len(c) > 1 else c[0] for c in fam.centers]
-        famdoc = {"kind": "power", "delta": fam.delta, "centers": centers}
-    elif isinstance(fam, RadialShell):
-        famdoc = {
-            "kind": "radial_shell",
-            "delta": fam.delta,
-            "radius": fam.radius,
-            "width": fam.width,
-        }
-    elif isinstance(fam, SurfaceDegenerate):
-        famdoc = {
-            "kind": "surface",
-            "delta": fam.delta,
-            "surface": {"y": list(fam.y_samples), "phi": list(fam.phi_samples)},
-        }
-    elif isinstance(fam, StronglyElliptic):
-        famdoc = {"kind": "constant", "matrix": fam.matrix.tolist()}
-    else:
-        raise ValueError("sampled profiles serialize by CSV reference, not inline")
-    dom = [list(d) for d in profile.domain]
-    doc = {
-        "dimension": profile.dimension,
-        "family": famdoc,
-        "domain": dom[0] if profile.dimension == 1 else dom,
-    }
-    if profile.epsilon:
-        doc["epsilon"] = profile.epsilon
-    if profile.gamma_hint is not None:
-        doc["gamma_hint"] = profile.gamma_hint
-    if profile.cut_hint:
-        doc["cut_hint"] = list(profile.cut_hint)
-    return doc
 
 
 def profile_from_json(doc: dict, base_dir=None) -> CoefficientProfile:

@@ -15,7 +15,7 @@ import numpy as np
 from .evolve import EIG_POINT_CAP, heat_evolve, kernel_column, resolvent_power_apply
 from .evolve import sup_kernel, wave_evolve
 from .grid import assemble, build_mesh, cut_conductance, markov_check
-from .metric import ball_volume, distance_field
+from .metric import ball_volume, distance_field, fit_loglog
 
 
 class Status(str, Enum):
@@ -450,17 +450,6 @@ def form_additivity_defect(op, omega_mask, nprobe=16, seed=0, tol=1e-12) -> Chec
 # kernel decay and floors
 
 
-def _fit_loglog(x, y):
-    lx, ly = np.log(x), np.log(y)
-    A = np.column_stack([lx, np.ones_like(lx)])
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = ly - A @ coef
-    dof = max(len(lx) - 2, 1)
-    sxx = float(np.sum((lx - lx.mean()) ** 2))
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if sxx > 0 else np.inf
-    return float(coef[0]), float(np.exp(coef[1])), stderr
-
-
 def smalltime_decay_fit(
     op, mesh, gamma_pred, t_grid, c_norm, boundary_margin=0.0, overshoot=1.10
 ) -> CheckRecord:
@@ -479,7 +468,7 @@ def smalltime_decay_fit(
             fitted={"reason": "t grid empty after mesh-resolution filter", "t_min": t_min},
         )
     sups = sup_kernel(op, ts, boundary_margin=boundary_margin).value
-    slope, _, stderr = _fit_loglog(ts, sups)
+    slope, _, stderr, _ = fit_loglog(ts, sups)
     bound_slope = -d / (2.0 * gamma_pred)
     t_ref = ts[-1]
     a_fit = sups[-1] * t_ref ** (d / (2.0 * gamma_pred))
@@ -585,7 +574,7 @@ def resolvent_volume_scaling(
             fitted={"reason": "fewer than 3 usable radii"},
             table=table,
         )
-    slope, _, stderr = _fit_loglog(np.array(Vs), np.array(Ks))
+    slope, _, stderr, _ = fit_loglog(np.array(Vs), np.array(Ks))
     products = np.array([row["product"] for row in table])
     ratio = float(products.max() / products.min())
     ok = abs(slope + 1.0) <= slope_tol and ratio <= ratio_cap

@@ -267,19 +267,22 @@ def holder_fit(profile_or_field, origin, sample_range, epsilon=0.0, nsamples=12)
         )
     good = np.isfinite(dists) & (dists > 0)
     radii, dists = radii[good], dists[good]
-    lx, ly = np.log(radii), np.log(dists)
-    if len(lx) < 3 or np.ptp(lx) == 0:
+    if len(radii) < 3 or np.ptp(np.log(radii)) == 0:
         raise ValueError("degenerate fit: not enough spread in samples")
+    slope, a, stderr, resid = fit_loglog(radii, dists)
+    return HolderFit(
+        gamma_hat=slope, a_hat=a, residual=float(np.abs(resid).max()), stderr=stderr
+    )
+
+
+def fit_loglog(x, y):
+    """Least-squares line log y = slope log x + log a; returns
+    (slope, a, stderr of the slope, residuals in log y)."""
+    lx, ly = np.log(x), np.log(y)
     A = np.column_stack([lx, np.ones_like(lx)])
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    fit = A @ coef
-    resid = ly - fit
+    resid = ly - A @ coef
     dof = max(len(lx) - 2, 1)
-    sxx = np.sum((lx - lx.mean()) ** 2)
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx))
-    return HolderFit(
-        gamma_hat=float(coef[0]),
-        a_hat=float(np.exp(coef[1])),
-        residual=float(np.abs(resid).max()),
-        stderr=stderr,
-    )
+    sxx = float(np.sum((lx - lx.mean()) ** 2))
+    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if sxx > 0 else np.inf
+    return float(coef[0]), float(np.exp(coef[1])), stderr, resid

@@ -1,11 +1,17 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from degenlab import cli
+from degenlab import cli, diagnose, scenarios, viscosity_shift
 from degenlab.errors import SchemaError
-from degenlab.scenarios import builtin_by_name, builtin_scenarios, validate_scenario
+from degenlab.scenarios import (
+    ScenarioContext,
+    builtin_by_name,
+    builtin_scenarios,
+    validate_scenario,
+)
 
 
 @pytest.fixture()
@@ -153,6 +159,71 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         statuses = {r["name"]: r["status"] for r in report["records"]}
         assert statuses == {"structure": "Holds", "smalltime_decay": "Inconclusive"}
+
+
+class TestCheckParams:
+    """A check's parameters are the keyword-only parameters of its glue."""
+
+    def test_misspelled_override_exits_1(self, tmp_path, capsys):
+        argv = ["run", "laplacian1d", "--out", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", "checks.1.params.t_gird=[0.5]"]) == 1
+        err = capsys.readouterr().err
+        assert "checks[1]" in err and "t_gird" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_param_fails_before_any_check(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        # wrappers over CHECKS entries do not hide the glue signatures
+        for name in ("structure", "invariance"):
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        doc = builtin_by_name("degenerate1d-d025")
+        doc["checks"] = [{"check": "structure"}, {"check": "invariance", "params": {"t": 1.0}}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"checks\[1\].*'omega'"):
+            cli.run(str(path), out_dir=str(tmp_path / "out"))
+        assert calls == []
+
+    @pytest.mark.parametrize("params", [[1.0], "small", None, {"ctx": 1}, {"seed": 1}])
+    def test_bad_params_object(self, params):
+        doc = builtin_by_name("degenerate1d-d025")
+        doc["checks"] = [{"check": "conservation", "params": params}]
+        with pytest.raises(SchemaError, match=r"checks\[0\]\.params"):
+            validate_scenario(doc)
+
+    def test_wrong_type_exits_1_without_traceback(self, tmp_path, capsys):
+        doc = builtin_by_name("degenerate1d-d025")
+        doc["mesh"]["n"] = 64
+        omega = {"kind": "halfline", "x": 0.0, "side": "left"}
+        doc["checks"] = [{"check": "invariance", "params": {"omega": omega, "t": [1]}}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_benchmark_scenario_validates(self):
+        path = Path(__file__).parents[1] / "perfbench" / "scenarios"
+        validate_scenario(json.loads((path / "radial-shell-2d-metric.json").read_text()))
+
+    def test_wave_speed_epsilon_matches_shifted_profile(self):
+        doc = builtin_by_name("degenerate1d-d05")
+        doc["mesh"]["n"] = 256
+        ctx = ScenarioContext(doc)
+        support, t_list, eps = [-0.3, 0.3], [0.5, 1.0], 0.01
+        rec = scenarios.CHECKS["wave_speed"](
+            ctx, 0, support=support, t_list=t_list, epsilon=eps
+        )
+        shifted = diagnose.wave_speed_check(
+            ctx.operator(eps), viscosity_shift(ctx.profile, eps), ctx.mesh, support, t_list
+        )
+        assert rec.to_json() == shifted.to_json()
+        assert rec.table[-1]["max_distance"] > 0
 
 
 class TestListScenarios:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,10 +12,7 @@ from degenlab import (
     SurfaceDegenerate,
     Verdict,
     classify,
-    eval_coefficient,
     profile_from_json,
-    profile_to_json,
-    smallest_eigenvalue,
     viscosity_shift,
 )
 from degenlab.errors import DomainError
@@ -30,17 +25,17 @@ def power1d(delta, centers=((0.0,),), domain=(-4.0, 4.0), **kw):
 class TestEvalCoefficient:
     def test_degeneracy_center_vanishes(self):
         p = power1d(0.75)
-        assert np.allclose(eval_coefficient(p, 0.0), 0.0)
+        assert np.allclose(p.matrix(0.0), 0.0)
 
     def test_delta_zero_is_identity(self):
         p = power1d(0.0)
         for x in (-3.0, 0.0, 1.7):
-            assert np.allclose(eval_coefficient(p, x), np.eye(1))
+            assert np.allclose(p.matrix(x), np.eye(1))
 
     def test_half_delta_at_one(self):
         # direct evaluation of (1 / (1 + 1))**0.5
         p = power1d(0.5)
-        assert eval_coefficient(p, 1.0)[0, 0] == pytest.approx(0.5**0.5, rel=1e-14)
+        assert p.matrix(1.0)[0, 0] == pytest.approx(0.5**0.5, rel=1e-14)
 
     def test_symmetry_everywhere(self):
         profiles = [
@@ -54,7 +49,7 @@ class TestEvalCoefficient:
         for p in profiles:
             for _ in range(20):
                 x = rng.uniform(-1.0, 1.0, size=p.dimension)
-                M = eval_coefficient(p, x)
+                M = p.matrix(x)
                 assert np.abs(M - M.T).max() == 0.0
 
     def test_psd_everywhere(self):
@@ -64,13 +59,13 @@ class TestEvalCoefficient:
         rng = np.random.default_rng(8)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=2)
-            lo = np.linalg.eigvalsh(eval_coefficient(p, x)).min()
+            lo = np.linalg.eigvalsh(p.matrix(x)).min()
             assert lo >= -1e-12 * p.norm_bound
 
     def test_outside_domain_raises(self):
         p = power1d(0.5)
         with pytest.raises(DomainError):
-            eval_coefficient(p, 5.0)
+            p.matrix(5.0)
 
     def test_norm_bound_cached_and_finite(self):
         p = power1d(0.5)
@@ -82,11 +77,11 @@ class TestViscosityShift:
         p = power1d(0.75)
         q = viscosity_shift(p, 0.0)
         for x in np.linspace(-4, 4, 17):
-            assert eval_coefficient(q, x)[0, 0] == eval_coefficient(p, x)[0, 0]
+            assert q.matrix(x)[0, 0] == p.matrix(x)[0, 0]
 
     def test_shift_at_center(self):
         q = viscosity_shift(power1d(0.75), 0.1)
-        assert np.allclose(eval_coefficient(q, 0.0), 0.1 * np.eye(1))
+        assert np.allclose(q.matrix(0.0), 0.1 * np.eye(1))
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
@@ -106,8 +101,8 @@ class TestViscosityShift:
         xs = np.linspace(-0.9, 0.9, 6)
         for k in range(5):
             x = (xs[k], xs[-1 - k])
-            dense = np.linalg.eigvalsh(eval_coefficient(p, x)).min()
-            assert smallest_eigenvalue(q, x) == pytest.approx(dense + 0.37, rel=1e-12)
+            dense = np.linalg.eigvalsh(p.matrix(x)).min()
+            assert q.smallest_eigenvalues(x)[0] == pytest.approx(dense + 0.37, rel=1e-12)
 
     def test_monotone_shift(self):
         p = power1d(0.5)
@@ -122,11 +117,11 @@ class TestSmallestEigenvalue:
     def test_scalar_family_equals_c(self):
         p = power1d(0.5)
         for x in (0.5, 1.0, 2.5):
-            assert smallest_eigenvalue(p, x) == eval_coefficient(p, x)[0, 0]
+            assert p.smallest_eigenvalues(x)[0] == p.matrix(x)[0, 0]
 
     def test_constant_matrix(self):
         p = CoefficientProfile(2, StronglyElliptic(np.diag([2.0, 3.0])), (-1.0, 1.0))
-        assert smallest_eigenvalue(p, (0.2, 0.2)) == pytest.approx(2.0)
+        assert p.smallest_eigenvalues((0.2, 0.2))[0] == pytest.approx(2.0)
 
     def test_sampled_closed_form(self):
         vals = np.zeros((4, 4, 3))
@@ -136,7 +131,7 @@ class TestSmallestEigenvalue:
         p = CoefficientProfile(2, Sampled(vals), (-1.0, 1.0))
         tr2, det = 2.5, 2.0 * 3.0 - 0.25
         expect = tr2 - np.sqrt(tr2**2 - det)
-        assert smallest_eigenvalue(p, (0.1, -0.4)) == pytest.approx(expect, rel=1e-12)
+        assert p.smallest_eigenvalues((0.1, -0.4))[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestClassify:
@@ -214,27 +209,6 @@ class TestClassify:
 
 
 class TestSerialization:
-    def test_roundtrip_power(self):
-        p = power1d(0.75, gamma_hint=0.25, cut_hint=(0.0,))
-        doc = profile_to_json(p)
-        q = profile_from_json(json.loads(json.dumps(doc)))
-        assert q.dimension == 1
-        assert q.family.delta == 0.75
-        assert q.gamma_hint == 0.25
-        assert eval_coefficient(q, 0.5)[0, 0] == eval_coefficient(p, 0.5)[0, 0]
-
-    def test_roundtrip_radial_and_surface(self):
-        shell = CoefficientProfile(2, RadialShell(0.5, 1.0, width=0.1), (-2.0, 2.0))
-        surf = CoefficientProfile(
-            2,
-            SurfaceDegenerate(0.5, y_samples=(-2.0, 0.0, 2.0), phi_samples=(0.1, 0.3, 0.1)),
-            (-2.0, 2.0),
-        )
-        for p in (shell, surf):
-            q = profile_from_json(profile_to_json(p))
-            x = (0.3, 0.8)
-            assert eval_coefficient(q, x)[0, 0] == eval_coefficient(p, x)[0, 0]
-
     def test_sampled_csv_reference(self, tmp_path):
         path = tmp_path / "field.csv"
         xs = np.linspace(-1, 1, 33)
@@ -245,7 +219,7 @@ class TestSerialization:
             "domain": [-1.0, 1.0],
         }
         p = profile_from_json(doc, base_dir=str(tmp_path))
-        assert eval_coefficient(p, 0.0)[0, 0] == pytest.approx(1.0, abs=1e-3)
+        assert p.matrix(0.0)[0, 0] == pytest.approx(1.0, abs=1e-3)
 
     def test_sampled_rejects_non_psd(self):
         vals = np.zeros((4, 4, 3))
