@@ -21,7 +21,6 @@ from .coeffs import (
     Verdict,
     classify,
     profile_from_json,
-    viscosity_shift,
 )
 from .errors import (
     CflError,
@@ -66,7 +65,6 @@ __all__ = [
     "Verdict",
     "classify",
     "profile_from_json",
-    "viscosity_shift",
     "CflError",
     "DomainError",
     "InconclusiveIntegralError",

@@ -381,20 +381,6 @@ class CoefficientProfile:
 # operations
 
 
-def viscosity_shift(profile: CoefficientProfile, epsilon: float) -> CoefficientProfile:
-    """Profile whose evaluations equal the originals plus epsilon * I."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    return CoefficientProfile(
-        dimension=profile.dimension,
-        family=profile.family,
-        domain=profile.domain,
-        epsilon=profile.epsilon + epsilon,
-        gamma_hint=profile.gamma_hint,
-        cut_hint=profile.cut_hint,
-    )
-
-
 class Verdict(str, Enum):
     STRONGLY_ELLIPTIC = "StronglyElliptic"
     CLOSABLE_DEGENERATE = "ClosableDegenerate"

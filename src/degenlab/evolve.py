@@ -18,6 +18,15 @@ that equals its own reversal bit for bit (an even coefficient on a symmetric
 box) commutes with the reflection, so its even and odd eigenvectors come from
 two half-size tridiagonal problems; any other matrix takes one full solve.
 
+Every tridiagonal solve is LAPACK dstevd (divide and conquer, the routine
+scipy.linalg uses for a full tridiagonal spectrum), called through ctypes
+from the function pointer that scipy.linalg.cython_lapack exports.  ctypes
+releases the GIL for the length of a foreign call, so other threads keep
+running beside a decomposition, and the two mirror halves are solved at the
+same time: the odd half in a short-lived thread, the even half in the
+calling one.  All buffers of both solves are allocated before that thread
+starts.
+
 heat_evolve and sup_kernel are the batched entry points: they take a block of
 columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
 so one Chebyshev recurrence serves a whole time grid and every (t, column)
@@ -25,16 +34,18 @@ result is bitwise the one-vector, one-t result; the eig backend does one GEMM
 over all (t, column) pairs.
 """
 
+import ctypes
 import hashlib
 import logging
 import os
 import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal, solveh_banded
+from scipy.linalg import cython_lapack, eigh, solveh_banded
 from scipy.special import ive
 
 from .errors import CflError, SolverError
@@ -127,7 +138,8 @@ def _compute_eig(op, point_cap):
 
 
 def _tridiagonal_eig(d, e):
-    """eigh_tridiagonal(d, e): ascending lam and orthonormal columns of V.
+    """Eigenpairs of the symmetric tridiagonal (d, e): ascending lam and
+    orthonormal columns of V.
 
     When d and e are palindromes the matrix commutes with the reflection
     J (i -> N-1-i), and its eigenvectors split into even (Jv = v) and odd
@@ -142,7 +154,7 @@ def _tridiagonal_eig(d, e):
     N = d.size
     if N < 2 or not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
         log.debug("tridiagonal eig N=%d: one full solve", N)
-        return eigh_tridiagonal(d, e)
+        return _dstevd((d, e))[0]
     m, odd = N // 2, N % 2
     if odd:
         d_even, e_even = d[m:], e[m:].copy()
@@ -153,8 +165,7 @@ def _tridiagonal_eig(d, e):
         d_even[0] += e[m - 1]
         d_odd[0] -= e[m - 1]
         e_even = e_odd = e[m:]
-    lam_even, W_even = eigh_tridiagonal(d_even, e_even)
-    lam_odd, W_odd = eigh_tridiagonal(d_odd, e_odd)
+    (lam_even, W_even), (lam_odd, W_odd) = _dstevd((d_even, e_even), (d_odd, e_odd))
     n_even = lam_even.size
     log.debug("tridiagonal eig N=%d: mirror split %d even + %d odd", N, n_even, lam_odd.size)
     lam = np.concatenate([lam_even, lam_odd])
@@ -181,6 +192,61 @@ def _tridiagonal_eig(d, e):
         center[:n_even] = W_even[0]
         V[m] = center[order]
     return lam[order], V
+
+
+def _capsule_pointer(capsule):
+    """Address held by a PyCapsule, read under the capsule's own name."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return get_pointer(capsule, get_name(capsule))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_REAL = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+# dstevd(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info); a CFUNCTYPE
+# call drops the GIL until LAPACK returns
+_LAPACK_DSTEVD = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, _INT, _REAL, _REAL, _REAL, _INT, _REAL, _INT,
+    np.ctypeslib.ndpointer(np.intc), _INT, _INT,
+)(_capsule_pointer(cython_lapack.__pyx_capi__["dstevd"]))
+
+
+def _dstevd(*problems):
+    """[(lam, Z)] for each symmetric tridiagonal (d, e) by LAPACK dstevd:
+    ascending lam and orthonormal, F-ordered eigenvector columns Z.
+
+    The first problem is solved in the calling thread and every other one in
+    a short-lived thread beside it.  Every buffer is allocated here, before
+    any thread starts, so a helper thread makes only the foreign call (no
+    allocation there, and no malloc arena of its own)."""
+    calls = []
+    for d, e in problems:
+        n = d.size
+        lam = np.array(d, dtype=np.float64)  # dstevd overwrites d with lam
+        off = np.zeros(max(n - 1, 1))  # and e with workspace
+        off[: n - 1] = e
+        Z = np.empty((n, n), order="F")
+        work = np.empty(1 + 4 * n + n * n)
+        iwork = np.empty(3 + 5 * n, dtype=np.intc)
+        info = ctypes.c_int(0)
+        size = ctypes.c_int(n)
+        args = (b"V", size, lam, off, Z, size, work, ctypes.c_int(work.size),
+                iwork, ctypes.c_int(iwork.size), info)
+        calls.append((args, lam, Z, info))
+    helpers = [threading.Thread(target=_LAPACK_DSTEVD, args=args) for args, *_ in calls[1:]]
+    for th in helpers:
+        th.start()
+    _LAPACK_DSTEVD(*calls[0][0])
+    for th in helpers:
+        th.join()
+    for _, lam, _, info in calls:
+        if info.value != 0:
+            raise SolverError(f"dstevd failed on N={lam.size}: info={info.value}")
+    return [(lam, Z) for _, lam, Z, _ in calls]
 
 
 def _eig_expm_apply(op, phi, ts):

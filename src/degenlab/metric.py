@@ -33,9 +33,6 @@ class DistanceField:
     method: str
     mesh: object
 
-    def at_index(self, i):
-        return float(self.values[i])
-
 
 def _inv_sqrt_section(profile, epsilon):
     """Integrand (c(s) + eps_total)^(-1/2) as a function of the signed offset

@@ -74,22 +74,68 @@ class ScenarioContext:
         """Resolve a region spec into a boolean node mask on the given mesh
         (the scenario mesh by default)."""
         mesh = self.mesh if mesh is None else mesh
-        pts = mesh.points()
-        kind = spec.get("kind")
-        if kind == "halfline":
-            x0 = float(spec["x"])
-            side = spec.get("side", "left")
-            return pts[:, 0] < x0 if side == "left" else pts[:, 0] > x0
-        if kind == "interval":
-            lo, hi = spec["lo"], spec["hi"]
-            return (pts[:, 0] > lo) & (pts[:, 0] < hi)
-        if kind == "euclidean_ball":
-            c = np.asarray(spec.get("center", [0.0] * mesh.dimension), dtype=float)
-            return np.linalg.norm(pts - c, axis=1) < float(spec["radius"])
-        if kind == "under_surface":
-            fam = self.profile.family
-            return pts[:, 1] < fam.phi(pts[:, 0])
-        raise SchemaError(f"unknown omega kind '{kind}'")
+        kind, fields = _region_fields(spec)
+        return REGIONS[kind](mesh.points(), self.profile, **fields)
+
+
+# ---------------------------------------------------------------------------
+# region specs
+#
+# A region spec is {"kind": <kind>, ...}; its other fields are the
+# keyword-only parameters of the kind's resolver, which maps mesh points to
+# a node mask.  validate_scenario binds them, so an unknown or missing field
+# fails before any compute, as a check parameter does.
+
+
+class Region:
+    """Annotation of a glue parameter that takes a region spec."""
+
+
+class Balls:
+    """Annotation of a glue parameter that takes a list of balls, each the
+    fields of a euclidean_ball region: {"center": [...], "radius": r}."""
+
+
+def _halfline(pts, profile, *, x, side):
+    return pts[:, 0] < float(x) if side == "left" else pts[:, 0] > float(x)
+
+
+def _interval(pts, profile, *, lo, hi):
+    return (pts[:, 0] > lo) & (pts[:, 0] < hi)
+
+
+def _euclidean_ball(pts, profile, *, center, radius):
+    return np.linalg.norm(pts - np.asarray(center, dtype=float), axis=1) < float(radius)
+
+
+def _under_surface(pts, profile):
+    return pts[:, 1] < profile.family.phi(pts[:, 0])
+
+
+REGIONS = {
+    "halfline": _halfline,
+    "interval": _interval,
+    "euclidean_ball": _euclidean_ball,
+    "under_surface": _under_surface,
+}
+
+
+def _region_fields(spec, kind=None):
+    """(kind, fields) of a region spec, its fields bound against the kind's
+    resolver.  A ball passes kind="euclidean_ball" and has no "kind" field."""
+    if not isinstance(spec, dict):
+        raise SchemaError(f"a region spec is an object, not {spec!r}")
+    fields = dict(spec)
+    kind = kind or fields.pop("kind", None)
+    if kind not in REGIONS:
+        raise SchemaError(f"unknown region kind {kind!r}")
+    try:
+        inspect.signature(REGIONS[kind]).bind(None, None, **fields)
+    except TypeError as exc:
+        raise SchemaError(f"{kind}: {exc}") from None
+    if kind == "halfline" and fields["side"] not in ("left", "right"):
+        raise SchemaError(f"halfline side must be 'left' or 'right', not {fields['side']!r}")
+    return kind, fields
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +155,7 @@ def _run_conservation(ctx, seed, *, t_grid="small", tol=1e-9, epsilon=None):
     return diagnose.conservation_defect(ctx.operator(epsilon), ts, tol=tol)
 
 
-def _run_offdiagonal(ctx, seed, *, balls, t_grid="small", epsilon=None):
+def _run_offdiagonal(ctx, seed, *, balls: Balls, t_grid="small", epsilon=None):
     op = ctx.operator(epsilon)
     balls = [
         {
@@ -129,7 +175,9 @@ def _run_euclidean(ctx, seed, *, boxes, t_grid="small", epsilon=None):
     )
 
 
-def _run_wave_speed(ctx, seed, *, support, t_list, cut=None, speed_cap=1.05, epsilon=None):
+def _run_wave_speed(
+    ctx, seed, *, support, t_list, cut: Region = None, speed_cap=1.05, epsilon=None
+):
     op = ctx.operator(epsilon)
     return diagnose.wave_speed_check(
         op,
@@ -158,13 +206,13 @@ def _run_separation_probe(
     )
 
 
-def _run_invariance(ctx, seed, *, omega, t=0.5, tol=1e-8, epsilon=None):
+def _run_invariance(ctx, seed, *, omega: Region, t=0.5, tol=1e-8, epsilon=None):
     return diagnose.invariance_defect(
         ctx.operator(epsilon), ctx.omega_mask(omega), float(t), seed=seed, tol=tol
     )
 
 
-def _run_invariance_refinement(ctx, seed, *, omega, n_list, t=0.5, epsilon=0.0):
+def _run_invariance_refinement(ctx, seed, *, omega: Region, n_list, t=0.5, epsilon=0.0):
     """Invariance defect across a refinement sequence; Holds iff the defect
     decreases monotonically (curved interfaces separate only in the limit)."""
     rows = []
@@ -186,7 +234,7 @@ def _run_invariance_refinement(ctx, seed, *, omega, n_list, t=0.5, epsilon=0.0):
     )
 
 
-def _run_form_additivity(ctx, seed, *, omega, tol=1e-12, epsilon=None):
+def _run_form_additivity(ctx, seed, *, omega: Region, tol=1e-12, epsilon=None):
     return diagnose.form_additivity_defect(
         ctx.operator(epsilon), ctx.omega_mask(omega), seed=seed, tol=tol
     )
@@ -240,7 +288,7 @@ def _run_ondiagonal(
     )
 
 
-def _run_kernel_cut(ctx, seed, *, source, across, t=1.0, tol=0.0, epsilon=None):
+def _run_kernel_cut(ctx, seed, *, source, across: Region, t=1.0, tol=0.0, epsilon=None):
     return diagnose.kernel_cut_check(
         ctx.operator(epsilon),
         ctx.mesh,
@@ -329,6 +377,18 @@ def validate_scenario(doc):
             raise SchemaError(f"checks[{i}].params: {exc}") from None
         bound.apply_defaults()
         args = bound.arguments
+        for key, param in _SIGNATURES[name].parameters.items():
+            if param.annotation is Region and args[key] is not None:
+                regions = [(key, args[key], None)]
+            elif param.annotation is Balls:
+                regions = [(f"{key}[{j}]", b, "euclidean_ball") for j, b in enumerate(args[key])]
+            else:
+                continue
+            for field, spec, kind in regions:
+                try:
+                    _region_fields(spec, kind)
+                except SchemaError as exc:
+                    raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
         if name == "smalltime_decay" and not isinstance(args["t_grid"], str):
             if max(float(t) for t in args["t_grid"]) > 0.1:
                 raise SchemaError(f"checks[{i}].params.t_grid: smalltime grid must stay <= 0.1")

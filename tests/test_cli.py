@@ -2,9 +2,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from degenlab import cli, diagnose, scenarios, viscosity_shift
+from degenlab import CoefficientProfile, cli, diagnose, scenarios
 from degenlab.errors import SchemaError
 from degenlab.scenarios import (
     ScenarioContext,
@@ -219,11 +220,91 @@ class TestCheckParams:
         rec = scenarios.CHECKS["wave_speed"](
             ctx, 0, support=support, t_list=t_list, epsilon=eps
         )
-        shifted = diagnose.wave_speed_check(
-            ctx.operator(eps), viscosity_shift(ctx.profile, eps), ctx.mesh, support, t_list
-        )
+        p = ctx.profile
+        profile = CoefficientProfile(p.dimension, p.family, p.domain, epsilon=p.epsilon + eps)
+        shifted = diagnose.wave_speed_check(ctx.operator(eps), profile, ctx.mesh, support, t_list)
         assert rec.to_json() == shifted.to_json()
         assert rec.table[-1]["max_distance"] > 0
+
+
+class TestRegionSpecs:
+    """A region spec's fields are the keyword-only parameters of its kind's
+    resolver: unknown, missing or invalid fields fail validation."""
+
+    def doc_with(self, check):
+        doc = builtin_by_name("degenerate1d-d075-cut")
+        doc["checks"] = [{"check": "structure"}, check]
+        return doc
+
+    @pytest.mark.parametrize(
+        "check, match",
+        [
+            (
+                {"check": "invariance",
+                 "params": {"omega": {"kind": "halfline", "x": 0.0, "sid": "right"}}},
+                r"checks\[1\]\.params\.omega \(invariance\): halfline: .*'side'",
+            ),
+            (
+                {"check": "invariance", "params": {"omega": {"kind": "halfline", "x": 0.0}}},
+                r"checks\[1\]\.params\.omega \(invariance\): halfline: .*'side'",
+            ),
+            (
+                {"check": "form_additivity",
+                 "params": {"omega": {"kind": "halfline", "x": 0.0, "side": "up"}}},
+                r"checks\[1\]\.params\.omega \(form_additivity\): .*'up'",
+            ),
+            (
+                {"check": "kernel_cut",
+                 "params": {"source": [-1.0],
+                            "across": {"kind": "interval", "low": -1.0, "hi": 1.0}}},
+                r"checks\[1\]\.params\.across \(kernel_cut\): interval: .*'lo'",
+            ),
+            (
+                {"check": "offdiagonal_gaussian",
+                 "params": {"balls": [{"center": [-1.0], "radius": 0.4},
+                                      {"center": [1.0], "r": 0.4}]}},
+                r"checks\[1\]\.params\.balls\[1\] \(offdiagonal_gaussian\): .*'radius'",
+            ),
+            (
+                {"check": "wave_speed",
+                 "params": {"support": [-0.2, 0.2], "t_list": [0.5], "cut": {"kind": "halfplane"}}},
+                r"checks\[1\]\.params\.cut \(wave_speed\): unknown region kind 'halfplane'",
+            ),
+        ],
+        ids=[
+            "misspelled-side", "missing-side", "bad-side", "missing-lo", "missing-radius",
+            "unknown-kind",
+        ],
+    )
+    def test_bad_region_fails_before_any_check(self, check, match, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(self.doc_with(check)))
+        with pytest.raises(SchemaError, match=match):
+            cli.run(str(path), out_dir=str(tmp_path / "out"))
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_omega_mask_has_no_silent_defaults(self):
+        doc = builtin_by_name("radial-shell-2d")
+        doc["mesh"]["n"] = 16
+        ctx = ScenarioContext(doc)
+        with pytest.raises(SchemaError, match="'side'"):
+            ctx.omega_mask({"kind": "halfline", "x": 0.0})
+        with pytest.raises(SchemaError, match="'center'"):
+            ctx.omega_mask({"kind": "euclidean_ball", "radius": 1.0})
+        ball = ctx.omega_mask({"kind": "euclidean_ball", "center": [0.0, 0.0], "radius": 1.0})
+        pts = ctx.mesh.points()
+        assert np.array_equal(ball, np.linalg.norm(pts, axis=1) < 1.0)
+        right = ctx.omega_mask({"kind": "halfline", "x": 0.0, "side": "right"})
+        assert np.array_equal(right, pts[:, 0] > 0.0)
 
 
 class TestListScenarios:

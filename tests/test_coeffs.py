@@ -13,7 +13,6 @@ from degenlab import (
     Verdict,
     classify,
     profile_from_json,
-    viscosity_shift,
 )
 from degenlab.errors import DomainError
 
@@ -75,17 +74,18 @@ class TestEvalCoefficient:
 class TestViscosityShift:
     def test_zero_shift_identical(self):
         p = power1d(0.75)
-        q = viscosity_shift(p, 0.0)
+        q = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + 0.0)
         for x in np.linspace(-4, 4, 17):
             assert q.matrix(x)[0, 0] == p.matrix(x)[0, 0]
 
     def test_shift_at_center(self):
-        q = viscosity_shift(power1d(0.75), 0.1)
+        p = power1d(0.75)
+        q = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + 0.1)
         assert np.allclose(q.matrix(0.0), 0.1 * np.eye(1))
 
     def test_negative_shift_rejected(self):
-        with pytest.raises(ValueError):
-            viscosity_shift(power1d(0.5), -0.1)
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            power1d(0.5, epsilon=-0.1)
 
     def test_eigenvalue_shift_identity(self):
         # smallest eigenvalue after shift = mu_m + eps, against dense eigh
@@ -97,7 +97,7 @@ class TestViscosityShift:
                 M = B @ B.T + 0.05 * np.eye(2)
                 vals[i, j] = (M[0, 0], M[0, 1], M[1, 1])
         p = CoefficientProfile(2, Sampled(vals.copy()), (-1.0, 1.0))
-        q = viscosity_shift(p, 0.37)
+        q = CoefficientProfile(2, p.family, p.domain, epsilon=p.epsilon + 0.37)
         xs = np.linspace(-0.9, 0.9, 6)
         for k in range(5):
             x = (xs[k], xs[-1 - k])
@@ -108,8 +108,9 @@ class TestViscosityShift:
         p = power1d(0.5)
         xs = np.linspace(-3.5, 3.5, 11)
         for e1, e2 in ((0.0, 1e-3), (1e-3, 1e-1)):
-            mu1 = viscosity_shift(p, e1).smallest_eigenvalues(xs)
-            mu2 = viscosity_shift(p, e2).smallest_eigenvalues(xs)
+            q1 = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + e1)
+            q2 = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + e2)
+            mu1, mu2 = q1.smallest_eigenvalues(xs), q2.smallest_eigenvalues(xs)
             assert np.all(mu1 < mu2)
 
 
@@ -182,7 +183,10 @@ class TestClassify:
     )
     def test_shifted_profiles_strongly_elliptic(self, profile):
         for eps in (1e-4, 1e-2):
-            cl = classify(viscosity_shift(profile, eps))
+            shifted = CoefficientProfile(
+                profile.dimension, profile.family, profile.domain, epsilon=profile.epsilon + eps
+            )
+            cl = classify(shifted)
             assert cl.verdict is Verdict.STRONGLY_ELLIPTIC
 
     def test_double_zero_two_cuts(self):

@@ -18,7 +18,6 @@ from degenlab import (
     operator_eig,
     resolvent_power_apply,
     sup_kernel,
-    viscosity_shift,
     wave_evolve,
 )
 from degenlab.errors import CflError, SolverError
@@ -486,15 +485,15 @@ class TestMirrorSplit:
 
     @pytest.fixture()
     def solve_sizes(self, monkeypatch):
-        """Sizes of the eigh_tridiagonal calls made through evolve."""
+        """Sizes of the tridiagonal solves made through evolve._dstevd."""
         sizes = []
-        real = evolve_mod.eigh_tridiagonal
+        real = evolve_mod._dstevd
 
-        def counting(d, e):
-            sizes.append(d.size)
-            return real(d, e)
+        def counting(*problems):
+            sizes.extend(d.size for d, _ in problems)
+            return real(*problems)
 
-        monkeypatch.setattr(evolve_mod, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(evolve_mod, "_dstevd", counting)
         return sizes
 
     def assert_eigenpairs(self, d, e, lam, V):
@@ -558,3 +557,101 @@ class TestMirrorSplit:
             s_ref = sup_kernel(unsplit, ts, boundary_margin=margin)
             assert s_got.strategy == s_ref.strategy == "eig"
             assert np.all(np.abs(s_got.value - s_ref.value) <= 1e-12 * s_ref.value)
+
+
+def stevd_reference(d, e):
+    """eigh_tridiagonal through LAPACK dstevd, the routine _dstevd calls."""
+    return eigh_tridiagonal(d, e, lapack_driver="stevd")
+
+
+try:
+    stevd_reference(np.zeros(2), np.zeros(1))
+    HAS_STEVD_REFERENCE = True
+except ValueError:  # older scipy: eigh_tridiagonal cannot call stevd
+    HAS_STEVD_REFERENCE = False
+needs_stevd_reference = pytest.mark.skipif(
+    not HAS_STEVD_REFERENCE, reason="eigh_tridiagonal cannot call stevd here"
+)
+
+
+class TestDstevd:
+    """The ctypes dstevd helper that makes every 1D decomposition."""
+
+    @needs_stevd_reference
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 257])
+    def test_full_solve_bitwise(self, N):
+        rng = np.random.default_rng(100 + N)
+        d, e = rng.standard_normal(N), rng.standard_normal(N - 1)
+        d_in, e_in = d.copy(), e.copy()
+        ((lam, Z),) = evolve_mod._dstevd((d, e))
+        lam_ref, Z_ref = stevd_reference(d, e)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(Z, Z_ref)
+        assert Z.flags.f_contiguous
+        assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
+
+    @needs_stevd_reference
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 257])
+    def test_mirror_halves_bitwise(self, N, monkeypatch):
+        solves = []
+        real = evolve_mod._dstevd
+
+        def recording(*problems):
+            results = real(*problems)
+            solves.extend(zip(problems, results))
+            return results
+
+        monkeypatch.setattr(evolve_mod, "_dstevd", recording)
+        d, e = mirror_tridiagonal(N, np.random.default_rng(200 + N))
+        evolve_mod._tridiagonal_eig(d, e)
+        assert [p[0].size for p, _ in solves] == ([1] if N == 1 else [N - N // 2, N // 2])
+        for (d_half, e_half), (lam, Z) in solves:
+            lam_ref, Z_ref = stevd_reference(d_half, e_half)
+            assert np.array_equal(lam, lam_ref) and np.array_equal(Z, Z_ref)
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        real = evolve_mod._LAPACK_DSTEVD
+
+        def odd_half_fails(*args):
+            # args: jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
+            if args[1].value == 4:
+                args[10].value = 3
+            else:
+                real(*args)
+
+        monkeypatch.setattr(evolve_mod, "_LAPACK_DSTEVD", odd_half_fails)
+        d, e = mirror_tridiagonal(9, np.random.default_rng(9))  # halves of 5 and 4
+        with pytest.raises(SolverError, match="N=4: info=3"):
+            evolve_mod._tridiagonal_eig(d, e)
+        with pytest.raises(SolverError, match="info=3"):
+            evolve_mod._dstevd((d[:4], e[:3]))
+
+    def test_releases_gil(self):
+        # a busy Python thread beside a 2049-point solve keeps finishing its
+        # 10 ms slices only if the solve runs without the GIL
+        N = 2049
+        d = np.full(N, 2.0)
+        d[[0, -1]] = 1.0
+        e = np.full(N - 1, -1.0)
+        stop, ends = threading.Event(), []
+
+        def busy():
+            while not stop.is_set():
+                t = time.perf_counter()
+                while time.perf_counter() - t < 0.01:
+                    pass
+                ends.append(time.perf_counter())
+
+        th = threading.Thread(target=busy)
+        th.start()
+        try:
+            time.sleep(0.05)
+            t0 = time.perf_counter()
+            evolve_mod._dstevd((d, e))
+            t1 = time.perf_counter()
+        finally:
+            stop.set()
+            th.join()
+        possible = int((t1 - t0) / 0.01)
+        done = sum(t0 < t <= t1 for t in ends)
+        assert possible >= 5
+        assert done >= possible / 2, f"{done} of {possible} slices"
