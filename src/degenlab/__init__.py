@@ -35,6 +35,7 @@ from .evolve import (
     SupKernelValue,
     WaveField,
     heat_evolve,
+    heat_gram,
     kernel_column,
     operator_eig,
     resolvent_power_apply,
@@ -75,6 +76,7 @@ __all__ = [
     "SupKernelValue",
     "WaveField",
     "heat_evolve",
+    "heat_gram",
     "kernel_column",
     "operator_eig",
     "resolvent_power_apply",

@@ -140,8 +140,6 @@ class CoefficientProfile:
     family: Family
     domain: tuple
     epsilon: float = 0.0
-    gamma_hint: float | None = None
-    cut_hint: tuple = ()
     _norm_bound: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -627,8 +625,6 @@ def profile_from_json(doc: dict, base_dir=None) -> CoefficientProfile:
         family=fam,
         domain=domain,
         epsilon=float(doc.get("epsilon", 0.0)),
-        gamma_hint=doc.get("gamma_hint"),
-        cut_hint=tuple(doc.get("cut_hint", ())),
     )
 
 

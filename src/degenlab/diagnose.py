@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evolve import EIG_POINT_CAP, heat_evolve, kernel_column, resolvent_power_apply
+from .evolve import heat_evolve, heat_gram, kernel_column, resolvent_power_apply
 from .evolve import sup_kernel, wave_evolve
 from .grid import assemble, build_mesh, cut_conductance, markov_check
 from .metric import ball_volume, distance_field, fit_loglog
@@ -70,10 +70,6 @@ class DiagnosticsReport:
             "environment": self.environment,
             "records": [r.to_json() for r in self.records],
         }
-
-
-def _w_ip(u, v, vol):
-    return float(np.dot(u, v) * vol)
 
 
 def _w_norm2(u, vol):
@@ -141,33 +137,24 @@ def structure_check(op, seed=0, row_tol_factor=1e-13, psd_tol_factor=1e-10) -> C
 # off-diagonal bounds
 
 
-def _evolve_best(op, phi, ts):
-    """Eigen-backed evolution when available (1D small), else Chebyshev with
-    a tight tolerance: off-diagonal margins need tail-accurate values."""
-    if op.mesh.dimension == 1 and op.size <= EIG_POINT_CAP:
-        return heat_evolve(op, phi, ts, backend="eig").values
-    return heat_evolve(op, phi, ts, tol=1e-13).values
-
-
 def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid, rel_tol, abs_tol):
     """|(1_i, S_t 1_j)| <= exp(-d_ij^2/(4 c_norm t)) ||1_i||_2 ||1_j||_2 over
     the pairs i < j of node masks, at every t; dist[i][j] is the pair
-    distance, reported in column dist_col.  All masks at all times are
-    evolved in one call."""
+    distance, reported in column dist_col.  All pairs at all times come
+    from one heat_gram call."""
     vol = op.mesh.cell_volume
     masks = [m.astype(float) for m in masks]
     norms = [_w_norm2(m, vol) for m in masks]
     ts = [float(t) for t in t_grid]
-    evolved = _evolve_best(op, np.column_stack(masks), ts)
+    grams = heat_gram(op, np.column_stack(masks), ts)
     table = []
     worst_margin = np.inf
     violations = []
-    for t, block in zip(ts, evolved):
-        columns = np.ascontiguousarray(block.T)
+    for t, gram in zip(ts, grams):
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
                 d = dist[i][j]
-                lhs = abs(_w_ip(masks[i], columns[j], vol))
+                lhs = abs(float(gram[i, j] * vol))
                 bound = float(np.exp(-(d**2) / (4.0 * c_norm * t)) * norms[i] * norms[j])
                 ok = lhs <= bound * (1.0 + rel_tol) + abs_tol
                 log_margin = float(np.log(max(bound + abs_tol, 1e-300)) - np.log(max(lhs, 1e-300)))
@@ -599,9 +586,9 @@ def ondiagonal_lower_check(
     vol = mesh.cell_volume
     centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
     bumps = [np.all(np.abs(pts - c) <= diameter / 2.0, axis=1).astype(float) for c in centers]
-    out = np.ascontiguousarray(heat_evolve(op, np.column_stack(bumps), float(t)).values.T)
+    self_ip = heat_gram(op, np.column_stack(bumps), [float(t)])[0].diagonal()
     values = np.array(
-        [_w_ip(phi, ev, vol) / float(np.abs(phi).sum() * vol) ** 2 for phi, ev in zip(bumps, out)]
+        [float(g * vol) / float(np.abs(phi).sum() * vol) ** 2 for g, phi in zip(self_ip, bumps)]
     )
     table = [{"center": float(c[0]), "value": float(v)} for c, v in zip(centers, values)]
     if mode == "uniform":

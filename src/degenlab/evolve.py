@@ -11,12 +11,19 @@ sqrt(t * lambda_max), with squaring-free substepping past the degree cap.
 
 For 1D operators (tridiagonal matrices) a full eigendecomposition is cheap up
 to a few thousand points and is the preferred backend for whole-diagonal
-kernel scans.  It is computed once per operator (concurrent callers wait on
-the operator's lock) and optionally memoized on disk under $DEGENLAB_CACHE,
-written through a temporary file and validated on load.  A tridiagonal matrix
-that equals its own reversal bit for bit (an even coefficient on a symmetric
-box) commutes with the reflection, so its even and odd eigenvectors come from
-two half-size tridiagonal problems; any other matrix takes one full solve.
+kernel scans and inner products.  It is computed once per operator
+(concurrent callers wait on the operator's lock) and optionally memoized on
+disk under $DEGENLAB_CACHE, written through a temporary file and validated on
+load.  A tridiagonal matrix that equals its own reversal bit for bit (an even
+coefficient on a symmetric box) commutes with the reflection, so its even and
+odd eigenvectors come from two half-size tridiagonal problems; any other
+matrix takes one full solve.
+
+The decomposition is an EigBasis: the spectrum and one or two eigenvector
+blocks (the full-solve basis, or the two half bases joined by the mirror
+map), never an assembled N x N matrix in the mirror case.  It is used
+through three operations: project (V^T phi), expand (V c) and diag (the
+kernel diagonal sum_k V[x, k]^2 decay_k, one half row per mirror pair).
 
 Every tridiagonal solve is LAPACK dstevd (divide and conquer, the routine
 scipy.linalg uses for a full tridiagonal spectrum), called through ctypes
@@ -30,8 +37,11 @@ starts.
 heat_evolve and sup_kernel are the batched entry points: they take a block of
 columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
 so one Chebyshev recurrence serves a whole time grid and every (t, column)
-result is bitwise the one-vector, one-t result; the eig backend does one GEMM
-over all (t, column) pairs.
+result is bitwise the one-vector, one-t result; the eig backend projects
+once and expands all (t, column) pairs together.  heat_gram gives the inner
+products (phi_i, e^{-tA} phi_j) of the off-diagonal and on-diagonal checks:
+in 1D as Gram forms P^T e^{-t Lambda} P in spectral coordinates P = V^T phi,
+without evolving a vector; otherwise from Chebyshev evolutions.
 """
 
 import ctypes
@@ -51,7 +61,7 @@ from scipy.special import ive
 from .errors import CflError, SolverError
 from .grid import DiscreteOperator
 
-EIG_POINT_CAP = 4200  # dense eigenvector matrix stays comfortably in memory
+EIG_POINT_CAP = 4200  # eigenvector blocks stay comfortably in memory
 CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
 BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
@@ -87,9 +97,95 @@ class WaveField:
 # eigendecomposition backend
 
 
-def operator_eig(op: DiscreteOperator, point_cap=EIG_POINT_CAP):
-    """Full spectrum and eigenvectors of the operator; computed once per
-    operator (concurrent callers wait for the first) and, when
+@dataclass(frozen=True)
+class EigBasis:
+    """Eigenpairs of a symmetric operator, with the eigenvector matrix V kept
+    in factored form and used only through project, expand and diag (spans
+    gives the block slices, for sums taken block by block).
+
+    blocks holds one or two column blocks: the full-solve (or dense) basis
+    Z, or the half bases (W_even, W_odd) of a mirror-symmetric tridiagonal.
+    lam is each block's ascending spectrum, concatenated in block order.
+    In the mirror case the full vectors are never formed: the fold
+    s = (phi_top + phi_mirror) / sqrt 2, a = (phi_top - phi_mirror) / sqrt 2
+    (top: the rows past the center; mirror: their reflections) takes phi to
+    the half coordinates, for odd N with the center row unscaled in s.
+    """
+
+    lam: np.ndarray
+    blocks: tuple
+
+    def _fold(self, phi):
+        if len(self.blocks) == 1:
+            return [phi]
+        N = self.lam.size
+        m, odd = N // 2, N % 2
+        top, mirror = phi[m + odd :], phi[m - 1 :: -1]
+        s = (top + mirror) * np.sqrt(0.5)
+        a = (top - mirror) * np.sqrt(0.5)
+        if odd:
+            s = np.concatenate([phi[m : m + 1], s])
+        return [s, a]
+
+    def project(self, phi):
+        """V^T phi for a vector or a block of columns."""
+        return np.concatenate([W.T @ x for W, x in zip(self.blocks, self._fold(phi))])
+
+    def expand(self, c):
+        """V c for a coefficient vector or a block of coefficient columns."""
+        if len(self.blocks) == 1:
+            return self.blocks[0] @ c
+        W_even, W_odd = self.blocks
+        n = W_even.shape[1]
+        u, w = W_even @ c[:n], W_odd @ c[n:]
+        N = self.lam.size
+        m, odd = N // 2, N % 2
+        tail = u[odd:] * np.sqrt(0.5)
+        w *= np.sqrt(0.5)
+        out = np.empty((N,) + c.shape[1:])
+        np.add(tail, w, out=out[m + odd :])
+        np.subtract(tail, w, out=out[m - 1 :: -1])
+        if odd:  # the center row: even vectors unscaled, odd vectors vanish
+            out[m] = u[0]
+        return out
+
+    def diag(self, decay, rows):
+        """sum_k V[x, k]^2 decay[k, :] for each x in rows, as (rows, T).
+
+        In the mirror case a row and its reflection share one half row,
+        which is evaluated once."""
+        rows = np.asarray(rows)
+        if len(self.blocks) == 1:
+            return _row_squares(self.blocks[0], rows, decay)
+        W_even, W_odd = self.blocks
+        n = W_even.shape[1]
+        N = self.lam.size
+        m, odd = N // 2, N % 2
+        half, back = np.unique(np.where(rows >= m, rows - m, N - 1 - m - rows), return_inverse=True)
+        out = _row_squares(W_even, half, decay[:n])
+        paired = half >= odd  # all but the center row of odd N
+        out[paired] = 0.5 * (out[paired] + _row_squares(W_odd, half[paired] - odd, decay[n:]))
+        return out[back]
+
+    def spans(self):
+        """Slices of lam (and of projected coordinates) block by block."""
+        bounds = np.cumsum([0] + [W.shape[1] for W in self.blocks])
+        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _row_squares(W, rows, decay):
+    """(W[rows] ** 2) @ decay over row slices sized for the cache."""
+    out = np.empty((rows.size, decay.shape[1]))
+    width = max(1, BLOCK_BYTES // (8 * W.shape[1]))
+    for lo in range(0, rows.size, width):
+        blk = W[rows[lo : lo + width]]
+        out[lo : lo + width] = (blk * blk) @ decay
+    return out
+
+
+def operator_eig(op: DiscreteOperator, point_cap=EIG_POINT_CAP) -> EigBasis:
+    """Spectrum and factored eigenvectors of the operator; computed once
+    per operator (concurrent callers wait for the first) and, when
     $DEGENLAB_CACHE is set, memoized on disk."""
     if op._eig is None:
         with op._lock:
@@ -110,36 +206,40 @@ def _compute_eig(op, point_cap):
         key = os.path.join(cache_dir, f"eig_{digest.hexdigest()[:24]}.npz")
         try:
             with open(key, "rb") as fh, np.load(fh) as data:
-                lam, V = data["lam"], data["V"]
-            if lam.shape == (N,) and V.shape == (N, N) and np.all(np.isfinite(lam)):
+                lam = data["lam"]
+                blocks = tuple(data[f"arr_{i}"] for i in range(len(data.files) - 1))
+            shapes = [W.shape for W in blocks]
+            halves = [(N - N // 2,) * 2, (N // 2,) * 2]
+            if lam.shape == (N,) and shapes in ([(N, N)], halves) and np.all(np.isfinite(lam)):
                 log.debug("operator_eig N=%d: disk cache hit %s", N, key)
-                return lam, V
+                return EigBasis(lam, blocks)
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            pass  # missing or damaged: recompute and rewrite
+            pass  # missing, damaged or an older layout: recompute and rewrite
         log.debug("operator_eig N=%d: disk cache miss %s", N, key)
     if op.mesh.dimension == 1:
-        lam, V = _tridiagonal_eig(op.matrix.diagonal(), op.matrix.diagonal(1))
+        lam, blocks = _tridiagonal_eig(op.matrix.diagonal(), op.matrix.diagonal(1))
     else:
         log.debug("operator_eig N=%d: dense eigh", N)
-        lam, V = eigh(op.matrix.toarray())
-    lam = np.maximum(lam, 0.0)
+        lam, Z = eigh(op.matrix.toarray())
+        blocks = (Z,)
+    basis = EigBasis(np.maximum(lam, 0.0), blocks)
     if key:
         os.makedirs(cache_dir, exist_ok=True)
         # a crash mid-write leaves a stray temporary, never a truncated entry
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, lam=lam, V=V)
+                np.savez(fh, *basis.blocks, lam=basis.lam)
             os.replace(tmp, key)
         except BaseException:
             os.unlink(tmp)
             raise
-    return lam, V
+    return basis
 
 
 def _tridiagonal_eig(d, e):
-    """Eigenpairs of the symmetric tridiagonal (d, e): ascending lam and
-    orthonormal columns of V.
+    """Eigenpairs of the symmetric tridiagonal (d, e) as (lam, blocks), the
+    fields of an EigBasis.
 
     When d and e are palindromes the matrix commutes with the reflection
     J (i -> N-1-i), and its eigenvectors split into even (Jv = v) and odd
@@ -148,13 +248,14 @@ def _tridiagonal_eig(d, e):
     matrix acts as a tridiagonal block of size about N/2: for odd N, the
     even block couples the center with weight sqrt(2) and the odd block
     starts past it; for even N, the two blocks differ only in their first
-    entry, d[m] +- e[m-1].  The full vectors mirror the half vectors with
-    weight 1/sqrt(2); lam is sorted stably, even before odd on ties.
+    entry, d[m] +- e[m-1].  The two half bases are returned as they are;
+    EigBasis applies the mirror map.  Any other matrix takes one full solve.
     """
     N = d.size
     if N < 2 or not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
         log.debug("tridiagonal eig N=%d: one full solve", N)
-        return _dstevd((d, e))[0]
+        lam, Z = _dstevd((d, e))[0]
+        return lam, (Z,)
     m, odd = N // 2, N % 2
     if odd:
         d_even, e_even = d[m:], e[m:].copy()
@@ -166,32 +267,8 @@ def _tridiagonal_eig(d, e):
         d_odd[0] -= e[m - 1]
         e_even = e_odd = e[m:]
     (lam_even, W_even), (lam_odd, W_odd) = _dstevd((d_even, e_even), (d_odd, e_odd))
-    n_even = lam_even.size
-    log.debug("tridiagonal eig N=%d: mirror split %d even + %d odd", N, n_even, lam_odd.size)
-    lam = np.concatenate([lam_even, lam_odd])
-    order = np.argsort(lam, kind="stable")
-    sign = np.where(order < n_even, 1.0, -1.0)
-    # rows m.. hold the half vectors; row m - 1 - k (N even) or m - k
-    # (N odd) mirrors row m + k, which is row m + k of the reversed view.
-    # Row blocks are gathered by np.take (a column scatter into V is slow);
-    # order is a permutation, so mode="clip" never clips and skips a copy.
-    V = np.empty((N, N))
-    V_rev = V[::-1]
-    rows = max(1, BLOCK_BYTES // (8 * N))
-    half = np.empty((rows, N))
-    for lo in range(odd, N - m, rows):
-        hi = min(lo + rows, N - m)
-        blk = half[: hi - lo]
-        blk[:, :n_even] = W_even[lo:hi]
-        blk[:, n_even:] = W_odd[lo - odd : hi - odd]
-        blk *= np.sqrt(0.5)
-        np.take(blk, order, axis=1, out=V[m + lo : m + hi], mode="clip")
-        np.multiply(V[m + lo : m + hi], sign, out=V_rev[m + lo : m + hi])
-    if odd:  # the center row: even vectors unscaled, odd vectors vanish
-        center = np.zeros(N)
-        center[:n_even] = W_even[0]
-        V[m] = center[order]
-    return lam[order], V
+    log.debug("tridiagonal eig N=%d: mirror split %d even + %d odd", N, lam_even.size, lam_odd.size)
+    return np.concatenate([lam_even, lam_odd]), (W_even, W_odd)
 
 
 def _capsule_pointer(capsule):
@@ -250,11 +327,11 @@ def _dstevd(*problems):
 
 
 def _eig_expm_apply(op, phi, ts):
-    """V exp(-t Lambda) V^T phi for all t in ts: one GEMM over every (t, column)."""
-    lam, V = operator_eig(op)
-    decay = np.exp(np.multiply.outer(-ts, lam))
-    scaled = decay.reshape(decay.shape + (1,) * (phi.ndim - 1)) * (V.T @ phi)
-    out = V @ np.moveaxis(scaled, 0, 1).reshape(op.size, -1)
+    """V exp(-t Lambda) V^T phi for all t in ts: one expand over every (t, column)."""
+    basis = operator_eig(op)
+    decay = np.exp(np.multiply.outer(-ts, basis.lam))
+    scaled = decay.reshape(decay.shape + (1,) * (phi.ndim - 1)) * basis.project(phi)
+    out = basis.expand(np.moveaxis(scaled, 0, 1).reshape(op.size, -1))
     return np.moveaxis(out.reshape((op.size, len(ts)) + phi.shape[1:]), 1, 0)
 
 
@@ -416,6 +493,39 @@ def heat_evolve(
     return HeatField(vals, ts, op.mesh)
 
 
+def heat_gram(op: DiscreteOperator, phi, t) -> np.ndarray:
+    """(phi_i, e^{-tA} phi_j) for the columns of the (N, k) block phi at every
+    t in the sequence t, as a (T, k, k) array of plain dot products.
+
+    1D operators up to the eigendecomposition cap take the Gram form
+    P^T exp(-t Lambda) P with P = V^T phi, summed block by block, so a mirror
+    pair of sets that no path connects gets exactly 0.  Otherwise each column
+    is evolved by Chebyshev with tol 1e-13 (tail-accurate values for the
+    off-diagonal margins) and dotted with each column of phi.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0):
+        raise ValueError("t must be >= 0")
+    phi = np.asarray(phi, dtype=float)
+    k = phi.shape[1]
+    if op.mesh.dimension == 1 and op.size <= EIG_POINT_CAP:
+        basis = operator_eig(op)
+        P = basis.project(phi)
+        decay = np.exp(np.multiply.outer(-ts, basis.lam))
+        gram = np.zeros((ts.size, k, k))
+        for span in basis.spans():
+            gram += P[span].T @ (decay[:, span, None] * P[span])
+        return gram
+    rows = np.ascontiguousarray(phi.T)
+    gram = np.empty((ts.size, k, k))
+    for g, block in zip(gram, heat_evolve(op, phi, ts, tol=1e-13).values):
+        columns = np.ascontiguousarray(block.T)
+        for i in range(k):
+            for j in range(k):
+                g[i, j] = np.dot(rows[i], columns[j])
+    return gram
+
+
 def kernel_column(op: DiscreteOperator, source_index: int, t: float, backend="chebyshev"):
     """Heat kernel column K_t(. ; y_source) as a density: the delta datum
     carries 1/cell_volume so values approximate the continuum kernel."""
@@ -446,8 +556,8 @@ def sup_kernel(
     times, value and t of the result are arrays.
 
     1D operators up to the eigendecomposition cap scan the entire diagonal
-    exactly, as (V * V) exp(-lambda t) over row slices of V; otherwise the
-    scan runs over the declared sample set by blocks of kernel columns.
+    exactly, as sum_k V[x, k]^2 exp(-lambda_k t) (EigBasis.diag); otherwise
+    the scan runs over the declared sample set by blocks of kernel columns.
     boundary_margin excludes diagonal entries within that distance of the box
     boundary, where the reflecting truncation inflates the on-diagonal value
     (image terms) relative to the free-space kernel.
@@ -459,21 +569,18 @@ def sup_kernel(
     vol = mesh.cell_volume
     keep = _interior_mask(mesh, boundary_margin)
     idx = np.flatnonzero(keep)
-    width = max(1, BLOCK_BYTES // (8 * op.size))
-    best = np.full(ts.size, -np.inf)
     if strategy == "auto":
         strategy = "eig" if (mesh.dimension == 1 and op.size <= EIG_POINT_CAP) else "columns"
     if strategy == "eig":
-        lam, V = operator_eig(op)
-        decay = np.exp(-np.multiply.outer(lam, ts))
-        for lo in range(0, idx.size, width):
-            rows = V[idx[lo : lo + width]]
-            best = np.maximum(best, ((rows * rows) @ decay).max(axis=0))
-        best /= vol
+        basis = operator_eig(op)
+        decay = np.exp(-np.multiply.outer(basis.lam, ts))
+        best = basis.diag(decay, idx).max(axis=0) / vol
     elif strategy == "columns":
         if sample_indices is not None:
             sample_indices = np.asarray(sample_indices)
             idx = sample_indices[keep[sample_indices]]
+        width = max(1, BLOCK_BYTES // (8 * op.size))
+        best = np.full(ts.size, -np.inf)
         for lo in range(0, idx.size, width):
             cols = idx[lo : lo + width]
             pick = np.arange(cols.size)

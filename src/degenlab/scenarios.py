@@ -120,6 +120,25 @@ REGIONS = {
 }
 
 
+def _bind(sig, *args, **fields):
+    """sig.bind(*args, **fields), with every unknown field named.
+
+    Signature.bind stops at the first missing parameter before it looks at
+    unexpected ones, so a misspelled required field would read only as
+    missing; here the unknown fields are listed first."""
+    by_name = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    named = {k for k, p in sig.parameters.items() if p.kind in by_name}
+    unknown = [k for k in fields if k not in named]
+    problems = [f"unknown field(s) {', '.join(map(repr, unknown))}"] if unknown else []
+    try:
+        bound = sig.bind(*args, **{k: v for k, v in fields.items() if k in named})
+    except TypeError as exc:
+        problems.append(str(exc))
+    if problems:
+        raise TypeError("; ".join(problems))
+    return bound
+
+
 def _region_fields(spec, kind=None):
     """(kind, fields) of a region spec, its fields bound against the kind's
     resolver.  A ball passes kind="euclidean_ball" and has no "kind" field."""
@@ -130,7 +149,7 @@ def _region_fields(spec, kind=None):
     if kind not in REGIONS:
         raise SchemaError(f"unknown region kind {kind!r}")
     try:
-        inspect.signature(REGIONS[kind]).bind(None, None, **fields)
+        _bind(inspect.signature(REGIONS[kind]), None, None, **fields)
     except TypeError as exc:
         raise SchemaError(f"{kind}: {exc}") from None
     if kind == "halfline" and fields["side"] not in ("left", "right"):
@@ -372,7 +391,7 @@ def validate_scenario(doc):
         if name not in CHECKS:
             raise SchemaError(f"checks[{i}].check: unknown check '{name}'")
         try:
-            bound = _SIGNATURES[name].bind(None, 0, **chk.get("params", {}))
+            bound = _bind(_SIGNATURES[name], None, 0, **chk.get("params", {}))
         except TypeError as exc:
             raise SchemaError(f"checks[{i}].params: {exc}") from None
         bound.apply_defaults()
@@ -450,7 +469,6 @@ def builtin_scenarios():
                 "dimension": 1,
                 "family": {"kind": "power", "delta": 0.0, "centers": [0.0]},
                 "domain": [-8.0, 8.0],
-                "gamma_hint": 1.0,
             },
             "mesh": {"dimension": 1, "box": [-8.0, 8.0], "n": 4096},
             "epsilons": [0.0],
@@ -511,7 +529,6 @@ def builtin_scenarios():
                     "dimension": 1,
                     "family": {"kind": "power", "delta": delta, "centers": [0.0]},
                     "domain": [-4.0, 4.0],
-                    "gamma_hint": gamma,
                 },
                 "mesh": {"dimension": 1, "box": [-4.0, 4.0], "n": 2048},
                 "epsilons": [0.0],
@@ -570,8 +587,6 @@ def builtin_scenarios():
                 "dimension": 1,
                 "family": {"kind": "power", "delta": 0.75, "centers": [0.0]},
                 "domain": [-4.0, 4.0],
-                "gamma_hint": 0.25,
-                "cut_hint": [0.0],
             },
             "mesh": {"dimension": 1, "box": [-4.0, 4.0], "n": 2047},
             "epsilons": [0.0],
@@ -649,8 +664,6 @@ def builtin_scenarios():
                 "dimension": 1,
                 "family": {"kind": "power", "delta": 0.75, "centers": [-1.0, 1.0]},
                 "domain": [-4.0, 4.0],
-                "gamma_hint": 0.25,
-                "cut_hint": [-1.0, 1.0],
             },
             "mesh": {"dimension": 1, "box": [-4.0, 4.0], "n": 1020},
             "epsilons": [0.0],
@@ -755,7 +768,6 @@ def builtin_scenarios():
                 "dimension": 1,
                 "family": {"kind": "power", "delta": 0.5, "centers": [0.0]},
                 "domain": [-8.0, 8.0],
-                "gamma_hint": 0.5,
             },
             "mesh": {"dimension": 1, "box": [-8.0, 8.0], "n": 4096},
             "epsilons": [0.0],
@@ -792,7 +804,6 @@ def builtin_scenarios():
                 "dimension": 1,
                 "family": {"kind": "power", "delta": 0.0, "centers": [0.0]},
                 "domain": [-24.0, 24.0],
-                "gamma_hint": 1.0,
             },
             "mesh": {"dimension": 1, "box": [-24.0, 24.0], "n": 4096},
             "epsilons": [0.0],

@@ -292,6 +292,28 @@ class TestRegionSpecs:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"omega": {"kind": "halfline", "x": 0.0, "sid": "right"}}, ["'sid'", "'side'"]),
+            ({"balls": [{"center": [-1.0], "radius": 0.4}, {"center": [1.0], "r": 0.4}]},
+             ["'r'", "'radius'"]),
+            ({"omeg": {"kind": "halfline", "x": 0.0, "side": "right"}, "tt": 1.0},
+             ["'omeg'", "'tt'", "'omega'"]),
+        ],
+        ids=["region-field", "ball-field", "check-parameter"],
+    )
+    def test_misspelled_required_key_is_named(self, params, named):
+        # a misspelled required key is reported as unknown, next to the
+        # missing key it was meant to be
+        doc = self.doc_with({})
+        check = "offdiagonal_gaussian" if "balls" in params else "invariance"
+        doc["checks"][1] = {"check": check, "params": params}
+        with pytest.raises(SchemaError) as err:
+            validate_scenario(doc)
+        assert "unknown field(s)" in str(err.value)
+        assert all(key in str(err.value) for key in named), str(err.value)
+
     def test_omega_mask_has_no_silent_defaults(self):
         doc = builtin_by_name("radial-shell-2d")
         doc["mesh"]["n"] = 16

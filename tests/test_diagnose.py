@@ -7,6 +7,7 @@ from degenlab import (
     assemble,
     build_mesh,
     distance_field,
+    heat_evolve,
     sup_kernel,
 )
 from degenlab.diagnose import (
@@ -164,6 +165,25 @@ class TestEuclideanOffdiagonal:
         )
         assert rec.status is Status.HOLDS
         assert rec.margin > 5.0  # lhs = 0 against a finite bound
+
+
+    def test_2d_lhs_is_the_chebyshev_per_pair_dot(self):
+        # off the eig path the Gram entries are the dot products of the
+        # masks with their tol=1e-13 Chebyshev evolutions, bit for bit
+        mesh = build_mesh(2, (-1.0, 1.0), 24)
+        p = CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0))
+        op = assemble(p, mesh, 0.0)
+        boxes = [[[-0.9, -0.4], [-0.5, 0.5]], [[0.3, 0.8], [-0.2, 0.6]]]
+        ts = [0.02, 0.2]
+        rec = euclidean_offdiagonal_check(op, mesh, boxes, ts, c_norm=p.norm_bound)
+        pts = mesh.points()
+        masks = [np.all((pts >= np.array(b)[:, 0]) & (pts <= np.array(b)[:, 1]), axis=1)
+                 for b in boxes]
+        masks = [m.astype(float) for m in masks]
+        evolved = heat_evolve(op, np.column_stack(masks), ts, tol=1e-13).values
+        for row, block in zip(rec.table, evolved):
+            column = np.ascontiguousarray(block.T)[1]
+            assert row["lhs"] == abs(float(np.dot(masks[0], column) * mesh.cell_volume))
 
 
 class TestWaveSpeed:
@@ -355,6 +375,18 @@ class TestOndiagonalLower:
         )
         assert rec.status is Status.HOLDS
         assert rec.margin >= 0.9  # translation invariance away from walls
+
+    def test_value_is_the_exact_square_norm(self, laplace_small):
+        # (phi, S_t phi) = ||S_{t/2} phi||^2, here from the eigenbasis
+        _, mesh, op = laplace_small
+        centers = [-3.0, 0.0, 1.5]
+        rec = ondiagonal_lower_check(op, mesh, 1.0, 0.5, centers)
+        vol = mesh.cell_volume
+        for c, row in zip(centers, rec.table):
+            phi = (np.abs(mesh.points()[:, 0] - c) <= 0.25).astype(float)
+            half = heat_evolve(op, phi, 0.5, backend="eig").values
+            ref = np.dot(half, half) * vol / (phi.sum() * vol) ** 2
+            assert abs(row["value"] - ref) <= 1e-13 * ref
 
     def test_separated_positive_per_component(self, cut_setup):
         _, mesh, op = cut_setup

@@ -1,10 +1,11 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 import degenlab.evolve as evolve_mod
 
@@ -14,6 +15,7 @@ from degenlab import (
     assemble,
     build_mesh,
     heat_evolve,
+    heat_gram,
     kernel_column,
     operator_eig,
     resolvent_power_apply,
@@ -25,6 +27,12 @@ from degenlab.errors import CflError, SolverError
 
 def power1d(delta, domain=(-8.0, 8.0)):
     return CoefficientProfile(1, PowerDegenerate(delta, ((0.0,),)), domain)
+
+
+def dense_eig(op):
+    """lam and the full eigenvector matrix V = expand(I) of operator_eig(op)."""
+    basis = operator_eig(op)
+    return basis.lam, basis.expand(np.eye(op.size))
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +177,7 @@ class TestBatchedEvolve:
         monkeypatch.setattr(evolve_mod, "CHEB_DEGREE_CAP", 200)
         mesh = build_mesh(1, (-8.0, 8.0), 256)
         op = assemble(power1d(0.0), mesh, 0.0)
-        lam, V = operator_eig(op)
+        lam, V = dense_eig(op)
         rng = np.random.default_rng(22)
         block = rng.standard_normal((op.size, 3))
         ts = [1.0, 0.05]
@@ -186,7 +194,7 @@ class TestBatchedEvolve:
         # data they agree to a few ulps of 1, not bitwise
         mesh = build_mesh(1, (-4.0, 4.0), 400)
         op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        lam, V = operator_eig(op)
+        lam, V = dense_eig(op)
         xs = mesh.axis(0)
         block = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
         ts = [0.01, 0.2, 1.0]
@@ -207,7 +215,7 @@ class TestBatchedEvolve:
         ts = np.geomspace(1e-3, 5.0, 9)
         got = sup_kernel(op, ts, boundary_margin=margin)
         assert got.strategy == "eig" and np.array_equal(got.t, ts)
-        lam, V = operator_eig(op)
+        lam, V = dense_eig(op)
         keep = np.abs(mesh.axis(0)) <= 4.0 - margin
         for t, value in zip(ts, got.value):
             diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
@@ -361,7 +369,7 @@ class TestWaveEvolve:
         op = assemble(power1d(0.0), mesh, 0.0)
         xs = mesh.axis(0)
         phi = np.exp(-(xs**2) * 8)
-        lam, V = operator_eig(op)
+        lam, V = dense_eig(op)
         t = 1.0
         exact = V @ (np.cos(t * np.sqrt(lam)) * (V.T @ phi))
         w = wave_evolve(op, phi, t, cfl_safety=0.25)
@@ -391,34 +399,50 @@ class TestEigCache:
         monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
         mesh = build_mesh(1, (-1.0, 1.0), 64)
         op1 = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        lam1, _ = operator_eig(op1)
+        lam1 = operator_eig(op1).lam
         files = list(tmp_path.glob("eig_*.npz"))
         assert len(files) == 1
         op2 = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        lam2, _ = operator_eig(op2)
+        lam2 = operator_eig(op2).lam
         assert np.array_equal(lam1, lam2)
 
     def test_truncated_entry_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
         mesh = build_mesh(1, (-1.0, 1.0), 64)
-        lam1, V1 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        b1 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
         (path,) = tmp_path.glob("eig_*.npz")
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        lam2, V2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        assert np.array_equal(lam1, lam2) and np.array_equal(V1, V2)
+        b2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        assert np.array_equal(b1.lam, b2.lam) and len(b1.blocks) == len(b2.blocks) == 2
+        assert all(np.array_equal(W1, W2) for W1, W2 in zip(b1.blocks, b2.blocks))
         assert path.read_bytes() == data
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_wrong_shape_entry_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
         mesh = build_mesh(1, (-1.0, 1.0), 64)
-        lam1, _ = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        lam1 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)).lam
         (path,) = tmp_path.glob("eig_*.npz")
         with open(path, "wb") as fh:
             np.savez(fh, lam=np.full(65, np.nan), V=np.zeros((3, 3)))
-        lam2, V2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        assert np.array_equal(lam1, lam2) and V2.shape == (65, 65)
+        b2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        assert np.array_equal(lam1, b2.lam)
+        assert [W.shape for W in b2.blocks] == [(33, 33), (32, 32)]
+
+    def test_old_dense_layout_recomputed_and_rewritten(self, tmp_path, monkeypatch):
+        # an entry written as (lam, V) with correct shapes, the dense layout
+        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
+        mesh = build_mesh(1, (-1.0, 1.0), 64)
+        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
+        lam, V = dense_eig(op)
+        (path,) = tmp_path.glob("eig_*.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, lam=lam, V=V)
+        basis = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
+        assert np.array_equal(basis.lam, lam) and len(basis.blocks) == 2
+        with np.load(path) as data:
+            assert sorted(data.files) == ["arr_0", "arr_1", "lam"]
 
     def test_debug_log_names_split_and_cache(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
@@ -466,17 +490,187 @@ class TestEigCache:
     def test_tridiagonal_matches_dense(self):
         mesh = build_mesh(1, (-1.0, 1.0), 48)
         op = assemble(power1d(0.3, domain=(-1.0, 1.0)), mesh, 1e-3)
-        lam, V = operator_eig(op)
+        lam = np.sort(operator_eig(op).lam)
         d = op.matrix.diagonal()
         e = op.matrix.diagonal(1)
         lam_ref = eigh_tridiagonal(d, e, eigvals_only=True)
         assert np.allclose(lam, np.maximum(lam_ref, 0.0), atol=1e-10)
 
 
+def stevd_reference(d, e):
+    """eigh_tridiagonal through LAPACK dstevd, the routine _dstevd calls."""
+    return eigh_tridiagonal(d, e, lapack_driver="stevd")
+
+
+try:
+    stevd_reference(np.zeros(2), np.zeros(1))
+    HAS_STEVD_REFERENCE = True
+except ValueError:  # older scipy: eigh_tridiagonal cannot call stevd
+    HAS_STEVD_REFERENCE = False
+needs_stevd_reference = pytest.mark.skipif(
+    not HAS_STEVD_REFERENCE, reason="eigh_tridiagonal cannot call stevd here"
+)
+
+
 def mirror_tridiagonal(N, rng):
     """Random tridiagonal (d, e) with d and e palindromes."""
     h, g = rng.standard_normal(N), rng.standard_normal(N - 1)
     return h + h[::-1], g + g[::-1]
+
+
+def tridiagonal(N, palindromic, rng):
+    if palindromic:
+        return mirror_tridiagonal(N, rng)
+    return rng.standard_normal(N), rng.standard_normal(N - 1)
+
+
+class TestEigBasis:
+    """The factored basis against a dense eigh reference, through what does
+    not depend on the choice of eigenvectors: f(A) phi, (phi, f(A) psi) and
+    the diagonal of f(A)."""
+
+    @pytest.mark.parametrize("palindromic", [True, False], ids=["mirror", "full"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 64, 65, 257])
+    def test_operations_match_dense_eigh(self, N, palindromic):
+        rng = np.random.default_rng(300 + N)
+        d, e = tridiagonal(N, palindromic, rng)
+        basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
+        assert len(basis.blocks) == (2 if palindromic and N > 1 else 1)
+        A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        lam_ref, Z = eigh(A)
+        norm = max(np.abs(lam_ref).max(), 1.0)
+        tol = 64 * N * np.finfo(float).eps
+        assert np.abs(np.sort(basis.lam) - lam_ref).max() <= tol * norm
+        f, f_ref = np.exp(-basis.lam / norm), np.exp(-lam_ref / norm)  # within [1/e, e]
+        F = (Z * f_ref) @ Z.T
+        phi, psi = rng.standard_normal((N, 3)), rng.standard_normal((N, 2))
+        size = np.linalg.norm(phi, 2)
+
+        P = basis.project(phi)
+        assert P.shape == (N, 3)
+        assert np.linalg.norm(basis.expand(P) - phi, 2) <= tol * size
+        A_phi = basis.expand(basis.lam[:, None] * P)
+        assert np.linalg.norm(A_phi - A @ phi, 2) <= tol * norm * size
+        assert np.linalg.norm(basis.expand(f[:, None] * P) - F @ phi, 2) <= np.e * tol * size
+        gram = P.T @ (f[:, None] * basis.project(psi))
+        assert np.abs(gram - phi.T @ F @ psi).max() <= np.e * tol * size * np.linalg.norm(psi, 2)
+        vec = basis.project(phi[:, 0])
+        assert vec.shape == (N,) and np.abs(vec - P[:, 0]).max() <= tol * size
+        assert np.abs(basis.expand(vec) - basis.expand(P)[:, 0]).max() <= tol * size
+
+        rows = rng.permutation(np.concatenate([np.arange(N), rng.integers(0, N, N)]))
+        diag = basis.diag(np.column_stack([f, basis.lam]), rows)
+        assert diag.shape == (rows.size, 2)
+        assert np.abs(diag[:, 0] - np.diag(F)[rows]).max() <= np.e * tol
+        assert np.abs(diag[:, 1] - d[rows]).max() <= tol * norm
+
+    @pytest.mark.parametrize("N", [256, 257, 513])
+    def test_mirror_basis_stores_two_half_blocks(self, N):
+        if N == 513:  # an assembled operator on a symmetric box
+            mesh = build_mesh(1, (-4.0, 4.0), 512)
+            basis = operator_eig(assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0))
+        else:
+            d, e = mirror_tridiagonal(N, np.random.default_rng(N))
+            basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
+        assert len(basis.blocks) == 2 and basis.lam.size == N
+        stored = basis.lam.size + sum(W.size for W in basis.blocks)
+        assert stored <= (N - N // 2) ** 2 + (N // 2) ** 2 + N
+
+    def test_no_dense_matrix_on_the_1d_path(self):
+        # tracemalloc sees numpy's buffers.  The decomposition peaks at the two
+        # half bases plus dstevd's two (N/2)^2 workspaces, about N^2 floats in
+        # all; an assembled V would add N^2 more.  The consumers then allocate
+        # far less than one half block beyond the basis.
+        mesh = build_mesh(1, (-4.0, 4.0), 1024)
+        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        N = op.size
+        dense = 8 * N * N
+        xs = mesh.axis(0)
+        phi = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
+        ts = np.geomspace(1e-3, 1.0, 8)
+        tracemalloc.start()
+        try:
+            operator_eig(op)
+            held, decompose_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            heat_gram(op, phi, ts)
+            sup_kernel(op, ts)
+            heat_evolve(op, phi, ts, backend="eig")
+            _, use_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decompose_peak < 1.25 * dense
+        assert use_peak - held < 0.25 * dense
+
+
+class TestHeatGram:
+    def masks(self, mesh, centers, width=0.5):
+        xs = mesh.axis(0)
+        return np.column_stack([(np.abs(xs - c) < width).astype(float) for c in centers])
+
+    @pytest.mark.parametrize("center, n, blocks", [(0.0, 512, 2), (0.0, 400, 1), (0.3, 401, 1)])
+    def test_eig_path_matches_evolve_then_dot(self, center, n, blocks):
+        mesh = build_mesh(1, (-4.0, 4.0), n)
+        profile = CoefficientProfile(1, PowerDegenerate(0.5, ((center,),)), (-4.0, 4.0))
+        op = assemble(profile, mesh, 0.0)
+        assert len(operator_eig(op).blocks) == blocks
+        phi = self.masks(mesh, (-2.0, 0.0, 1.5))
+        ts = [0.0, 0.01, 0.2, 1.0]
+        gram = heat_gram(op, phi, ts)
+        assert gram.shape == (4, 3, 3)
+        evolved = heat_evolve(op, phi, ts, backend="eig").values
+        norms = np.linalg.norm(phi, axis=0)
+        for g, block in zip(gram, evolved):
+            ref = phi.T @ block
+            assert np.all(np.abs(g - ref) <= 64 * np.finfo(float).eps * np.outer(norms, norms))
+
+    def test_chebyshev_path_is_the_per_pair_dots(self):
+        mesh = build_mesh(2, (-1.0, 1.0), 24)
+        p = CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0))
+        op = assemble(p, mesh, 0.0)
+        pts = mesh.points()
+        phi = np.column_stack([np.linalg.norm(pts - c, axis=1) < 0.4
+                               for c in ((-0.5, 0.0), (0.5, 0.2), (0.0, -0.5))]).astype(float)
+        ts = [0.01, 0.1]
+        gram = heat_gram(op, phi, ts)
+        evolved = heat_evolve(op, phi, ts, tol=1e-13).values
+        masks = [np.array(col) for col in phi.T]
+        for g, block in zip(gram, evolved):
+            columns = np.ascontiguousarray(block.T)
+            ref = [[np.dot(masks[i], columns[j]) for j in range(3)] for i in range(3)]
+            assert np.array_equal(g, np.array(ref))
+
+    def test_exact_cut_gives_exact_zero(self, cut_op):
+        # one full solve: dstevd splits at the zero conductance, so every
+        # eigenvector vanishes exactly on one side
+        assert len(operator_eig(cut_op).blocks) == 1
+        phi = self.masks(cut_op.mesh, (-1.0, 1.3, 2.0), width=0.4)
+        gram = heat_gram(cut_op, phi, [0.1, 1.0, 4.0])
+        assert np.all(gram[:, 0, 1:] == 0.0) and np.all(gram[:, 1:, 0] == 0.0)
+        assert np.all(gram[:, 1:, 1:] > 0.0)
+
+    def test_mirror_cut_gives_exact_zero(self):
+        # a zero conductance between the two middle points of a mirror-
+        # symmetric operator (N even): across the cut the even and the odd
+        # block give contributions equal up to sign, and the Gram form sums
+        # block by block, so they cancel bit for bit
+        mesh = build_mesh(1, (-1.0, 1.0), 63)
+        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
+        A = op.matrix.tolil()
+        c = A[31, 32]
+        A[31, 32] = A[32, 31] = 0.0
+        A[31, 31] += c
+        A[32, 32] += c
+        op.matrix = A.tocsr()
+        assert len(operator_eig(op).blocks) == 2
+        phi = self.masks(mesh, (-0.6, 0.3, 0.7), width=0.2)
+        gram = heat_gram(op, phi, [0.01, 0.1, 1.0])
+        assert np.all(gram[:, 0, 1:] == 0.0) and np.all(gram[:, 1:, 0] == 0.0)
+        assert np.all(gram[:, 1:, 1:] > 0.0)
+
+    def test_negative_time_rejected(self, laplace_op):
+        with pytest.raises(ValueError):
+            heat_gram(laplace_op, np.ones((laplace_op.size, 1)), [0.1, -0.1])
 
 
 class TestMirrorSplit:
@@ -496,13 +690,14 @@ class TestMirrorSplit:
         monkeypatch.setattr(evolve_mod, "_dstevd", counting)
         return sizes
 
-    def assert_eigenpairs(self, d, e, lam, V):
+    def assert_eigenpairs(self, d, e, basis):
         N = d.size
+        lam, V = basis.lam, basis.expand(np.eye(N))
         A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         bound = 64 * N * np.finfo(float).eps * np.linalg.norm(A, 2)
         assert lam.shape == (N,) and V.shape == (N, N)
-        assert np.all(np.diff(lam) >= 0)
-        assert np.abs(lam - eigh_tridiagonal(d, e, eigvals_only=True)).max() <= bound
+        assert all(np.all(np.diff(lam[span]) >= 0) for span in basis.spans())
+        assert np.abs(np.sort(lam) - eigh_tridiagonal(d, e, eigvals_only=True)).max() <= bound
         assert np.linalg.norm(A @ V - V * lam, 2) <= bound
         assert np.linalg.norm(V.T @ V - np.eye(N), 2) <= 64 * N * np.finfo(float).eps
 
@@ -510,9 +705,9 @@ class TestMirrorSplit:
     def test_random_mirror_matrices(self, N, solve_sizes):
         rng = np.random.default_rng(N)
         d, e = mirror_tridiagonal(N, rng)
-        lam, V = evolve_mod._tridiagonal_eig(d, e)
+        basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
         assert solve_sizes == ([1] if N == 1 else [N - N // 2, N // 2])
-        self.assert_eigenpairs(d, e, lam, V)
+        self.assert_eigenpairs(d, e, basis)
 
     def test_even_n_parity_ties(self):
         # a zero conductance between the two middle points (an aligned cut)
@@ -520,23 +715,25 @@ class TestMirrorSplit:
         rng = np.random.default_rng(7)
         d, e = mirror_tridiagonal(64, rng)
         e[31] = 0.0
-        lam, V = evolve_mod._tridiagonal_eig(d, e)
-        assert np.array_equal(lam[0::2], lam[1::2])
-        # stable order: the even vector of each pair comes first
-        assert np.array_equal(V[::-1, 0::2], V[:, 0::2])
-        assert np.array_equal(V[::-1, 1::2], -V[:, 1::2])
-        self.assert_eigenpairs(d, e, lam, V)
+        basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
+        lam, V = basis.lam, basis.expand(np.eye(64))
+        assert np.array_equal(lam[:32], lam[32:])
+        # the even block comes first, then the odd one
+        assert np.array_equal(V[::-1, :32], V[:, :32])
+        assert np.array_equal(V[::-1, 32:], -V[:, 32:])
+        self.assert_eigenpairs(d, e, basis)
 
+    @needs_stevd_reference
     @pytest.mark.parametrize("where", ["d", "e"])
     def test_one_ulp_asymmetry_takes_full_solve(self, where, solve_sizes):
         rng = np.random.default_rng(3)
         d, e = mirror_tridiagonal(65, rng)
         x = d if where == "d" else e
         x[0] = np.nextafter(x[0], np.inf)
-        lam, V = evolve_mod._tridiagonal_eig(d, e)
+        lam, (Z,) = evolve_mod._tridiagonal_eig(d, e)
         assert solve_sizes == [65]
-        lam_ref, V_ref = eigh_tridiagonal(d, e)
-        assert np.array_equal(lam, lam_ref) and np.array_equal(V, V_ref)
+        lam_ref, V_ref = stevd_reference(d, e)
+        assert np.array_equal(lam, lam_ref) and np.array_equal(Z, V_ref)
 
     def test_power_law_operator_matches_unsplit(self):
         mesh = build_mesh(1, (-4.0, 4.0), 512)
@@ -545,7 +742,7 @@ class TestMirrorSplit:
         assert op.size == 513 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
         lam, V = eigh_tridiagonal(d, e)
         unsplit = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        unsplit._eig = (np.maximum(lam, 0.0), V)
+        unsplit._eig = evolve_mod.EigBasis(np.maximum(lam, 0.0), (V,))
         xs = mesh.axis(0)
         phi = np.column_stack([np.exp(-((xs - c) ** 2)) for c in (-1.5, 0.0, 0.7)])
         ts = [0.01, 0.3, 2.0]
@@ -557,21 +754,6 @@ class TestMirrorSplit:
             s_ref = sup_kernel(unsplit, ts, boundary_margin=margin)
             assert s_got.strategy == s_ref.strategy == "eig"
             assert np.all(np.abs(s_got.value - s_ref.value) <= 1e-12 * s_ref.value)
-
-
-def stevd_reference(d, e):
-    """eigh_tridiagonal through LAPACK dstevd, the routine _dstevd calls."""
-    return eigh_tridiagonal(d, e, lapack_driver="stevd")
-
-
-try:
-    stevd_reference(np.zeros(2), np.zeros(1))
-    HAS_STEVD_REFERENCE = True
-except ValueError:  # older scipy: eigh_tridiagonal cannot call stevd
-    HAS_STEVD_REFERENCE = False
-needs_stevd_reference = pytest.mark.skipif(
-    not HAS_STEVD_REFERENCE, reason="eigh_tridiagonal cannot call stevd here"
-)
 
 
 class TestDstevd:
