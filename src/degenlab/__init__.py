@@ -13,7 +13,6 @@ from .coeffs import (
     Classification,
     CoefficientProfile,
     PowerDegenerate,
-    QuadratureConfig,
     RadialShell,
     Sampled,
     StronglyElliptic,
@@ -58,7 +57,6 @@ __all__ = [
     "Classification",
     "CoefficientProfile",
     "PowerDegenerate",
-    "QuadratureConfig",
     "RadialShell",
     "Sampled",
     "StronglyElliptic",

@@ -48,20 +48,24 @@ def _write_csv(path, table):
 
 
 def _apply_override(doc, key, raw):
-    """Dotted-path override; numeric list indices supported."""
+    """Dotted-path override; numeric list indices supported.  A path that
+    does not lead to a list entry or an object field raises SchemaError."""
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
     parts = key.split(".")
     node = doc
-    for p in parts[:-1]:
-        node = node[int(p)] if isinstance(node, list) else node.setdefault(p, {})
-    last = parts[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
+    try:
+        for p in parts[:-1]:
+            node = node[int(p)] if isinstance(node, list) else node.setdefault(p, {})
+        last = parts[-1]
+        if isinstance(node, list):
+            node[int(last)] = value
+        else:
+            node[last] = value
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise SchemaError(f"override '{key}': no such path in the scenario ({exc})") from None
 
 
 def run(scenario_path, out_dir=None, threads=1, overrides=(), plots=False, base_dir=None):

@@ -26,6 +26,14 @@ from .errors import DomainError, SchemaError
 from .quadrature import graded_tail
 
 _PSD_SLACK = 1e-12  # eigenvalues >= -_PSD_SLACK * ||C|| are treated as 0
+DEGENERACY_TOL = 1e-12  # a 1D point this close to a declared degeneracy is on it
+
+# classifier budget; the divergence test runs at graded_tail's defaults
+SCAN_POINTS = 10_000  # uniform scan for zeros of mu_m
+GOLDEN_ITERS = 320  # golden-section steps refining an undeclared dip
+ZERO_WINDOW = 0.5  # largest offset integrated from a zero (and the 2D normal scan)
+ELLIPTIC_THRESHOLD = 1e-8  # mu_m above this everywhere: strongly elliptic
+MERGE_FRACTION = 1e-3  # zeros closer than this fraction of the scan are one
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +237,8 @@ class CoefficientProfile:
         Offsets at rounding-noise scale snap to exactly 0 so that meshes
         aligned to put face midpoints on the degeneracy produce exact zero
         conductances regardless of how the midpoint arithmetic rounded.
-        (Quadrature paths evaluate the normal section at exact offsets and
-        never go through here.)
+        (Quadrature from a declared degeneracy evaluates the normal section
+        at exact offsets, through offset_section, and never comes here.)
         """
         pts = self._as_points(pts)
         fam = self.family
@@ -374,6 +382,22 @@ class CoefficientProfile:
             return sect
         raise ValueError("no normal section for this family")
 
+    def offset_section(self, z0, side):
+        """rho -> c(z0 + side * rho) + epsilon for offsets rho >= 0.
+
+        z0 is a point of the 1D axis or, for a 2D radial or surface family,
+        a signed normal offset from the degeneracy set.  From a declared 1D
+        degeneracy the normal section is evaluated at the offset itself, so
+        offsets far below the rounding of z0 keep their value (rho_values
+        would snap them to the degeneracy)."""
+        if self.dimension == 2:
+            sect = self.normal_section()
+            return lambda rho: sect(z0 + side * rho)
+        if any(abs(z0 - z) < DEGENERACY_TOL for z in self.axis_degeneracies()):
+            sect = self.normal_section()
+            return lambda rho: sect(side * rho)
+        return lambda rho: self.scalar_values(z0 + side * rho)
+
 
 # ---------------------------------------------------------------------------
 # operations
@@ -384,18 +408,6 @@ class Verdict(str, Enum):
     CLOSABLE_DEGENERATE = "ClosableDegenerate"
     SEPARATING = "Separating"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass
-class QuadratureConfig:
-    scan_points: int = 10_000
-    golden_iters: int = 320
-    levels: int = 60
-    alpha: float = 0.5
-    div_threshold: float = 1e3
-    ratio_cutoff: float = 0.97
-    strong_ellipticity_threshold: float = 1e-8
-    merge_tol_frac: float = 1e-3
 
 
 @dataclass
@@ -426,10 +438,10 @@ def _golden_min(f, a, b, iters):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _locate_zeros(mu, lo, hi, declared, cfg):
+def _locate_zeros(mu, lo, hi, declared):
     """Minimum search on a fine scan plus golden refinement; returns the
     merged list of near-zero locations and the refined infimum estimate."""
-    xs = np.linspace(lo, hi, cfg.scan_points)
+    xs = np.linspace(lo, hi, SCAN_POINTS)
     if declared:
         xs = np.sort(np.concatenate([xs, np.asarray(declared, dtype=float)]))
     vals = np.asarray(mu(xs), dtype=float)
@@ -438,7 +450,7 @@ def _locate_zeros(mu, lo, hi, declared, cfg):
     zeros = []
 
     # scan points already at (numerical) zero, plateau runs compressed
-    mask = vals <= cfg.strong_ellipticity_threshold
+    mask = vals <= ELLIPTIC_THRESHOLD
     if np.any(mask):
         run_start = None
         for i, m in enumerate(np.append(mask, False)):
@@ -450,7 +462,7 @@ def _locate_zeros(mu, lo, hi, declared, cfg):
 
     # golden refinement of promising strict local minima (undeclared dips)
     strict = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]))[0] + 1
-    promote = 1e-3 * max(float(vals.max()), cfg.strong_ellipticity_threshold)
+    promote = 1e-3 * max(float(vals.max()), ELLIPTIC_THRESHOLD)
     cand = [i for i in strict if vals[i] <= promote and not mask[i]]
     imin = int(np.argmin(vals))
     if not mask[imin]:
@@ -462,31 +474,30 @@ def _locate_zeros(mu, lo, hi, declared, cfg):
             lambda t: float(np.asarray(mu(np.array([t])), dtype=float)[0]),
             a,
             b,
-            cfg.golden_iters,
+            GOLDEN_ITERS,
         )
         if vals[i] < v_ref:
             x_ref, v_ref = float(xs[i]), float(vals[i])
         mu_lower = min(mu_lower, float(v_ref))
-        if v_ref <= cfg.strong_ellipticity_threshold:
+        if v_ref <= ELLIPTIC_THRESHOLD:
             zeros.append(float(x_ref))
 
     zeros.sort()
     merged = []
     for z in zeros:
-        if merged and z - merged[-1] < cfg.merge_tol_frac * width:
+        if merged and z - merged[-1] < MERGE_FRACTION * width:
             continue
         merged.append(z)
     return merged, mu_lower
 
 
-def classify(profile: CoefficientProfile, cfg: QuadratureConfig | None = None) -> Classification:
+def classify(profile: CoefficientProfile) -> Classification:
     """Decide strong ellipticity, closability, or separation candidacy.
 
     Works on the 1D axis for 1D profiles and on the signed normal offset for
     declared radial/surface degeneracies.  Quadrature of 1/mu_m is run toward
     each located zero from both sides; a divergent side marks a cut.
     """
-    cfg = cfg or QuadratureConfig()
     fam = profile.family
 
     if profile.dimension == 1:
@@ -495,42 +506,22 @@ def classify(profile: CoefficientProfile, cfg: QuadratureConfig | None = None) -
         def mu(xs):
             return profile.smallest_eigenvalues(np.asarray(xs, float).reshape(-1, 1))
 
-        declared = profile.axis_degeneracies() if isinstance(
-            fam, (PowerDegenerate, RadialShell)
-        ) else []
-
-        def offset_mu(z0, side):
-            sect = None
-            if isinstance(fam, (PowerDegenerate, RadialShell)) and any(
-                abs(z0 - z) < 1e-12 for z in declared
-            ):
-                sect = profile.normal_section()
-            if sect is not None:
-                return lambda rho: sect(side * rho)
-            return lambda rho: mu(z0 + side * rho)
+        declared = profile.axis_degeneracies()
 
     elif isinstance(fam, (RadialShell, SurfaceDegenerate)):
         # classification reduces to the normal section through the degeneracy
-        sect = profile.normal_section()
-        span = cfg.alpha
-        lo, hi = -span, span
-
-        def mu(xs):
-            return sect(np.asarray(xs, dtype=float))
-
+        mu = profile.normal_section()
+        lo, hi = -ZERO_WINDOW, ZERO_WINDOW
         declared = [0.0]
-
-        def offset_mu(z0, side):
-            return lambda rho: sect(z0 + side * rho)
 
     else:
         raise ValueError(
             "classification needs a 1D profile or a declared radial/surface degeneracy"
         )
 
-    zeros, mu_lower = _locate_zeros(mu, lo, hi, declared, cfg)
+    zeros, mu_lower = _locate_zeros(mu, lo, hi, declared)
 
-    if mu_lower > cfg.strong_ellipticity_threshold:
+    if mu_lower > ELLIPTIC_THRESHOLD:
         return Classification(Verdict.STRONGLY_ELLIPTIC, [], mu_lower, [])
 
     table = []
@@ -538,7 +529,7 @@ def classify(profile: CoefficientProfile, cfg: QuadratureConfig | None = None) -
     ambiguous = False
     for z0 in zeros:
         gaps = [abs(z0 - z) for z in zeros if z != z0]
-        alpha = min(cfg.alpha, hi - z0 if z0 < hi else np.inf, z0 - lo if z0 > lo else np.inf)
+        alpha = min(ZERO_WINDOW, hi - z0 if z0 < hi else np.inf, z0 - lo if z0 > lo else np.inf)
         if gaps:
             alpha = min(alpha, 0.5 * min(gaps))
         divergent_here = False
@@ -546,14 +537,8 @@ def classify(profile: CoefficientProfile, cfg: QuadratureConfig | None = None) -
             span = min(alpha, (hi - z0) if side > 0 else (z0 - lo))
             if span <= 0:
                 continue
-            f = offset_mu(z0, side)
-            inv = graded_tail(
-                lambda rho: 1.0 / np.maximum(f(rho), 1e-300),
-                span,
-                levels=cfg.levels,
-                div_threshold=cfg.div_threshold,
-                ratio_cutoff=cfg.ratio_cutoff,
-            )
+            f = profile.offset_section(z0, side)
+            inv = graded_tail(lambda rho: 1.0 / np.maximum(f(rho), 1e-300), span)
             table.append(
                 {
                     "zero": z0,

@@ -17,6 +17,17 @@ from .evolve import sup_kernel, wave_evolve
 from .grid import assemble, build_mesh, cut_conductance, markov_check
 from .metric import ball_volume, distance_field, fit_loglog
 
+ROW_SUM_TOL = 1e-13  # structure: worst row sum, relative to ||A||_inf
+PSD_TOL = 1e-10  # structure: least Rayleigh quotient, relative to lambda_max
+REL_TOL = 1e-6  # off-diagonal rows hold when lhs <= bound (1 + REL_TOL) + ABS_TOL
+ABS_TOL = 1e-12
+EXCITATION = 1e-8  # wave_speed: excited where |u| > EXCITATION * max |phi0|
+STABILIZE_TOL = 0.05  # separation_probe: relative change of a stabilized leakage
+PROBES = 16  # random data of invariance_defect and form_additivity_defect
+OVERSHOOT = 1.10  # smalltime_decay: largest sup_kernel / bound curve that holds
+SLOPE_TOL = 0.15  # resolvent_volume: largest |slope + 1| that holds
+RATIO_CAP = 3.0  # resolvent_volume: largest max/min of K |B| that holds
+
 
 class Status(str, Enum):
     HOLDS = "Holds"
@@ -76,14 +87,23 @@ def _w_norm2(u, vol):
     return float(np.sqrt(np.dot(u, u) * vol))
 
 
+def nonempty(mask, what):
+    """The node mask, or a ValueError naming the set when it selects no
+    node: no check may hold on an empty set."""
+    if not np.any(mask):
+        raise ValueError(f"{what} selects no mesh node")
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # conservation and structure
 
 
-def conservation_defect(op, t_grid, backend="chebyshev", tol=1e-9) -> CheckRecord:
-    """max_t || e^{-tA} 1 - 1 ||_inf; zero row sums make this solver noise."""
+def conservation_defect(op, t_grid, tol=1e-9) -> CheckRecord:
+    """max_t || e^{-tA} 1 - 1 ||_inf by Chebyshev; zero row sums make this
+    solver noise."""
     ts = [float(t) for t in t_grid]
-    evolved = heat_evolve(op, np.ones(op.size), ts, backend=backend).values
+    evolved = heat_evolve(op, np.ones(op.size), ts).values
     worst = 0.0
     worst_t = None
     table = []
@@ -104,7 +124,7 @@ def conservation_defect(op, t_grid, backend="chebyshev", tol=1e-9) -> CheckRecor
     )
 
 
-def structure_check(op, seed=0, row_tol_factor=1e-13, psd_tol_factor=1e-10) -> CheckRecord:
+def structure_check(op, seed=0) -> CheckRecord:
     """Markov-generator invariants: exact symmetry, nonpositive off-diagonal
     entries, zero row sums, positive semidefiniteness on random probes."""
     A = op.matrix
@@ -114,8 +134,8 @@ def structure_check(op, seed=0, row_tol_factor=1e-13, psd_tol_factor=1e-10) -> C
     ok = (
         sym == 0.0
         and rep["max_positive_offdiag"] == 0.0
-        and rep["max_row_sum"] <= row_tol_factor * norm_inf
-        and rep["min_rayleigh"] >= -psd_tol_factor * op.spectral_norm_bound
+        and rep["max_row_sum"] <= ROW_SUM_TOL * norm_inf
+        and rep["min_rayleigh"] >= -PSD_TOL * op.spectral_norm_bound
     )
     table = [
         {"metric": "symmetry_defect", "value": sym},
@@ -137,7 +157,7 @@ def structure_check(op, seed=0, row_tol_factor=1e-13, psd_tol_factor=1e-10) -> C
 # off-diagonal bounds
 
 
-def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid, rel_tol, abs_tol):
+def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid):
     """|(1_i, S_t 1_j)| <= exp(-d_ij^2/(4 c_norm t)) ||1_i||_2 ||1_j||_2 over
     the pairs i < j of node masks, at every t; dist[i][j] is the pair
     distance, reported in column dist_col.  All pairs at all times come
@@ -156,8 +176,8 @@ def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid, rel
                 d = dist[i][j]
                 lhs = abs(float(gram[i, j] * vol))
                 bound = float(np.exp(-(d**2) / (4.0 * c_norm * t)) * norms[i] * norms[j])
-                ok = lhs <= bound * (1.0 + rel_tol) + abs_tol
-                log_margin = float(np.log(max(bound + abs_tol, 1e-300)) - np.log(max(lhs, 1e-300)))
+                ok = lhs <= bound * (1.0 + REL_TOL) + ABS_TOL
+                log_margin = float(np.log(max(bound + ABS_TOL, 1e-300)) - np.log(max(lhs, 1e-300)))
                 worst_margin = min(worst_margin, log_margin)
                 table.append(
                     {
@@ -182,14 +202,20 @@ def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid, rel
     )
 
 
-def offdiagonal_gaussian_check(op, mesh, balls, t_grid, rel_tol=1e-6, abs_tol=1e-12):
+def offdiagonal_gaussian_check(op, mesh, balls, t_grid):
     """|(phi_1, S_t phi_2)| <= exp(-d~^2/(4t)) ||phi_1||_2 ||phi_2||_2 with
     d~ = (d_C(x1;x2) - r1 - r2) v 0, for indicator functions of metric balls.
 
     `balls` is a list of dicts {center, radius, field} whose DistanceField
     was computed at the operator's epsilon.
     """
-    masks = [b["field"].values < b["radius"] for b in balls]
+    masks = [
+        nonempty(
+            b["field"].values < b["radius"],
+            f"offdiagonal_gaussian: ball {i} (center {b['center']}, radius {b['radius']})",
+        )
+        for i, b in enumerate(balls)
+    ]
 
     def gap(bi, bj):
         d = float(bi["field"].values[mesh.nearest_index(bj["center"])])
@@ -199,7 +225,7 @@ def offdiagonal_gaussian_check(op, mesh, balls, t_grid, rel_tol=1e-6, abs_tol=1e
     return _pairwise_bound(
         "offdiagonal_gaussian",
         "|(phi1, S_t phi2)| <= exp(-d~_C^2/(4t)) ||phi1||_2 ||phi2||_2",
-        op, masks, dist, "d_tilde", 1.0, t_grid, rel_tol, abs_tol,
+        op, masks, dist, "d_tilde", 1.0, t_grid,
     )
 
 
@@ -211,17 +237,21 @@ def _box_gap(box1, box2):
     return float(np.sqrt(np.sum(gap * gap)))
 
 
-def euclidean_offdiagonal_check(op, mesh, boxes, t_grid, c_norm, rel_tol=1e-6, abs_tol=1e-12):
+def euclidean_offdiagonal_check(op, mesh, boxes, t_grid, c_norm):
     """Euclidean-distance variant for arbitrary box-supported sets:
     |(phi1, S_t phi2)| <= exp(-d_e^2/(4 ||C|| t)) ||phi1||_2 ||phi2||_2."""
     pts = mesh.points()
     spans = [np.atleast_2d(np.asarray(bx, dtype=float)) for bx in boxes]
-    masks = [np.all((pts >= b[:, 0]) & (pts <= b[:, 1]), axis=1) for b in spans]
+    masks = [
+        nonempty(np.all((pts >= b[:, 0]) & (pts <= b[:, 1]), axis=1),
+                 f"euclidean_offdiagonal: box {i} {boxes[i]}")
+        for i, b in enumerate(spans)
+    ]
     dist = [[_box_gap(bi, bj) for bj in boxes] for bi in boxes]
     return _pairwise_bound(
         "euclidean_offdiagonal",
         "|(phi1, S_t phi2)| <= exp(-d_e^2/(4 ||C|| t)) ||phi1||_2 ||phi2||_2",
-        op, masks, dist, "d_e", c_norm, t_grid, rel_tol, abs_tol,
+        op, masks, dist, "d_e", c_norm, t_grid,
     )
 
 
@@ -254,8 +284,6 @@ def wave_speed_check(
     support_box,
     t_list,
     epsilon=0.0,
-    threshold=1e-8,
-    cfl_safety=0.5,
     speed_cap=1.05,
     cut_mask=None,
 ):
@@ -266,15 +294,15 @@ def wave_speed_check(
     probes, where the d_C reach is resolution limited near the degeneracy)."""
     pts = mesh.points()
     phi0 = smooth_bump(pts, support_box)
-    sup_mask = phi0 > 0
+    sup_mask = nonempty(phi0 > 0, f"wave_speed: support {support_box}")
     dfield = distance_field(profile, mesh, None, epsilon, sources=np.nonzero(sup_mask)[0])
     h = mesh.h
     table = []
     violations = []
     for t in t_list:
         t = float(t)
-        w = wave_evolve(op, phi0, t, cfl_safety=cfl_safety)
-        excited = np.abs(w.displacement) > threshold * np.abs(phi0).max()
+        w = wave_evolve(op, phi0, t)
+        excited = np.abs(w.displacement) > EXCITATION * np.abs(phi0).max()
         margin = 4.0 * h * (1.0 + 0.01 * t / h)
         max_d = float(dfield.values[excited].max(initial=0.0))
         speed = max(max_d - margin, 0.0) / t if t > 0 else 0.0
@@ -317,7 +345,6 @@ def separation_probe(
     cut=0.0,
     cut_interval=None,
     bump=None,
-    stabilize_tol=0.05,
 ):
     """Leakage-under-refinement probe of the separation dichotomy.
 
@@ -325,7 +352,7 @@ def separation_probe(
     left of the cut is evolved with the positivity-certified backward Euler
     backend; the mass found right of the cut is the leakage L(h, eps).
     Verdict on the eps = 0 column: stabilization of the last two levels
-    within stabilize_tol is NonSeparating; strict monotone decrease with the
+    within STABILIZE_TOL is NonSeparating; strict monotone decrease with the
     leakage/conductance ratio within [0.1, 10] of its median is Separating.
     """
     lo, hi = box
@@ -360,7 +387,7 @@ def separation_probe(
     verdict = "Inconclusive"
     if len(leak0) >= 2:
         last, prev = leak0[-1], leak0[-2]
-        stabilized = last > 0 and abs(last - prev) <= stabilize_tol * max(prev, 1e-300)
+        stabilized = last > 0 and abs(last - prev) <= STABILIZE_TOL * max(prev, 1e-300)
         decreasing = all(b < a for a, b in zip(leak0, leak0[1:]))
         ratios = [
             lk / c for lk, c in zip(leak0, cond0) if c > 0 and lk > 0
@@ -385,14 +412,14 @@ def separation_probe(
     )
 
 
-def invariance_defect(op, omega_mask, t, nprobe=16, seed=0, tol=1e-8) -> CheckRecord:
+def invariance_defect(op, omega_mask, t, seed=0, tol=1e-8) -> CheckRecord:
     """|| 1_{Omega^c} e^{-tA} (phi 1_Omega) ||_2 maximized over seeded random
     phi, unit-normalized on Omega; ~0 certifies S_t L_2(Omega) c L_2(Omega)."""
     rng = np.random.default_rng(seed)
     vol = op.mesh.cell_volume
     omega = np.asarray(omega_mask, dtype=bool)
     probes = []
-    for _ in range(nprobe):
+    for _ in range(PROBES):
         phi = rng.standard_normal(op.size) * omega
         nrm = _w_norm2(phi, vol)
         if nrm != 0:
@@ -410,14 +437,14 @@ def invariance_defect(op, omega_mask, t, nprobe=16, seed=0, tol=1e-8) -> CheckRe
     )
 
 
-def form_additivity_defect(op, omega_mask, nprobe=16, seed=0, tol=1e-12) -> CheckRecord:
+def form_additivity_defect(op, omega_mask, seed=0, tol=1e-12) -> CheckRecord:
     """|phi^T A phi - (phi 1_O)^T A (phi 1_O) - (phi 1_Oc)^T A (phi 1_Oc)|
     relative to 1 + phi^T A phi, maximized over seeded random phi; exactly 0
     iff no face crosses the split."""
     rng = np.random.default_rng(seed)
     omega = np.asarray(omega_mask, dtype=bool)
     worst = 0.0
-    for _ in range(nprobe):
+    for _ in range(PROBES):
         phi = rng.standard_normal(op.size)
         full = op.quadratic_form(phi)
         inside = op.quadratic_form(phi * omega)
@@ -437,9 +464,7 @@ def form_additivity_defect(op, omega_mask, nprobe=16, seed=0, tol=1e-12) -> Chec
 # kernel decay and floors
 
 
-def smalltime_decay_fit(
-    op, mesh, gamma_pred, t_grid, c_norm, boundary_margin=0.0, overshoot=1.10
-) -> CheckRecord:
+def smalltime_decay_fit(op, mesh, gamma_pred, t_grid, c_norm, boundary_margin=0.0) -> CheckRecord:
     """Upper-bound fit of sup_x K_t(x;x) <= a (mu (t^1))^{-d/(2 gamma)} on
     the mesh-resolved window 10 h^2 ||C|| <= t <= 0.1; faster decay than the
     predicted exponent is compliant, only bound violations fail."""
@@ -461,7 +486,7 @@ def smalltime_decay_fit(
     a_fit = sups[-1] * t_ref ** (d / (2.0 * gamma_pred))
     curve = a_fit * ts**bound_slope
     excess = float((sups / curve).max())
-    status = Status.HOLDS if excess <= overshoot else Status.VIOLATED
+    status = Status.HOLDS if excess <= OVERSHOOT else Status.VIOLATED
     table = [
         {"t": float(t), "sup_kernel": float(s), "bound_curve": float(b)}
         for t, s, b in zip(ts, sups, curve)
@@ -528,12 +553,10 @@ def largetime_floor_check(
     )
 
 
-def resolvent_volume_scaling(
-    op, profile, mesh, origin, r_grid, m, epsilon=0.0, slope_tol=0.15, ratio_cap=3.0
-) -> CheckRecord:
+def resolvent_volume_scaling(op, profile, mesh, origin, r_grid, m, epsilon=0.0) -> CheckRecord:
     """Diagonal kernel of (I + r^2 A)^{-2m} against the metric ball volume:
     log K vs log |B_C(x;r)| has slope -1 and the product K |B| is pinched
-    within a single constant (max/min ratio <= cap)."""
+    within a single constant (max/min ratio <= RATIO_CAP)."""
     if 4 * m <= mesh.dimension:
         raise ValueError("need 4m > d")
     dfield = distance_field(profile, mesh, origin, epsilon)
@@ -564,7 +587,7 @@ def resolvent_volume_scaling(
     slope, _, stderr, _ = fit_loglog(np.array(Vs), np.array(Ks))
     products = np.array([row["product"] for row in table])
     ratio = float(products.max() / products.min())
-    ok = abs(slope + 1.0) <= slope_tol and ratio <= ratio_cap
+    ok = abs(slope + 1.0) <= SLOPE_TOL and ratio <= RATIO_CAP
     return CheckRecord(
         "resolvent_volume",
         "a |B_C(x;r)| >= K_{(I+r^2 A)^{-2m}}(x;x)^{-1}",
@@ -585,7 +608,11 @@ def ondiagonal_lower_check(
     pts = mesh.points()
     vol = mesh.cell_volume
     centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]
-    bumps = [np.all(np.abs(pts - c) <= diameter / 2.0, axis=1).astype(float) for c in centers]
+    bumps = [
+        nonempty(np.all(np.abs(pts - c) <= diameter / 2.0, axis=1),
+                 f"ondiagonal_lower: bump at center {c.tolist()}").astype(float)
+        for c in centers
+    ]
     self_ip = heat_gram(op, np.column_stack(bumps), [float(t)])[0].diagonal()
     values = np.array(
         [float(g * vol) / float(np.abs(phi).sum() * vol) ** 2 for g, phi in zip(self_ip, bumps)]

@@ -22,8 +22,8 @@ matrix takes one full solve.
 The decomposition is an EigBasis: the spectrum and one or two eigenvector
 blocks (the full-solve basis, or the two half bases joined by the mirror
 map), never an assembled N x N matrix in the mirror case.  It is used
-through three operations: project (V^T phi), expand (V c) and diag (the
-kernel diagonal sum_k V[x, k]^2 decay_k, one half row per mirror pair).
+through two operations: project (V^T phi) and diag (the kernel diagonal
+sum_k V[x, k]^2 decay_k, one half row per mirror pair).
 
 Every tridiagonal solve is LAPACK dstevd (divide and conquer, the routine
 scipy.linalg uses for a full tridiagonal spectrum), called through ctypes
@@ -37,11 +37,12 @@ starts.
 heat_evolve and sup_kernel are the batched entry points: they take a block of
 columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
 so one Chebyshev recurrence serves a whole time grid and every (t, column)
-result is bitwise the one-vector, one-t result; the eig backend projects
-once and expands all (t, column) pairs together.  heat_gram gives the inner
+result is bitwise the one-vector, one-t result.  heat_gram gives the inner
 products (phi_i, e^{-tA} phi_j) of the off-diagonal and on-diagonal checks:
 in 1D as Gram forms P^T e^{-t Lambda} P in spectral coordinates P = V^T phi,
-without evolving a vector; otherwise from Chebyshev evolutions.
+without evolving a vector; otherwise from Chebyshev evolutions.  The
+eigenbasis serves only these inner products and the kernel diagonal: no
+check needs an evolved vector from it.
 """
 
 import ctypes
@@ -72,12 +73,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class HeatField:
-    """Density vector at a given time; sum(values) * cell_volume is mass."""
+    """Evolved density vector(s); sum(values) * cell_volume is mass."""
 
     values: np.ndarray
-    time: float
     mesh: object
-    source: int | None = None
 
     @property
     def mass(self):
@@ -94,14 +93,14 @@ class WaveField:
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition backend
+# eigendecomposition
 
 
 @dataclass(frozen=True)
 class EigBasis:
     """Eigenpairs of a symmetric operator, with the eigenvector matrix V kept
-    in factored form and used only through project, expand and diag (spans
-    gives the block slices, for sums taken block by block).
+    in factored form and used only through project and diag (spans gives
+    the block slices, for sums taken block by block).
 
     blocks holds one or two column blocks: the full-solve (or dense) basis
     Z, or the half bases (W_even, W_odd) of a mirror-symmetric tridiagonal.
@@ -130,24 +129,6 @@ class EigBasis:
     def project(self, phi):
         """V^T phi for a vector or a block of columns."""
         return np.concatenate([W.T @ x for W, x in zip(self.blocks, self._fold(phi))])
-
-    def expand(self, c):
-        """V c for a coefficient vector or a block of coefficient columns."""
-        if len(self.blocks) == 1:
-            return self.blocks[0] @ c
-        W_even, W_odd = self.blocks
-        n = W_even.shape[1]
-        u, w = W_even @ c[:n], W_odd @ c[n:]
-        N = self.lam.size
-        m, odd = N // 2, N % 2
-        tail = u[odd:] * np.sqrt(0.5)
-        w *= np.sqrt(0.5)
-        out = np.empty((N,) + c.shape[1:])
-        np.add(tail, w, out=out[m + odd :])
-        np.subtract(tail, w, out=out[m - 1 :: -1])
-        if odd:  # the center row: even vectors unscaled, odd vectors vanish
-            out[m] = u[0]
-        return out
 
     def diag(self, decay, rows):
         """sum_k V[x, k]^2 decay[k, :] for each x in rows, as (rows, T).
@@ -183,21 +164,21 @@ def _row_squares(W, rows, decay):
     return out
 
 
-def operator_eig(op: DiscreteOperator, point_cap=EIG_POINT_CAP) -> EigBasis:
+def operator_eig(op: DiscreteOperator) -> EigBasis:
     """Spectrum and factored eigenvectors of the operator; computed once
     per operator (concurrent callers wait for the first) and, when
     $DEGENLAB_CACHE is set, memoized on disk."""
     if op._eig is None:
         with op._lock:
             if op._eig is None:
-                op._eig = _compute_eig(op, point_cap)
+                op._eig = _compute_eig(op)
     return op._eig
 
 
-def _compute_eig(op, point_cap):
+def _compute_eig(op):
     N = op.size
-    if N > point_cap:
-        raise ValueError(f"eigendecomposition disabled for N={N} > {point_cap}")
+    if N > EIG_POINT_CAP:
+        raise ValueError(f"eigendecomposition disabled for N={N} > {EIG_POINT_CAP}")
     cache_dir = os.environ.get("DEGENLAB_CACHE")
     key = None
     if cache_dir:
@@ -324,15 +305,6 @@ def _dstevd(*problems):
         if info.value != 0:
             raise SolverError(f"dstevd failed on N={lam.size}: info={info.value}")
     return [(lam, Z) for _, lam, Z, _ in calls]
-
-
-def _eig_expm_apply(op, phi, ts):
-    """V exp(-t Lambda) V^T phi for all t in ts: one expand over every (t, column)."""
-    basis = operator_eig(op)
-    decay = np.exp(np.multiply.outer(-ts, basis.lam))
-    scaled = decay.reshape(decay.shape + (1,) * (phi.ndim - 1)) * basis.project(phi)
-    out = basis.expand(np.moveaxis(scaled, 0, 1).reshape(op.size, -1))
-    return np.moveaxis(out.reshape((op.size, len(ts)) + phi.shape[1:]), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +436,11 @@ def heat_evolve(
     phi0 is a vector or an (N, k) block of columns and t a time or a
     sequence of times; with a sequence, values gains a leading time axis.
     Each (t, column) result equals a call for that vector and that t alone,
-    bitwise for 'chebyshev' and up to GEMM roundoff for 'eig'.
+    bitwise for 'chebyshev'.
 
     Backends: 'chebyshev' (uniform error <= tol * ||phi0||_2 on the Gershgorin
-    interval), 'eig' (exact up to roundoff, 1D / small N), 'backward_euler'
-    (128 steps, first order, unconditionally positivity preserving for
-    M-matrices).
+    interval), 'backward_euler' (128 steps, first order, unconditionally
+    positivity preserving for M-matrices).
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0):
@@ -477,8 +448,6 @@ def heat_evolve(
     phi0 = np.asarray(phi0, dtype=float)
     if backend == "chebyshev":
         evolve = lambda s: _cheb_expm_apply(op, phi0, s, tol)
-    elif backend == "eig":
-        evolve = lambda s: _eig_expm_apply(op, phi0, s)
     elif backend == "backward_euler":
         evolve = lambda s: [_implicit_evolve(op, phi0, u) for u in s]
     else:
@@ -488,9 +457,7 @@ def heat_evolve(
     vals[~live] = phi0
     if live.any():
         vals[live] = evolve(ts[live])
-    if np.ndim(t) == 0:
-        return HeatField(vals[0], float(t), op.mesh)
-    return HeatField(vals, ts, op.mesh)
+    return HeatField(vals[0] if np.ndim(t) == 0 else vals, op.mesh)
 
 
 def heat_gram(op: DiscreteOperator, phi, t) -> np.ndarray:
@@ -526,16 +493,14 @@ def heat_gram(op: DiscreteOperator, phi, t) -> np.ndarray:
     return gram
 
 
-def kernel_column(op: DiscreteOperator, source_index: int, t: float, backend="chebyshev"):
+def kernel_column(op: DiscreteOperator, source_index: int, t: float) -> HeatField:
     """Heat kernel column K_t(. ; y_source) as a density: the delta datum
     carries 1/cell_volume so values approximate the continuum kernel."""
     if t <= 0:
         raise ValueError("t must be > 0")
     phi = np.zeros(op.size)
     phi[source_index] = 1.0 / op.mesh.cell_volume
-    field = heat_evolve(op, phi, t, backend=backend)
-    field.source = source_index
-    return field
+    return heat_evolve(op, phi, t)
 
 
 @dataclass

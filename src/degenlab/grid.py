@@ -19,6 +19,7 @@ from .coeffs import CoefficientProfile
 from .errors import ResourceLimitError
 
 POINT_CAP = 2**22
+MARKOV_PROBES = 32  # random Rayleigh quotients in markov_check
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class Mesh:
     box: tuple  # per-axis (a, b)
     n: int  # cells per axis
     h: float
-    boundary: str = "reflecting"
 
     @property
     def points_per_axis(self):
@@ -69,7 +69,7 @@ class Mesh:
         return idx[0] if self.dimension == 1 else self.flat_index(idx[0], idx[1])
 
 
-def build_mesh(dimension, box, n, point_cap=POINT_CAP) -> Mesh:
+def build_mesh(dimension, box, n) -> Mesh:
     """Uniform mesh with points x_i = a + i h, h = (b - a) / n."""
     if n < 8:
         raise ValueError("n must be >= 8")
@@ -81,9 +81,9 @@ def build_mesh(dimension, box, n, point_cap=POINT_CAP) -> Mesh:
     widths = box[:, 1] - box[:, 0]
     if not np.allclose(widths, widths[0]):
         raise ValueError("axes must have equal width (single spacing h)")
-    if (n + 1) ** dimension > point_cap:
+    if (n + 1) ** dimension > POINT_CAP:
         raise ResourceLimitError(
-            f"mesh would have {(n + 1) ** dimension} points, cap is {point_cap}"
+            f"mesh would have {(n + 1) ** dimension} points, cap is {POINT_CAP}"
         )
     h = float(widths[0] / n)
     return Mesh(dimension=dimension, box=tuple(map(tuple, box)), n=n, h=h)
@@ -183,7 +183,7 @@ def cut_conductance(profile, mesh, cut_interval, epsilon) -> float:
     return float(1.0 / np.sum(mesh.h / c))
 
 
-def markov_check(op: DiscreteOperator, nprobe=32, seed=0) -> dict:
+def markov_check(op: DiscreteOperator, seed=0) -> dict:
     """The three discrete Markov-generator diagnostics: worst row sum,
     worst positive off-diagonal entry, smallest random Rayleigh quotient.
     Reports, never raises."""
@@ -195,7 +195,7 @@ def markov_check(op: DiscreteOperator, nprobe=32, seed=0) -> dict:
     rng = np.random.default_rng(seed)
     N = op.size
     min_ray = np.inf
-    for _ in range(nprobe):
+    for _ in range(MARKOV_PROBES):
         phi = rng.standard_normal(N)
         phi /= np.linalg.norm(phi)
         min_ray = min(min_ray, float(phi @ (A @ phi)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coeffs import CoefficientProfile, PowerDegenerate, RadialShell
+from .coeffs import CoefficientProfile
 from .quadrature import graded_tail, integrate_graded
 
 # 8-point Gauss-Legendre on [0, 1] for near-degenerate edge weights
@@ -23,27 +23,13 @@ _G8_X = 0.5 * (_G8_X + 1.0)
 _G8_W = 0.5 * _G8_W
 # edges whose midpoint c + eps is below EDGE_FLOOR^2 get the sub-quadrature too
 EDGE_FLOOR = 1e-6
+HOLDER_SAMPLES = 12  # geometric sample radii of holder_fit
 
 
 @dataclass
 class DistanceField:
-    origin: object  # point (tuple) or source index list
     values: np.ndarray
-    epsilon: float
-    method: str
     mesh: object
-
-
-def _inv_sqrt_section(profile, epsilon):
-    """Integrand (c(s) + eps_total)^(-1/2) as a function of the signed offset
-    from a degeneracy center; safe at tiny offsets."""
-    sect = profile.normal_section()
-    shift = epsilon
-
-    def f(s):
-        return 1.0 / np.sqrt(np.maximum(sect(s) + shift, 1e-300))
-
-    return f
 
 
 def distance_1d(profile: CoefficientProfile, x: float, y: float, epsilon: float = 0.0):
@@ -59,7 +45,7 @@ def distance_1d(profile: CoefficientProfile, x: float, y: float, epsilon: float 
     if x > y:
         x, y = y, x
 
-    centers = [z for z in _degeneracy_points(profile) if x < z < y]
+    centers = [z for z in profile.axis_degeneracies() if x < z < y]
     eps = epsilon
 
     # segment endpoints: x, interior degeneracies, y
@@ -70,17 +56,6 @@ def distance_1d(profile: CoefficientProfile, x: float, y: float, epsilon: float 
         if not np.isfinite(total):
             return np.inf
     return float(total)
-
-
-def _degeneracy_points(profile):
-    try:
-        return profile.axis_degeneracies()
-    except ValueError:
-        return []
-
-
-def _is_degeneracy(profile, z):
-    return any(abs(z - c) < 1e-14 for c in _degeneracy_points(profile))
 
 
 def _segment_distance(profile, a, b, eps):
@@ -96,18 +71,10 @@ def _segment_distance(profile, a, b, eps):
 
 
 def _offset_integrand(profile, z0, side, eps):
-    """(c + eps)^(-1/2) at exact offsets rho from the center z0, using the
-    family's normal section to avoid cancellation at tiny rho."""
-    fam = profile.family
-    if isinstance(fam, (PowerDegenerate, RadialShell)) and _is_degeneracy(profile, z0):
-        sect = _inv_sqrt_section(profile, eps)
-        return lambda rho: sect(side * rho)
-
-    def f(rho):
-        vals = profile.scalar_values(z0 + side * rho) + eps
-        return 1.0 / np.sqrt(np.maximum(vals, 1e-300))
-
-    return f
+    """(c + eps)^(-1/2) at exact offsets rho from z0 (exact about a declared
+    center: see CoefficientProfile.offset_section)."""
+    c = profile.offset_section(z0, side)
+    return lambda rho: 1.0 / np.sqrt(np.maximum(c(rho) + eps, 1e-300))
 
 
 def _graded_or_inf(f_offset, span):
@@ -152,7 +119,7 @@ def distance_field(
         (weights[finite], (heads[finite], tails[finite])), shape=(mesh.size, mesh.size)
     )
     dist = dijkstra(graph, directed=False, indices=sources, min_only=True)
-    return DistanceField(origin, dist, epsilon, "GraphGeodesic", mesh)
+    return DistanceField(dist, mesh)
 
 
 def _edge_graph(profile, mesh, epsilon):
@@ -206,7 +173,7 @@ def _edge_weight_quadrature(profile, a, b, epsilon):
     if d == 1:
         x0, x1 = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
         # reversed, so that an edge touching two centers keeps the first
-        for z in reversed(_degeneracy_points(profile)):
+        for z in reversed(profile.axis_degeneracies()):
             f_l = _offset_integrand(profile, z, -1.0, epsilon)
             f_r = _offset_integrand(profile, z, +1.0, epsilon)
             for e in np.flatnonzero((x0 - 1e-12 <= z) & (z <= x1 + 1e-12)):
@@ -239,29 +206,17 @@ class HolderFit:
     stderr: float
 
 
-def holder_fit(profile_or_field, origin, sample_range, epsilon=0.0, nsamples=12) -> HolderFit:
-    """Least-squares slope of log d versus log |x - y| on radii approaching
-    the degeneracy; the slope estimates the comparison exponent of the metric
-    against the Euclidean one."""
-    if nsamples < 12:
-        raise ValueError("need at least 12 sample radii")
+def holder_fit(profile: CoefficientProfile, origin, sample_range, epsilon=0.0) -> HolderFit:
+    """Least-squares slope of log d_C(origin, origin + r) versus log r on
+    geometric radii approaching the degeneracy at origin (1D profiles); the
+    slope estimates the comparison exponent of the metric against the
+    Euclidean one."""
     r_lo, r_hi = sample_range
     if not 0 < r_lo < r_hi:
         raise ValueError("sample range must satisfy 0 < lo < hi")
-    radii = np.geomspace(r_lo, r_hi, nsamples)
-    if isinstance(profile_or_field, CoefficientProfile):
-        origin = float(np.atleast_1d(origin)[0])
-        dists = np.array(
-            [distance_1d(profile_or_field, origin, origin + r, epsilon) for r in radii]
-        )
-    else:
-        field = profile_or_field
-        pts = field.mesh.points()
-        o = np.atleast_1d(np.asarray(origin, dtype=float))
-        eu = np.linalg.norm(pts - o, axis=1)
-        dists = np.array(
-            [field.values[np.argmin(np.abs(eu - r))] for r in radii]
-        )
+    radii = np.geomspace(r_lo, r_hi, HOLDER_SAMPLES)
+    origin = float(np.atleast_1d(origin)[0])
+    dists = np.array([distance_1d(profile, origin, origin + r, epsilon) for r in radii])
     good = np.isfinite(dists) & (dists > 0)
     radii, dists = radii[good], dists[good]
     if len(radii) < 3 or np.ptp(np.log(radii)) == 0:

@@ -33,14 +33,12 @@ class TailAnalysis:
 
     divergent is True/False when the ratio test settled, None when the level
     budget ran out in the ambiguous band.  value is the extrapolated integral
-    (math.inf when divergent, nan when ambiguous).
+    (math.inf when divergent, nan when ambiguous); levels counts the dyadic
+    pieces evaluated.
     """
 
-    pieces: np.ndarray
-    partials: np.ndarray
     divergent: bool | None
     value: float
-    ratio: float
     levels: int
 
 
@@ -76,42 +74,33 @@ def graded_tail(
     returning divergent=None.
     """
     pieces = []
-    partials = []
     total = 0.0
-    ratio = np.nan
     for k in range(levels):
         p = dyadic_piece(f_offset, span, k, kappa)
         pieces.append(p)
         total += p
-        partials.append(total)
         if total > div_threshold:
-            return TailAnalysis(
-                np.array(pieces), np.array(partials), True, np.inf, _trail_ratio(pieces), k + 1
-            )
+            return TailAnalysis(True, np.inf, k + 1)
         if k >= 2:
             ratio = _trail_ratio(pieces)
             if ratio < ratio_cutoff and ratio > 0:
                 tail = pieces[-1] * ratio / (1.0 - ratio)
                 if tail < rel_tol * max(total, 1e-300):
-                    return TailAnalysis(
-                        np.array(pieces), np.array(partials), False, total + tail, ratio, k + 1
-                    )
+                    return TailAnalysis(False, total + tail, k + 1)
     # budget exhausted: settle by the trailing ratio
     ratio = _trail_ratio(pieces)
     last3 = [pieces[-3] / pieces[-4], pieces[-2] / pieces[-3], pieces[-1] / pieces[-2]]
     spread = max(last3) - min(last3)
     if ratio >= ratio_cutoff and spread <= 0.08:
-        return TailAnalysis(np.array(pieces), np.array(partials), True, np.inf, ratio, levels)
+        return TailAnalysis(True, np.inf, levels)
     if ratio < ratio_cutoff and spread <= 0.08:
         tail = pieces[-1] * ratio / (1.0 - ratio) if ratio < 1 else np.inf
-        return TailAnalysis(
-            np.array(pieces), np.array(partials), False, total + tail, ratio, levels
-        )
+        return TailAnalysis(False, total + tail, levels)
     if strict:
         raise InconclusiveIntegralError(
             f"graded tail ambiguous after {levels} levels (trailing ratio {ratio:.4f})"
         )
-    return TailAnalysis(np.array(pieces), np.array(partials), None, np.nan, ratio, levels)
+    return TailAnalysis(None, np.nan, levels)
 
 
 def _trail_ratio(pieces):

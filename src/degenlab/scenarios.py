@@ -72,10 +72,11 @@ class ScenarioContext:
 
     def omega_mask(self, spec, mesh=None):
         """Resolve a region spec into a boolean node mask on the given mesh
-        (the scenario mesh by default)."""
+        (the scenario mesh by default); a region without a node raises."""
         mesh = self.mesh if mesh is None else mesh
         kind, fields = _region_fields(spec)
-        return REGIONS[kind](mesh.points(), self.profile, **fields)
+        mask = REGIONS[kind](mesh.points(), self.profile, **fields)
+        return diagnose.nonempty(mask, f"region {spec}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,15 @@ class Region:
 class Balls:
     """Annotation of a glue parameter that takes a list of balls, each the
     fields of a euclidean_ball region: {"center": [...], "radius": r}."""
+
+
+class Box:
+    """Annotation of a glue parameter that takes an axis-aligned box: one
+    [lo, hi] per mesh axis with finite lo < hi, or a bare [lo, hi] in 1D."""
+
+
+class Boxes:
+    """Annotation of a glue parameter that takes a list of boxes."""
 
 
 def _halfline(pts, profile, *, x, side):
@@ -137,6 +147,20 @@ def _bind(sig, *args, **fields):
     if problems:
         raise TypeError("; ".join(problems))
     return bound
+
+
+def _check_box(box, dimension):
+    """SchemaError unless box is `dimension` finite intervals lo < hi."""
+    try:
+        b = np.array(box, dtype=float)
+    except (TypeError, ValueError):
+        b = np.empty(0)
+    if dimension == 1 and b.shape == (2,):
+        b = b.reshape(1, 2)
+    if b.shape != (dimension, 2) or not (np.all(np.isfinite(b)) and np.all(b[:, 0] < b[:, 1])):
+        raise SchemaError(
+            f"a box is {dimension} [lo, hi] interval(s) with finite lo < hi, not {box!r}"
+        )
 
 
 def _region_fields(spec, kind=None):
@@ -187,7 +211,7 @@ def _run_offdiagonal(ctx, seed, *, balls: Balls, t_grid="small", epsilon=None):
     return diagnose.offdiagonal_gaussian_check(op, ctx.mesh, balls, ctx.t_grid(t_grid))
 
 
-def _run_euclidean(ctx, seed, *, boxes, t_grid="small", epsilon=None):
+def _run_euclidean(ctx, seed, *, boxes: Boxes, t_grid="small", epsilon=None):
     op = ctx.operator(epsilon)
     return diagnose.euclidean_offdiagonal_check(
         op, ctx.mesh, boxes, ctx.t_grid(t_grid), c_norm=ctx.profile.norm_bound + op.epsilon
@@ -195,7 +219,7 @@ def _run_euclidean(ctx, seed, *, boxes, t_grid="small", epsilon=None):
 
 
 def _run_wave_speed(
-    ctx, seed, *, support, t_list, cut: Region = None, speed_cap=1.05, epsilon=None
+    ctx, seed, *, support: Box, t_list, cut: Region = None, speed_cap=1.05, epsilon=None
 ):
     op = ctx.operator(epsilon)
     return diagnose.wave_speed_check(
@@ -397,15 +421,19 @@ def validate_scenario(doc):
         bound.apply_defaults()
         args = bound.arguments
         for key, param in _SIGNATURES[name].parameters.items():
-            if param.annotation is Region and args[key] is not None:
-                regions = [(key, args[key], None)]
-            elif param.annotation is Balls:
-                regions = [(f"{key}[{j}]", b, "euclidean_ball") for j, b in enumerate(args[key])]
+            kind, value = param.annotation, args[key]
+            if kind in (Balls, Boxes):
+                specs = [(f"{key}[{j}]", v) for j, v in enumerate(value)]
+            elif kind is Box or (kind is Region and value is not None):
+                specs = [(key, value)]
             else:
                 continue
-            for field, spec, kind in regions:
+            for field, spec in specs:
                 try:
-                    _region_fields(spec, kind)
+                    if kind in (Box, Boxes):
+                        _check_box(spec, int(mesh["dimension"]))
+                    else:
+                        _region_fields(spec, "euclidean_ball" if kind is Balls else None)
                 except SchemaError as exc:
                     raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
         if name == "smalltime_decay" and not isinstance(args["t_grid"], str):

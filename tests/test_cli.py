@@ -208,6 +208,18 @@ class TestCheckParams:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "override", ["checks.99.params.t=1", "mesh.n.x=1", "checks.x.params=1"]
+    )
+    def test_bad_override_path_is_one_line(self, override, tmp_path, capsys):
+        argv = ["run", "laplacian1d", "--out", str(tmp_path / "out"), "--override", override]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        key = override.split("=")[0]
+        assert err.startswith("schema error: ") and f"'{key}'" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_benchmark_scenario_validates(self):
         path = Path(__file__).parents[1] / "perfbench" / "scenarios"
         validate_scenario(json.loads((path / "radial-shell-2d-metric.json").read_text()))
@@ -327,6 +339,116 @@ class TestRegionSpecs:
         assert np.array_equal(ball, np.linalg.norm(pts, axis=1) < 1.0)
         right = ctx.omega_mask({"kind": "halfline", "x": 0.0, "side": "right"})
         assert np.array_equal(right, pts[:, 0] > 0.0)
+
+
+class TestBoxSpecs:
+    """A box is one finite [lo, hi] with lo < hi per mesh axis (a bare
+    [lo, hi] in 1D), checked by validation before any compute."""
+
+    @pytest.mark.parametrize(
+        "scenario, check, match",
+        [
+            (
+                "degenerate1d-d075-cut",
+                {"check": "wave_speed", "params": {"support": [2.0, 1.0], "t_list": [0.5]}},
+                r"checks\[1\]\.params\.support \(wave_speed\): a box is 1 ",
+            ),
+            (
+                "degenerate1d-d075-cut",
+                {"check": "euclidean_offdiagonal",
+                 "params": {"boxes": [[-3.0, -1.0], [2.0, 1.0]]}},
+                r"checks\[1\]\.params\.boxes\[1\] \(euclidean_offdiagonal\): a box is 1 ",
+            ),
+            (
+                "degenerate1d-d075-cut",
+                {"check": "euclidean_offdiagonal",
+                 "params": {"boxes": [[-3.0, -1.0], [[0.0, 1.0], [0.0, 1.0]]]}},
+                r"checks\[1\]\.params\.boxes\[1\] \(euclidean_offdiagonal\): a box is 1 ",
+            ),
+            (
+                "degenerate1d-d075-cut",
+                {"check": "wave_speed",
+                 "params": {"support": [-1.0, float("inf")], "t_list": [0.5]}},
+                r"checks\[1\]\.params\.support \(wave_speed\): a box is 1 ",
+            ),
+            (
+                "radial-shell-2d",
+                {"check": "wave_speed", "params": {"support": [-0.25, 0.25], "t_list": [0.5]}},
+                r"checks\[1\]\.params\.support \(wave_speed\): a box is 2 ",
+            ),
+            (
+                "radial-shell-2d",
+                {"check": "euclidean_offdiagonal",
+                 "params": {"boxes": [[[-1.0, 0.0], [-1.0, 0.0]], [[0.5, 1.0], [1.0, 0.5]]]}},
+                r"checks\[1\]\.params\.boxes\[1\] \(euclidean_offdiagonal\): a box is 2 ",
+            ),
+        ],
+        ids=["inverted", "inverted-in-list", "wrong-axes", "non-finite", "bare-in-2d",
+             "inverted-2d-axis"],
+    )
+    def test_bad_box_fails_before_any_check(self, scenario, check, match, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        doc = builtin_by_name(scenario)
+        doc["checks"] = [{"check": "structure"}, check]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=match):
+            cli.run(str(path), out_dir=str(tmp_path / "out"))
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+
+class TestEmptySets:
+    """A set that selects no mesh node is an error naming the set, not a
+    check that holds vacuously."""
+
+    @pytest.mark.parametrize(
+        "scenario, n, check, named",
+        [
+            ("laplacian1d", 256,
+             {"check": "euclidean_offdiagonal", "params": {"boxes": [[20.0, 30.0], [0.0, 1.0]]}},
+             "euclidean_offdiagonal: box 0 [20.0, 30.0]"),
+            ("laplacian1d", 256,
+             {"check": "offdiagonal_gaussian",
+              "params": {"balls": [{"center": [2.0], "radius": 0.5},
+                                   {"center": [0.0], "radius": 0.0}]}},
+             "offdiagonal_gaussian: ball 1 (center [0.0], radius 0.0)"),
+            ("degenerate1d-d075-cut", 255,
+             {"check": "invariance",
+              "params": {"omega": {"kind": "interval", "lo": 10, "hi": 11}}},
+             "region {'kind': 'interval', 'lo': 10, 'hi': 11}"),
+            ("degenerate1d-d075-cut", 255,
+             {"check": "form_additivity",
+              "params": {"omega": {"kind": "interval", "lo": 10, "hi": 11}}},
+             "region {'kind': 'interval', 'lo': 10, 'hi': 11}"),
+            ("degenerate1d-d075-cut", 255,
+             {"check": "kernel_cut",
+              "params": {"source": [-1.0], "across": {"kind": "interval", "lo": 10, "hi": 11}}},
+             "region {'kind': 'interval', 'lo': 10, 'hi': 11}"),
+            ("laplacian1d", 256,
+             {"check": "wave_speed", "params": {"support": [20.0, 21.0], "t_list": [1.0]}},
+             "wave_speed: support [20.0, 21.0]"),
+            ("laplacian1d", 256,
+             {"check": "ondiagonal_lower",
+              "params": {"diameter": 0.5, "centers": [0.0, 20.0]}},
+             "ondiagonal_lower: bump at center [20.0]"),
+        ],
+        ids=["box", "ball", "invariance-omega", "form-additivity-omega", "kernel-cut-across",
+             "wave-support", "ondiagonal-center"],
+    )
+    def test_empty_set_exits_1_naming_it(self, scenario, n, check, named, tmp_path, capsys):
+        argv = ["run", scenario, "--out", str(tmp_path / "out"),
+                "--override", f"mesh.n={n}", "--override", f"checks={json.dumps([check])}"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {named} selects no mesh node\n"
 
 
 class TestListScenarios:

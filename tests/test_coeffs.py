@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from degenlab import (
     CoefficientProfile,
     PowerDegenerate,
-    QuadratureConfig,
     RadialShell,
     Sampled,
     StronglyElliptic,
@@ -206,10 +205,6 @@ class TestClassify:
             (-2.0, 2.0),
         )
         assert classify(p).verdict is Verdict.CLOSABLE_DEGENERATE
-
-    def test_custom_quadrature_config(self):
-        cfg = QuadratureConfig(scan_points=2000, levels=40)
-        assert classify(power1d(0.75), cfg).verdict is Verdict.SEPARATING
 
 
 class TestSerialization:

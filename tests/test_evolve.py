@@ -30,9 +30,9 @@ def power1d(delta, domain=(-8.0, 8.0)):
 
 
 def dense_eig(op):
-    """lam and the full eigenvector matrix V = expand(I) of operator_eig(op)."""
+    """lam and the full eigenvector matrix V = project(I)^T of operator_eig(op)."""
     basis = operator_eig(op)
-    return basis.lam, basis.expand(np.eye(op.size))
+    return basis.lam, basis.project(np.eye(op.size)).T
 
 
 @pytest.fixture(scope="module")
@@ -188,25 +188,6 @@ class TestBatchedEvolve:
                 exact = V @ (np.exp(-t * lam) * (V.T @ block[:, j]))
                 assert np.abs(out[i, :, j] - exact).max() < 1e-10
         assert np.array_equal(out[1, :, 0], cheb_reference(op, block[:, 0], 0.05))
-
-    def test_eig_block_matches_per_vector(self):
-        # GEMM and GEMV sum the same products in other orders: on unit-sized
-        # data they agree to a few ulps of 1, not bitwise
-        mesh = build_mesh(1, (-4.0, 4.0), 400)
-        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        lam, V = dense_eig(op)
-        xs = mesh.axis(0)
-        block = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
-        ts = [0.01, 0.2, 1.0]
-        out = heat_evolve(op, block, ts, backend="eig").values
-        vol = mesh.cell_volume
-        for i, t in enumerate(ts):
-            for j in range(block.shape[1]):
-                ref = V @ (np.exp(-t * lam) * (V.T @ block[:, j]))
-                assert np.abs(out[i, :, j] - ref).max() <= 16 * np.finfo(float).eps
-                for k in range(block.shape[1]):
-                    lhs, lhs_ref = (np.dot(block[:, k], v) * vol for v in (out[i, :, j], ref))
-                    assert abs(lhs - lhs_ref) <= 1e-15
 
     @pytest.mark.parametrize("margin", [0.0, 1.0])
     def test_sup_kernel_multitime_matches_einsum(self, margin):
@@ -548,15 +529,15 @@ class TestEigBasis:
 
         P = basis.project(phi)
         assert P.shape == (N, 3)
-        assert np.linalg.norm(basis.expand(P) - phi, 2) <= tol * size
-        A_phi = basis.expand(basis.lam[:, None] * P)
+        V = basis.project(np.eye(N)).T
+        assert np.linalg.norm(V @ P - phi, 2) <= tol * size
+        A_phi = V @ (basis.lam[:, None] * P)
         assert np.linalg.norm(A_phi - A @ phi, 2) <= tol * norm * size
-        assert np.linalg.norm(basis.expand(f[:, None] * P) - F @ phi, 2) <= np.e * tol * size
+        assert np.linalg.norm(V @ (f[:, None] * P) - F @ phi, 2) <= np.e * tol * size
         gram = P.T @ (f[:, None] * basis.project(psi))
         assert np.abs(gram - phi.T @ F @ psi).max() <= np.e * tol * size * np.linalg.norm(psi, 2)
         vec = basis.project(phi[:, 0])
         assert vec.shape == (N,) and np.abs(vec - P[:, 0]).max() <= tol * size
-        assert np.abs(basis.expand(vec) - basis.expand(P)[:, 0]).max() <= tol * size
 
         rows = rng.permutation(np.concatenate([np.arange(N), rng.integers(0, N, N)]))
         diag = basis.diag(np.column_stack([f, basis.lam]), rows)
@@ -595,7 +576,6 @@ class TestEigBasis:
             tracemalloc.reset_peak()
             heat_gram(op, phi, ts)
             sup_kernel(op, ts)
-            heat_evolve(op, phi, ts, backend="eig")
             _, use_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -618,10 +598,10 @@ class TestHeatGram:
         ts = [0.0, 0.01, 0.2, 1.0]
         gram = heat_gram(op, phi, ts)
         assert gram.shape == (4, 3, 3)
-        evolved = heat_evolve(op, phi, ts, backend="eig").values
+        lam, V = dense_eig(op)
         norms = np.linalg.norm(phi, axis=0)
-        for g, block in zip(gram, evolved):
-            ref = phi.T @ block
+        for g, t in zip(gram, ts):
+            ref = phi.T @ (V @ (np.exp(-t * lam)[:, None] * (V.T @ phi)))
             assert np.all(np.abs(g - ref) <= 64 * np.finfo(float).eps * np.outer(norms, norms))
 
     def test_chebyshev_path_is_the_per_pair_dots(self):
@@ -692,7 +672,7 @@ class TestMirrorSplit:
 
     def assert_eigenpairs(self, d, e, basis):
         N = d.size
-        lam, V = basis.lam, basis.expand(np.eye(N))
+        lam, V = basis.lam, basis.project(np.eye(N)).T
         A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         bound = 64 * N * np.finfo(float).eps * np.linalg.norm(A, 2)
         assert lam.shape == (N,) and V.shape == (N, N)
@@ -716,7 +696,7 @@ class TestMirrorSplit:
         d, e = mirror_tridiagonal(64, rng)
         e[31] = 0.0
         basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
-        lam, V = basis.lam, basis.expand(np.eye(64))
+        lam, V = basis.lam, basis.project(np.eye(64)).T
         assert np.array_equal(lam[:32], lam[32:])
         # the even block comes first, then the odd one
         assert np.array_equal(V[::-1, :32], V[:, :32])
@@ -746,8 +726,8 @@ class TestMirrorSplit:
         xs = mesh.axis(0)
         phi = np.column_stack([np.exp(-((xs - c) ** 2)) for c in (-1.5, 0.0, 0.7)])
         ts = [0.01, 0.3, 2.0]
-        got = heat_evolve(op, phi, ts, backend="eig").values
-        ref = heat_evolve(unsplit, phi, ts, backend="eig").values
+        got = heat_gram(op, phi, ts)
+        ref = heat_gram(unsplit, phi, ts)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         for margin in (0.0, 1.0):
             s_got = sup_kernel(op, ts, boundary_margin=margin)

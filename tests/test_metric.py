@@ -258,14 +258,3 @@ class TestHolderFit:
         # d ~ y^{1/2} / (1/2) = 2 sqrt(y)
         fit = holder_fit(power1d(0.5), 0.0, (1e-3, 1e-2))
         assert fit.a_hat == pytest.approx(2.0, rel=0.02)
-
-    def test_needs_enough_samples(self):
-        with pytest.raises(ValueError):
-            holder_fit(power1d(0.5), 0.0, (1e-3, 1e-1), nsamples=5)
-
-    def test_field_input(self):
-        p = power1d(0.5, domain=(-4.0, 4.0))
-        mesh = build_mesh(1, (-4.0, 4.0), 4096)
-        fld = distance_field(p, mesh, (0.0,))
-        fit = holder_fit(fld, (0.0,), (2e-2, 0.5))
-        assert abs(fit.gamma_hat - 0.5) <= 0.05
