@@ -1,8 +1,13 @@
 """Coefficient fields for divergence-form operators and their classifier.
 
-A profile describes the symmetric PSD matrix field C(x) on a box, possibly
-degenerate (smallest eigenvalue mu_m touching zero).  Scalar families are
-built from the bounded canonical shape
+The paper's operator is H = -sum_ij d_i c_ij d_j for a PSD matrix field C(x);
+a profile here is always the scalar field C = (c(x) + epsilon) I on a box,
+possibly degenerate (c touching zero).  Matrix fields are left out because
+the 5-point finite-volume stencil of grid.assemble is an M-matrix (a Markov
+generator) unconditionally only without cross terms; a `constant` matrix
+must be c I and a `sampled` field is 1D, and any other matrix is rejected
+when the profile is built.  The degenerate families are built from the
+bounded canonical shape
 
     c(x) = (rho(x)^2 / (1 + rho(x)^2))**delta,   delta in [0, 1),
 
@@ -10,14 +15,15 @@ where rho measures distance to the declared degeneracy set: nearest center
 for PowerDegenerate, | |x| - radius | for RadialShell (optionally flattened
 to an annular plateau of the given width), |z - Phi(y)| for SurfaceDegenerate.
 
-The classifier decides, per degeneracy, whether 1/mu_m is locally integrable
-(closable form) or not (the diffusion separates there), by graded quadrature
-and a piece-ratio divergence test.
+The classifier decides, per degeneracy, whether 1/(c + epsilon) is locally
+integrable (closable form) or not (the diffusion separates there), by graded
+quadrature and a piece-ratio divergence test.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,14 +31,14 @@ import numpy as np
 from .errors import DomainError, SchemaError
 from .quadrature import graded_tail
 
-_PSD_SLACK = 1e-12  # eigenvalues >= -_PSD_SLACK * ||C|| are treated as 0
+_PSD_SLACK = 1e-12  # sampled values >= -_PSD_SLACK * max|c| are treated as 0
 DEGENERACY_TOL = 1e-12  # a 1D point this close to a declared degeneracy is on it
 
 # classifier budget; the divergence test runs at graded_tail's defaults
-SCAN_POINTS = 10_000  # uniform scan for zeros of mu_m
+SCAN_POINTS = 10_000  # uniform scan for zeros of c + epsilon
 GOLDEN_ITERS = 320  # golden-section steps refining an undeclared dip
 ZERO_WINDOW = 0.5  # largest offset integrated from a zero (and the 2D normal scan)
-ELLIPTIC_THRESHOLD = 1e-8  # mu_m above this everywhere: strongly elliptic
+ELLIPTIC_THRESHOLD = 1e-8  # c + epsilon above this everywhere: strongly elliptic
 MERGE_FRACTION = 1e-3  # zeros closer than this fraction of the scan are one
 
 
@@ -94,33 +100,25 @@ class SurfaceDegenerate:
 
 @dataclass
 class StronglyElliptic:
-    """Constant symmetric positive-definite matrix field."""
+    """Constant field c > 0."""
 
-    matrix: np.ndarray
+    c: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.allclose(m, m.T):
-            raise ValueError("matrix must be symmetric")
-        if np.linalg.eigvalsh(m).min() <= 0:
-            raise ValueError("matrix must be positive definite")
-        self.matrix = 0.5 * (m + m.T)
+        self.c = float(self.c)
+        if not self.c > 0:
+            raise ValueError(f"constant coefficient must be positive, got {self.c}")
 
 
 @dataclass
 class Sampled:
-    """Matrix field given on a uniform grid over the domain box, bilinear
-    interpolation in between.  1D data is an (n,) array of scalars; 2D data
-    is (ny, nx, 3) upper-triangular entries (c11, c12, c22)."""
+    """1D field given by (n,) values on a uniform grid over the domain,
+    linear interpolation in between."""
 
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim not in (1, 3):
-            raise ValueError("sampled values must be (n,) in 1D or (ny, nx, 3) in 2D")
 
 
 Family = PowerDegenerate | RadialShell | SurfaceDegenerate | StronglyElliptic | Sampled
@@ -141,14 +139,13 @@ def _canon_domain(dimension, domain):
 
 @dataclass
 class CoefficientProfile:
-    """Immutable description of C(x) on a box; epsilon is the viscosity shift
-    already applied (evaluations return the base matrix plus epsilon*I)."""
+    """Immutable description of the scalar field c(x) on a box; epsilon is
+    the viscosity shift already applied (evaluations return c + epsilon)."""
 
     dimension: int
     family: Family
     domain: tuple
     epsilon: float = 0.0
-    _norm_bound: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -157,56 +154,18 @@ class CoefficientProfile:
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         fam = self.family
-        if isinstance(fam, StronglyElliptic) and fam.matrix.shape[0] != self.dimension:
-            raise ValueError("matrix dimension does not match profile dimension")
         if isinstance(fam, SurfaceDegenerate) and self.dimension != 2:
             raise ValueError("surface degeneracy requires dimension 2")
         if isinstance(fam, Sampled):
-            want = 1 if self.dimension == 1 else 3
-            if self.dimension == 1 and fam.values.ndim != 1:
-                raise ValueError("1D sampled profile needs a flat value array")
-            if self.dimension == 2 and (fam.values.ndim != 3 or fam.values.shape[2] != want):
-                raise ValueError("2D sampled profile needs (ny, nx, 3) upper-tri entries")
-            self._project_sampled_psd()
-
-    # -- construction helpers ------------------------------------------------
-
-    def _project_sampled_psd(self):
-        """Validate sampled entries and clip eigenvalues in [-tol, 0) to 0."""
-        fam = self.family
-        if self.dimension == 1:
+            if self.dimension != 1 or fam.values.ndim != 1:
+                raise ValueError("sampled profile: 1D values only (the assembly is scalar)")
+            # clip values in [-tol, 0) to 0
             scale = float(np.max(np.abs(fam.values))) or 1.0
-            bad = fam.values < -_PSD_SLACK * scale
-            if np.any(bad):
+            if np.any(fam.values < -_PSD_SLACK * scale):
                 raise ValueError("sampled profile has negative entries beyond tolerance")
             fam.values = np.maximum(fam.values, 0.0)
-            return
-        a, b, c = fam.values[..., 0], fam.values[..., 1], fam.values[..., 2]
-        tr2 = 0.5 * (a + c)
-        disc = np.sqrt(np.maximum((0.5 * (a - c)) ** 2 + b**2, 0.0))
-        lo = tr2 - disc
-        scale = float(np.max(tr2 + disc)) or 1.0
-        if np.any(lo < -_PSD_SLACK * scale):
-            raise ValueError("sampled profile has matrices that are not PSD within tolerance")
-        # shift slightly negative smallest eigenvalues to exactly 0
-        lift = np.maximum(-lo, 0.0)
-        fam.values[..., 0] = a + lift
-        fam.values[..., 2] = c + lift
 
     # -- basic queries ---------------------------------------------------------
-
-    @property
-    def is_scalar(self):
-        """True when C(x) = c(x) I for a scalar field c."""
-        fam = self.family
-        if isinstance(fam, (PowerDegenerate, RadialShell, SurfaceDegenerate)):
-            return True
-        if isinstance(fam, StronglyElliptic):
-            m = fam.matrix
-            return bool(np.allclose(m, m[0, 0] * np.eye(self.dimension)))
-        if isinstance(fam, Sampled) and self.dimension == 1:
-            return True
-        return False
 
     def _as_points(self, pts):
         """Canonicalize to an (M, d) array: scalars and flat arrays are point
@@ -266,86 +225,30 @@ class CoefficientProfile:
         return np.where(rho > 0.0, (r2 / (1.0 + r2)) ** delta, 0.0)
 
     def scalar_values(self, pts):
-        """Vectorized c(x) + epsilon for scalar profiles; pts is (M,) in 1D
-        or (M, 2) in 2D."""
-        if not self.is_scalar:
-            raise ValueError("profile is not scalar")
+        """Vectorized c(x) + epsilon; pts is (M,) in 1D or (M, 2) in 2D."""
         pts = self._check_domain(pts)
         fam = self.family
-        if isinstance(fam, (PowerDegenerate, RadialShell, SurfaceDegenerate)):
-            base = self.shape_scalar(self.rho_values(pts))
-        elif isinstance(fam, StronglyElliptic):
-            base = np.full(pts.shape[0], fam.matrix[0, 0])
-        else:  # 1D sampled
+        if isinstance(fam, StronglyElliptic):
+            base = np.full(pts.shape[0], fam.c)
+        elif isinstance(fam, Sampled):
             (a, b), = self.domain
             xs = np.linspace(a, b, fam.values.shape[0])
             base = np.interp(pts[:, 0], xs, fam.values)
+        else:
+            base = self.shape_scalar(self.rho_values(pts))
         return base + self.epsilon
-
-    def matrix(self, x):
-        """The d x d coefficient matrix at a single point."""
-        pts = self._check_domain(x)
-        fam = self.family
-        d = self.dimension
-        if isinstance(fam, StronglyElliptic):
-            return fam.matrix + self.epsilon * np.eye(d)
-        if isinstance(fam, Sampled) and d == 2:
-            return self._sampled_matrix(pts[0]) + self.epsilon * np.eye(2)
-        c = self.scalar_values(pts)[0]
-        return c * np.eye(d)
-
-    def _sampled_matrix(self, p):
-        fam = self.family
-        ny, nx, _ = fam.values.shape
-        (ax, bx), (ay, by) = self.domain
-        fx = (p[0] - ax) / (bx - ax) * (nx - 1)
-        fy = (p[1] - ay) / (by - ay) * (ny - 1)
-        ix = min(int(fx), nx - 2)
-        iy = min(int(fy), ny - 2)
-        tx, ty = fx - ix, fy - iy
-        v = (
-            fam.values[iy, ix] * (1 - tx) * (1 - ty)
-            + fam.values[iy, ix + 1] * tx * (1 - ty)
-            + fam.values[iy + 1, ix] * (1 - tx) * ty
-            + fam.values[iy + 1, ix + 1] * tx * ty
-        )
-        return np.array([[v[0], v[1]], [v[1], v[2]]])
-
-    def smallest_eigenvalues(self, pts):
-        """Vectorized mu_m(x) = smallest eigenvalue of C(x) + epsilon I."""
-        fam = self.family
-        if self.is_scalar:
-            return self.scalar_values(pts)
-        pts2 = self._check_domain(pts)
-        if isinstance(fam, StronglyElliptic):
-            lo = float(np.linalg.eigvalsh(fam.matrix).min())
-            return np.full(pts2.shape[0], lo + self.epsilon)
-        out = np.empty(pts2.shape[0])
-        for i, p in enumerate(pts2):
-            m = self._sampled_matrix(p)
-            tr2 = 0.5 * (m[0, 0] + m[1, 1])
-            disc = math.sqrt(max((0.5 * (m[0, 0] - m[1, 1])) ** 2 + m[0, 1] ** 2, 0.0))
-            out[i] = tr2 - disc + self.epsilon
-        return out
 
     @property
     def norm_bound(self):
-        """Essential bound ||C|| + epsilon, max spectral norm over a scan."""
-        if self._norm_bound is None:
-            fam = self.family
-            if isinstance(fam, (PowerDegenerate, RadialShell, SurfaceDegenerate)):
-                top = 1.0  # canonical shape is bounded by 1
-            elif isinstance(fam, StronglyElliptic):
-                top = float(np.linalg.eigvalsh(fam.matrix).max())
-            elif self.dimension == 1:
-                top = float(fam.values.max(initial=0.0))
-            else:
-                a, b, c = fam.values[..., 0], fam.values[..., 1], fam.values[..., 2]
-                top = float(
-                    np.max(0.5 * (a + c) + np.sqrt((0.5 * (a - c)) ** 2 + b**2))
-                )
-            self._norm_bound = top + self.epsilon
-        return self._norm_bound
+        """Essential bound sup c + epsilon."""
+        fam = self.family
+        if isinstance(fam, StronglyElliptic):
+            top = fam.c
+        elif isinstance(fam, Sampled):
+            top = float(fam.values.max(initial=0.0))
+        else:
+            top = 1.0  # canonical shape is bounded by 1
+        return top + self.epsilon
 
     # -- 1D normal sections ----------------------------------------------------
 
@@ -495,8 +398,9 @@ def classify(profile: CoefficientProfile) -> Classification:
     """Decide strong ellipticity, closability, or separation candidacy.
 
     Works on the 1D axis for 1D profiles and on the signed normal offset for
-    declared radial/surface degeneracies.  Quadrature of 1/mu_m is run toward
-    each located zero from both sides; a divergent side marks a cut.
+    declared radial/surface degeneracies.  Quadrature of 1/(c + epsilon) is
+    run toward each located zero from both sides; a divergent side marks a
+    cut.
     """
     fam = profile.family
 
@@ -504,7 +408,7 @@ def classify(profile: CoefficientProfile) -> Classification:
         (lo, hi), = profile.domain
 
         def mu(xs):
-            return profile.smallest_eigenvalues(np.asarray(xs, float).reshape(-1, 1))
+            return profile.scalar_values(np.asarray(xs, float).reshape(-1, 1))
 
         declared = profile.axis_degeneracies()
 
@@ -594,15 +498,14 @@ def profile_from_json(doc: dict, base_dir=None) -> CoefficientProfile:
             phi_samples=tuple(surf["phi"]),
         )
     elif kind == "constant":
-        fam = StronglyElliptic(matrix=np.asarray(famdoc["matrix"], dtype=float))
+        m = np.asarray(famdoc["matrix"], dtype=float)
+        if m.shape != (dimension, dimension) or not np.allclose(m, m[0, 0] * np.eye(dimension)):
+            raise SchemaError(
+                f"constant matrix must be c I, {dimension} x {dimension} (the assembly is scalar)"
+            )
+        fam = StronglyElliptic(m[0, 0])
     elif kind == "sampled":
-        path = famdoc["file"]
-        if base_dir is not None:
-            import os
-
-            path = os.path.join(base_dir, path)
-        shape = famdoc.get("shape")
-        fam = Sampled(values=load_sampled_csv(path, dimension, shape))
+        fam = Sampled(values=load_sampled_csv(os.path.join(base_dir or "", famdoc["file"])))
     else:
         raise SchemaError(f"unknown profile family kind '{kind}'")
     return CoefficientProfile(
@@ -613,19 +516,15 @@ def profile_from_json(doc: dict, base_dir=None) -> CoefficientProfile:
     )
 
 
-def load_sampled_csv(path, dimension, shape=None):
-    """Sampled-profile CSV: one row per grid point, columns the
-    upper-triangular entries of C (one column in 1D, three in 2D)."""
-    rows = []
+def load_sampled_csv(path):
+    """Sampled-profile CSV: one value of c per row, rows the uniform grid
+    points of the 1D domain in order."""
+    values = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].startswith("#"):
                 continue
-            rows.append([float(v) for v in row])
-    data = np.asarray(rows)
-    if dimension == 1:
-        return data[:, 0]
-    if shape is None:
-        raise SchemaError("2D sampled profile needs a 'shape' [ny, nx] entry")
-    ny, nx = shape
-    return data.reshape(ny, nx, 3)
+            if len(row) != 1:
+                raise SchemaError(f"sampled CSV row {row}: one value each, the assembly is scalar")
+            values.append(float(row[0]))
+    return np.asarray(values)

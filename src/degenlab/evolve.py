@@ -67,6 +67,10 @@ CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
 BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
 IMPLICIT_STEPS = 128  # backward-Euler steps per evolution time
+CG_RTOL = 1e-12  # CG stops at this residual relative to ||b||
+CG_CHECK_TOL = 1e-10  # a recomputed relative residual above this raises SolverError
+CG_ITER_PER_NODE = 20  # CG iteration budget per unknown
+CFL_SAFETY = 0.5  # leapfrog dt as a fraction of the stability limit 2 / sqrt(lambda_max)
 
 log = logging.getLogger(__name__)
 
@@ -604,7 +608,7 @@ def resolvent_power_apply(op: DiscreteOperator, r: float, m: int, phi) -> np.nda
     return u
 
 
-def _cg_shifted(op, coef, b, rtol=1e-12, check_tol=1e-10, max_iter=None):
+def _cg_shifted(op, coef, b):
     """Conjugate gradients for (I + coef A) u = b; SPD with condition number
     at most 1 + coef * lambda_max."""
     A = op.matrix
@@ -614,9 +618,8 @@ def _cg_shifted(op, coef, b, rtol=1e-12, check_tol=1e-10, max_iter=None):
     p = r.copy()
     rs = float(r @ r)
     bnorm = float(np.linalg.norm(b)) or 1.0
-    max_iter = max_iter or 20 * op.size
-    for _ in range(max_iter):
-        if np.sqrt(rs) <= rtol * bnorm:
+    for _ in range(CG_ITER_PER_NODE * op.size):
+        if np.sqrt(rs) <= CG_RTOL * bnorm:
             break
         Ap = matvec(p)
         alpha = rs / float(p @ Ap)
@@ -626,23 +629,21 @@ def _cg_shifted(op, coef, b, rtol=1e-12, check_tol=1e-10, max_iter=None):
         p = r + (rs_new / rs) * p
         rs = rs_new
     res = float(np.linalg.norm(b - matvec(x)))
-    if res > check_tol * bnorm:
+    if res > CG_CHECK_TOL * bnorm:
         raise SolverError(f"CG stalled: relative residual {res / bnorm:.3e}")
     return x
 
 
-def wave_evolve(op: DiscreteOperator, phi0, t: float, cfl_safety: float = 0.5) -> WaveField:
+def wave_evolve(op: DiscreteOperator, phi0, t: float) -> WaveField:
     """cos(t A^{1/2}) phi0 by leapfrog with cosine initial condition
-    (u^{-1} = u^{1}); dt = cfl_safety * 2 / sqrt(lambda_max)."""
+    (u^{-1} = u^{1}); dt = CFL_SAFETY * 2 / sqrt(lambda_max)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if not 0 < cfl_safety <= 1:
-        raise ValueError("cfl_safety must be in (0, 1]")
     phi0 = np.asarray(phi0, dtype=float)
     if t == 0.0:
         return WaveField(phi0.copy(), phi0.copy(), 0.0, 0.0)
     lmax = max(op.spectral_norm_bound, 1e-300)
-    dt_max = cfl_safety * 2.0 / np.sqrt(lmax)
+    dt_max = CFL_SAFETY * 2.0 / np.sqrt(lmax)
     nsteps = max(int(np.ceil(t / dt_max - 1e-12)), 1)
     dt = t / nsteps
     A = op.matrix

@@ -113,17 +113,14 @@ class DiscreteOperator:
 def assemble(profile: CoefficientProfile, mesh: Mesh, epsilon: float) -> DiscreteOperator:
     """Finite-volume assembly of the viscosity generator on the mesh.
 
-    Face conductances sample the coefficient at face midpoints (exact
-    conductance/integral duality).  2D requires a scalar profile:
-    the 5-point stencil stays an M-matrix unconditionally only without cross
-    terms.
+    Face conductances sample the scalar coefficient at face midpoints (exact
+    conductance/integral duality); profiles are scalar (see the coeffs
+    module for why).
     """
     if profile.dimension != mesh.dimension:
         raise ValueError("profile and mesh dimension mismatch")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    if not profile.is_scalar:
-        raise ValueError("assembly supports scalar (c * I) profiles only")
     h = mesh.h
     npa = mesh.points_per_axis
 

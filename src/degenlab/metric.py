@@ -37,8 +37,6 @@ def distance_1d(profile: CoefficientProfile, x: float, y: float, epsilon: float 
     diverges (possible only for custom non-integrable profiles)."""
     if profile.dimension != 1:
         raise ValueError("distance_1d needs a 1D profile")
-    if not profile.is_scalar:
-        raise ValueError("distance_1d needs a scalar profile")
     x, y = float(x), float(y)
     if x == y:
         return 0.0
@@ -185,7 +183,7 @@ def _edge_weight_quadrature(profile, a, b, epsilon):
 # derived quantities
 
 
-def ball_volume(field: DistanceField, r: float, mask=None) -> float:
+def ball_volume(field: DistanceField, r: float) -> float:
     """Lebesgue volume of the ball {d < r} on the mesh (cell count times cell
     volume).  Convention: r = 0 returns the volume of the zero set, i.e. one
     cell for a point origin."""
@@ -193,8 +191,6 @@ def ball_volume(field: DistanceField, r: float, mask=None) -> float:
         raise ValueError("r must be >= 0")
     vals = field.values
     inside = vals <= 0.0 if r == 0.0 else vals < r
-    if mask is not None:
-        inside = inside & mask
     return float(np.count_nonzero(inside) * field.mesh.cell_volume)
 
 

@@ -1,14 +1,14 @@
 """Graded quadrature toward point degeneracies.
 
 All integrals of the form  int_{z0}^{z0 + span} f(z) dz  with f blowing up
-(or not) at z0 are computed after the grading substitution z = z0 + u**kappa,
+(or not) at z0 are computed after the grading substitution z = z0 + u**KAPPA,
 which turns power singularities (z - z0)**(-p), p < 1, into integrands that a
 per-piece Gauss rule resolves to near machine precision.  The same dyadic
 pieces double as the divergence detector: the piece-to-piece decay ratio of
 
     p_k = int over u in [U 2^{-k-1}, U 2^{-k}]
 
-tends to 2**(-kappa (1 - p)), so p >= 1 (a divergent integral) shows up as a
+tends to 2**(-KAPPA (1 - p)), so p >= 1 (a divergent integral) shows up as a
 ratio >= 1 while every integrable power stays clearly below the cutoff.
 
 Integrands are supplied as functions of the *offset* rho = z - z0 >= 0, never
@@ -25,6 +25,9 @@ from .errors import InconclusiveIntegralError
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
+KAPPA = 4  # grading exponent of z = z0 + u**KAPPA
+RATIO_CUTOFF = 0.97  # trailing piece ratio at or above this: divergent
+REL_TOL = 1e-10  # geometric tail estimate below this, relative: converged
 
 
 @dataclass
@@ -42,58 +45,49 @@ class TailAnalysis:
     levels: int
 
 
-def dyadic_piece(f_offset, span, k, kappa=4):
-    """Integral of f over offsets rho in [ (U 2^{-k-1})^kappa, (U 2^{-k})^kappa ]
-    with U = span**(1/kappa), evaluated in the graded variable."""
-    U = span ** (1.0 / kappa)
+def dyadic_piece(f_offset, span, k):
+    """Integral of f over offsets rho in [ (U 2^{-k-1})^KAPPA, (U 2^{-k})^KAPPA ]
+    with U = span**(1/KAPPA), evaluated in the graded variable."""
+    U = span ** (1.0 / KAPPA)
     hi = U * 2.0 ** (-k)
     lo = 0.5 * hi
     u = lo + (hi - lo) * _GL_X
-    rho = u**kappa
-    vals = f_offset(rho) * kappa * u ** (kappa - 1)
+    rho = u**KAPPA
+    vals = f_offset(rho) * KAPPA * u ** (KAPPA - 1)
     return float((hi - lo) * np.dot(_GL_W, vals))
 
 
-def graded_tail(
-    f_offset,
-    span,
-    levels=60,
-    kappa=4,
-    div_threshold=1e3,
-    ratio_cutoff=0.97,
-    rel_tol=1e-10,
-    strict=False,
-) -> TailAnalysis:
+def graded_tail(f_offset, span, levels=60, div_threshold=1e3, strict=False) -> TailAnalysis:
     """Integrate f from the singular endpoint out to `span`, deciding
     convergence on the fly.
 
     Early exits: the running partial passing div_threshold declares
-    divergence; a trailing ratio safely below 1 with a geometric tail
-    estimate under rel_tol declares convergence.  With `strict` the
+    divergence; a trailing ratio below RATIO_CUTOFF with a geometric tail
+    estimate under REL_TOL declares convergence.  With `strict` the
     ambiguous outcome raises InconclusiveIntegralError instead of
     returning divergent=None.
     """
     pieces = []
     total = 0.0
     for k in range(levels):
-        p = dyadic_piece(f_offset, span, k, kappa)
+        p = dyadic_piece(f_offset, span, k)
         pieces.append(p)
         total += p
         if total > div_threshold:
             return TailAnalysis(True, np.inf, k + 1)
         if k >= 2:
             ratio = _trail_ratio(pieces)
-            if ratio < ratio_cutoff and ratio > 0:
+            if ratio < RATIO_CUTOFF and ratio > 0:
                 tail = pieces[-1] * ratio / (1.0 - ratio)
-                if tail < rel_tol * max(total, 1e-300):
+                if tail < REL_TOL * max(total, 1e-300):
                     return TailAnalysis(False, total + tail, k + 1)
     # budget exhausted: settle by the trailing ratio
     ratio = _trail_ratio(pieces)
     last3 = [pieces[-3] / pieces[-4], pieces[-2] / pieces[-3], pieces[-1] / pieces[-2]]
     spread = max(last3) - min(last3)
-    if ratio >= ratio_cutoff and spread <= 0.08:
+    if ratio >= RATIO_CUTOFF and spread <= 0.08:
         return TailAnalysis(True, np.inf, levels)
-    if ratio < ratio_cutoff and spread <= 0.08:
+    if ratio < RATIO_CUTOFF and spread <= 0.08:
         tail = pieces[-1] * ratio / (1.0 - ratio) if ratio < 1 else np.inf
         return TailAnalysis(False, total + tail, levels)
     if strict:
@@ -114,12 +108,12 @@ def _trail_ratio(pieces):
     return float((b / a) ** (1.0 / 3.0))
 
 
-def integrate_graded(f_offset, span, levels=48, kappa=4):
+def integrate_graded(f_offset, span, levels=48):
     """Convergent integral from the singular endpoint out to `span`,
     dyadic pieces plus a geometric closure of the unresolved stub."""
     if span <= 0:
         return 0.0
-    pieces = [dyadic_piece(f_offset, span, k, kappa) for k in range(levels)]
+    pieces = [dyadic_piece(f_offset, span, k) for k in range(levels)]
     total = float(np.sum(pieces))
     if pieces[-1] > 0 and pieces[-2] > 0:
         r = pieces[-1] / pieces[-2]

@@ -249,9 +249,17 @@ def _run_separation_probe(
     )
 
 
+def _split_mask(ctx, spec, mesh=None):
+    """omega_mask of a region whose complement the check measures on, which
+    must select a node too."""
+    mask = ctx.omega_mask(spec, mesh)
+    diagnose.nonempty(~mask, f"complement of region {spec}")
+    return mask
+
+
 def _run_invariance(ctx, seed, *, omega: Region, t=0.5, tol=1e-8, epsilon=None):
     return diagnose.invariance_defect(
-        ctx.operator(epsilon), ctx.omega_mask(omega), float(t), seed=seed, tol=tol
+        ctx.operator(epsilon), _split_mask(ctx, omega), float(t), seed=seed, tol=tol
     )
 
 
@@ -263,7 +271,7 @@ def _run_invariance_refinement(ctx, seed, *, omega: Region, n_list, t=0.5, epsil
         mesh = build_mesh(ctx.mesh.dimension, ctx.mesh.box, int(n))
         op = assemble(ctx.profile, mesh, epsilon)
         rec = diagnose.invariance_defect(
-            op, ctx.omega_mask(omega, mesh), float(t), seed=seed, tol=np.inf
+            op, _split_mask(ctx, omega, mesh), float(t), seed=seed, tol=np.inf
         )
         rows.append({"n": int(n), "defect": rec.margin})
     defects = [r["defect"] for r in rows]
@@ -279,7 +287,7 @@ def _run_invariance_refinement(ctx, seed, *, omega: Region, n_list, t=0.5, epsil
 
 def _run_form_additivity(ctx, seed, *, omega: Region, tol=1e-12, epsilon=None):
     return diagnose.form_additivity_defect(
-        ctx.operator(epsilon), ctx.omega_mask(omega), seed=seed, tol=tol
+        ctx.operator(epsilon), _split_mask(ctx, omega), seed=seed, tol=tol
     )
 
 

@@ -17,7 +17,7 @@ BENCH = Path(__file__).parents[1] / "perfbench"
 
 # (scenario, overrides): together they reach Chebyshev and backward-Euler
 # evolution, the separation probe, holder, an eig sup-kernel scan, distance
-# fields and the 2D resolvent
+# fields, the 2D resolvent and classify with its coefficient evaluations
 RUNS = [
     ("degenerate1d-d025",
      ["mesh.n=256", "t_small=[0.05,0.2]", "checks.4.params.h_list=[0.0625,0.03125,0.015625]"]),
@@ -33,6 +33,8 @@ EXPECTED = (
     "metric.holder_fit_s",
     "evolve.resolvent_power_apply.2d_s",
     "scenarios.check_s.separation_probe",
+    "coeffs.scalar_values.calls",
+    "coeffs.classify_s",
 )
 
 

@@ -222,7 +222,8 @@ class TestCheckParams:
 
     def test_benchmark_scenario_validates(self):
         path = Path(__file__).parents[1] / "perfbench" / "scenarios"
-        validate_scenario(json.loads((path / "radial-shell-2d-metric.json").read_text()))
+        doc = json.loads((path / "radial-shell-2d-metric.json").read_text())
+        ScenarioContext(validate_scenario(doc))
 
     def test_wave_speed_epsilon_matches_shifted_profile(self):
         doc = builtin_by_name("degenerate1d-d05")
@@ -439,9 +440,23 @@ class TestEmptySets:
              {"check": "ondiagonal_lower",
               "params": {"diameter": 0.5, "centers": [0.0, 20.0]}},
              "ondiagonal_lower: bump at center [20.0]"),
+            ("degenerate1d-d075-cut", 255,
+             {"check": "invariance",
+              "params": {"omega": {"kind": "interval", "lo": -10, "hi": 10}}},
+             "complement of region {'kind': 'interval', 'lo': -10, 'hi': 10}"),
+            ("degenerate1d-d075-cut", 255,
+             {"check": "form_additivity",
+              "params": {"omega": {"kind": "interval", "lo": -10, "hi": 10}}},
+             "complement of region {'kind': 'interval', 'lo': -10, 'hi': 10}"),
+            ("degenerate1d-d075-cut", 255,
+             {"check": "invariance_refinement",
+              "params": {"omega": {"kind": "interval", "lo": -10, "hi": 10},
+                         "n_list": [32, 64]}},
+             "complement of region {'kind': 'interval', 'lo': -10, 'hi': 10}"),
         ],
         ids=["box", "ball", "invariance-omega", "form-additivity-omega", "kernel-cut-across",
-             "wave-support", "ondiagonal-center"],
+             "wave-support", "ondiagonal-center", "invariance-complement",
+             "form-additivity-complement", "invariance-refinement-complement"],
     )
     def test_empty_set_exits_1_naming_it(self, scenario, n, check, named, tmp_path, capsys):
         argv = ["run", scenario, "--out", str(tmp_path / "out"),
@@ -449,6 +464,65 @@ class TestEmptySets:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {named} selects no mesh node\n"
+
+
+class TestProfileKinds:
+    """The `constant` and `sampled` profile kinds through the runner: a
+    scalar field runs, a matrix field fails before any check."""
+
+    CHECKS = [
+        {"check": "structure"},
+        {"check": "conservation", "params": {"t_grid": "small"}},
+        {"check": "classify", "params": {"expect": "StronglyElliptic"}},
+    ]
+
+    def write(self, tmp_path, profile):
+        doc = builtin_by_name("laplacian1d" if profile["dimension"] == 1 else "radial-shell-2d")
+        doc["profile"] = profile
+        doc["mesh"]["box"] = profile["domain"]
+        doc["mesh"]["n"] = 64 if profile["dimension"] == 1 else 16
+        doc["t_small"] = [0.05, 0.2]
+        doc["checks"] = self.CHECKS
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("kind", ["constant", "sampled"])
+    def test_scalar_profile_runs(self, kind, tmp_path):
+        if kind == "constant":
+            family = {"kind": "constant", "matrix": [[2.0]]}
+        else:
+            xs = np.linspace(-4.0, 4.0, 65)
+            np.savetxt(tmp_path / "c.csv", (1.0 + 0.1 * xs**2).reshape(-1, 1), delimiter=",")
+            family = {"kind": "sampled", "file": "c.csv"}
+        profile = {"dimension": 1, "family": family, "domain": [-4.0, 4.0]}
+        path = self.write(tmp_path, profile)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["status"] for r in report["records"]] == ["Holds"] * 3
+
+    @pytest.mark.parametrize("kind", ["constant", "sampled"])
+    def test_matrix_profile_fails_before_any_check(self, kind, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        if kind == "constant":
+            family = {"kind": "constant", "matrix": [[2.0, 0.5], [0.5, 3.0]]}
+        else:
+            (tmp_path / "c.csv").write_text("2.0,0.5,3.0\n" * 16)
+            family = {"kind": "sampled", "file": "c.csv", "shape": [4, 4]}
+        profile = {"dimension": 2, "family": family, "domain": [-2.0, 2.0]}
+        path = self.write(tmp_path, profile)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "the assembly is scalar" in err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestListScenarios:
@@ -484,4 +558,4 @@ class TestListScenarios:
 
     def test_every_builtin_validates(self):
         for doc in builtin_scenarios():
-            validate_scenario(doc)
+            ScenarioContext(validate_scenario(doc))

@@ -13,7 +13,7 @@ from degenlab import (
     classify,
     profile_from_json,
 )
-from degenlab.errors import DomainError
+from degenlab.errors import DomainError, SchemaError
 
 
 def power1d(delta, centers=((0.0,),), domain=(-4.0, 4.0), **kw):
@@ -23,47 +23,34 @@ def power1d(delta, centers=((0.0,),), domain=(-4.0, 4.0), **kw):
 class TestEvalCoefficient:
     def test_degeneracy_center_vanishes(self):
         p = power1d(0.75)
-        assert np.allclose(p.matrix(0.0), 0.0)
+        assert np.allclose(p.scalar_values(0.0), 0.0)
 
     def test_delta_zero_is_identity(self):
         p = power1d(0.0)
         for x in (-3.0, 0.0, 1.7):
-            assert np.allclose(p.matrix(x), np.eye(1))
+            assert np.allclose(p.scalar_values(x), 1.0)
 
     def test_half_delta_at_one(self):
         # direct evaluation of (1 / (1 + 1))**0.5
         p = power1d(0.5)
-        assert p.matrix(1.0)[0, 0] == pytest.approx(0.5**0.5, rel=1e-14)
+        assert p.scalar_values(1.0)[0] == pytest.approx(0.5**0.5, rel=1e-14)
 
-    def test_symmetry_everywhere(self):
+    def test_psd_everywhere(self):
+        # C = c I is PSD iff c >= 0, and c stays below the norm bound
         profiles = [
             power1d(0.6),
             CoefficientProfile(2, RadialShell(0.5, 1.0), (-2.0, 2.0)),
-            CoefficientProfile(
-                2, StronglyElliptic(np.array([[2.0, 0.5], [0.5, 3.0]])), (-1.0, 1.0)
-            ),
+            CoefficientProfile(2, StronglyElliptic(2.5), (-1.0, 1.0)),
         ]
-        rng = np.random.default_rng(7)
-        for p in profiles:
-            for _ in range(20):
-                x = rng.uniform(-1.0, 1.0, size=p.dimension)
-                M = p.matrix(x)
-                assert np.abs(M - M.T).max() == 0.0
-
-    def test_psd_everywhere(self):
-        p = CoefficientProfile(
-            2, StronglyElliptic(np.array([[2.0, 0.5], [0.5, 3.0]])), (-1.0, 1.0)
-        )
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            x = rng.uniform(-1.0, 1.0, size=2)
-            lo = np.linalg.eigvalsh(p.matrix(x)).min()
-            assert lo >= -1e-12 * p.norm_bound
+        for p in profiles:
+            c = p.scalar_values(rng.uniform(-1.0, 1.0, size=(20, p.dimension)))
+            assert np.all(c >= 0.0) and np.all(c <= p.norm_bound)
 
     def test_outside_domain_raises(self):
         p = power1d(0.5)
         with pytest.raises(DomainError):
-            p.matrix(5.0)
+            p.scalar_values(5.0)
 
     def test_norm_bound_cached_and_finite(self):
         p = power1d(0.5)
@@ -75,33 +62,24 @@ class TestViscosityShift:
         p = power1d(0.75)
         q = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + 0.0)
         for x in np.linspace(-4, 4, 17):
-            assert q.matrix(x)[0, 0] == p.matrix(x)[0, 0]
+            assert q.scalar_values(x)[0] == p.scalar_values(x)[0]
 
     def test_shift_at_center(self):
         p = power1d(0.75)
         q = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + 0.1)
-        assert np.allclose(q.matrix(0.0), 0.1 * np.eye(1))
+        assert np.allclose(q.scalar_values(0.0), 0.1)
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
             power1d(0.5, epsilon=-0.1)
 
     def test_eigenvalue_shift_identity(self):
-        # smallest eigenvalue after shift = mu_m + eps, against dense eigh
+        # the eigenvalue c of C = c I after the shift is c + eps
         rng = np.random.default_rng(21)
-        vals = np.zeros((6, 6, 3))
-        for i in range(6):
-            for j in range(6):
-                B = rng.standard_normal((2, 2))
-                M = B @ B.T + 0.05 * np.eye(2)
-                vals[i, j] = (M[0, 0], M[0, 1], M[1, 1])
-        p = CoefficientProfile(2, Sampled(vals.copy()), (-1.0, 1.0))
-        q = CoefficientProfile(2, p.family, p.domain, epsilon=p.epsilon + 0.37)
+        p = CoefficientProfile(1, Sampled(rng.uniform(0.05, 2.0, 36)), (-1.0, 1.0))
+        q = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + 0.37)
         xs = np.linspace(-0.9, 0.9, 6)
-        for k in range(5):
-            x = (xs[k], xs[-1 - k])
-            dense = np.linalg.eigvalsh(p.matrix(x)).min()
-            assert q.smallest_eigenvalues(x)[0] == pytest.approx(dense + 0.37, rel=1e-12)
+        assert q.scalar_values(xs) == pytest.approx(p.scalar_values(xs) + 0.37, rel=1e-12)
 
     def test_monotone_shift(self):
         p = power1d(0.5)
@@ -109,29 +87,8 @@ class TestViscosityShift:
         for e1, e2 in ((0.0, 1e-3), (1e-3, 1e-1)):
             q1 = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + e1)
             q2 = CoefficientProfile(1, p.family, p.domain, epsilon=p.epsilon + e2)
-            mu1, mu2 = q1.smallest_eigenvalues(xs), q2.smallest_eigenvalues(xs)
+            mu1, mu2 = q1.scalar_values(xs), q2.scalar_values(xs)
             assert np.all(mu1 < mu2)
-
-
-class TestSmallestEigenvalue:
-    def test_scalar_family_equals_c(self):
-        p = power1d(0.5)
-        for x in (0.5, 1.0, 2.5):
-            assert p.smallest_eigenvalues(x)[0] == p.matrix(x)[0, 0]
-
-    def test_constant_matrix(self):
-        p = CoefficientProfile(2, StronglyElliptic(np.diag([2.0, 3.0])), (-1.0, 1.0))
-        assert p.smallest_eigenvalues((0.2, 0.2))[0] == pytest.approx(2.0)
-
-    def test_sampled_closed_form(self):
-        vals = np.zeros((4, 4, 3))
-        vals[..., 0] = 2.0
-        vals[..., 1] = 0.5
-        vals[..., 2] = 3.0
-        p = CoefficientProfile(2, Sampled(vals), (-1.0, 1.0))
-        tr2, det = 2.5, 2.0 * 3.0 - 0.25
-        expect = tr2 - np.sqrt(tr2**2 - det)
-        assert p.smallest_eigenvalues((0.1, -0.4))[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestClassify:
@@ -218,18 +175,45 @@ class TestSerialization:
             "domain": [-1.0, 1.0],
         }
         p = profile_from_json(doc, base_dir=str(tmp_path))
-        assert p.matrix(0.0)[0, 0] == pytest.approx(1.0, abs=1e-3)
+        assert p.scalar_values(0.0)[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_sampled_rejects_non_psd(self):
-        vals = np.zeros((4, 4, 3))
-        vals[..., 0] = 1.0
-        vals[..., 1] = 5.0  # |offdiag| >> diag: indefinite
-        vals[..., 2] = 1.0
-        with pytest.raises(ValueError):
-            CoefficientProfile(2, Sampled(vals), (-1.0, 1.0))
+        vals = np.full(9, 1.0)
+        vals[4] = -1e-3  # c < 0 beyond tolerance: C = c I is indefinite
+        with pytest.raises(ValueError, match="negative"):
+            CoefficientProfile(1, Sampled(vals), (-1.0, 1.0))
 
     def test_sampled_projects_tiny_negatives(self):
         vals = np.full(9, 1.0)
         vals[4] = -1e-13  # within tolerance: projected to 0
         p = CoefficientProfile(1, Sampled(vals), (-1.0, 1.0))
         assert p.family.values[4] == 0.0
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_constant_matrix_must_be_scalar(self, dimension):
+        doc = {"dimension": dimension, "family": {"kind": "constant"}, "domain": [-1.0, 1.0]}
+        doc["family"]["matrix"] = (2.0 * np.eye(dimension)).tolist()
+        p = profile_from_json(doc)
+        pts = np.zeros((3, dimension))
+        assert np.all(p.scalar_values(pts) == 2.0) and p.norm_bound == 2.0
+        bad = {"1": [[2.0, 0.0], [0.0, 2.0]], "2": [[2.0, 0.0], [0.0, 3.0]]}[str(dimension)]
+        doc["family"]["matrix"] = bad
+        with pytest.raises(SchemaError, match="the assembly is scalar"):
+            profile_from_json(doc)
+        doc["family"]["matrix"] = (-1.0 * np.eye(dimension)).tolist()
+        with pytest.raises(ValueError, match="positive"):
+            profile_from_json(doc)
+
+    def test_sampled_is_one_value_per_point(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("1.0,0.5,1.0\n1.0,0.5,1.0\n")
+        doc = {"dimension": 1, "family": {"kind": "sampled", "file": str(path)},
+               "domain": [-1.0, 1.0]}
+        with pytest.raises(SchemaError, match="one value"):
+            profile_from_json(doc)
+        grid = np.empty((4, 4, 3))
+        grid[...] = (2.0, 0.5, 3.0)  # the former 2D (c11, c12, c22) layout
+        with pytest.raises(ValueError, match="the assembly is scalar"):
+            CoefficientProfile(2, Sampled(grid), (-1.0, 1.0))
+        with pytest.raises(ValueError, match="1D"):
+            CoefficientProfile(2, Sampled(np.ones(16)), (-1.0, 1.0))

@@ -353,17 +353,13 @@ class TestWaveEvolve:
         lam, V = dense_eig(op)
         t = 1.0
         exact = V @ (np.cos(t * np.sqrt(lam)) * (V.T @ phi))
-        w = wave_evolve(op, phi, t, cfl_safety=0.25)
+        w = wave_evolve(op, phi, t)
         assert np.linalg.norm(w.displacement - exact) <= 2e-2 * np.linalg.norm(phi)
         # support expansion at most t + 4h beyond the initial support
         thresh = 1e-8 * np.abs(phi).max()
         r0 = np.abs(xs[np.abs(phi) > thresh]).max()
         r1 = np.abs(xs[np.abs(exact) > thresh]).max()
         assert r1 <= r0 + t + 4 * mesh.h
-
-    def test_cfl_guard(self, laplace_op):
-        with pytest.raises(ValueError):
-            wave_evolve(laplace_op, np.ones(laplace_op.size), 1.0, cfl_safety=1.5)
 
     def test_unstable_dt_detected(self):
         # force instability by lying about the spectral bound
