@@ -21,6 +21,7 @@ quadrature and a piece-ratio divergence test.
 """
 
 import csv
+import inspect
 import math
 import os
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, bind
 from .quadrature import graded_tail
 
 _PSD_SLACK = 1e-12  # sampled values >= -_PSD_SLACK * max|c| are treated as 0
@@ -471,47 +472,86 @@ def classify(profile: CoefficientProfile) -> Classification:
 # serialization
 
 
+# profile documents: {"dimension", "family", "domain", "epsilon"}, the family
+# {"kind": <kind>, ...} with its other keys the keyword-only parameters of
+# the kind's constructor in FAMILIES (which also takes the dimension and the
+# base directory)
+
+
+def _power(dimension, base_dir, *, delta, centers=(0.0,)):
+    centers = tuple((c,) if np.isscalar(c) else tuple(c) for c in centers)
+    return PowerDegenerate(delta=float(delta), centers=centers)
+
+
+def _radial_shell(dimension, base_dir, *, delta, radius, width=0.0):
+    return RadialShell(delta=float(delta), radius=float(radius), width=float(width))
+
+
+def _surface(dimension, base_dir, *, delta, surface):
+    return SurfaceDegenerate(
+        delta=float(delta), y_samples=tuple(surface["y"]), phi_samples=tuple(surface["phi"])
+    )
+
+
+def _surface_samples(*, y, phi):
+    """Schema of a surface family's "surface" object."""
+
+
+def _constant(dimension, base_dir, *, matrix):
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (dimension, dimension) or not np.allclose(m, m[0, 0] * np.eye(dimension)):
+        raise SchemaError(
+            f"constant matrix must be c I, {dimension} x {dimension} (the assembly is scalar)"
+        )
+    return StronglyElliptic(m[0, 0])
+
+
+def _sampled(dimension, base_dir, *, file):
+    return Sampled(values=load_sampled_csv(os.path.join(base_dir or "", file)))
+
+
+FAMILIES = {
+    "power": _power,
+    "radial_shell": _radial_shell,
+    "surface": _surface,
+    "constant": _constant,
+    "sampled": _sampled,
+}
+
+
+def _profile_document(*, dimension, family, domain, epsilon=0.0):
+    """Schema of a profile document."""
+
+
 def profile_from_json(doc: dict, base_dir=None) -> CoefficientProfile:
-    try:
-        dimension = int(doc["dimension"])
-        famdoc = doc["family"]
-        kind = famdoc["kind"]
-        domain = doc["domain"]
-    except KeyError as exc:
-        raise SchemaError(f"profile document missing field {exc}") from exc
-    if kind == "power":
-        centers = tuple(
-            (c,) if np.isscalar(c) else tuple(c) for c in famdoc.get("centers", [0.0])
-        )
-        fam = PowerDegenerate(delta=float(famdoc["delta"]), centers=centers)
-    elif kind == "radial_shell":
-        fam = RadialShell(
-            delta=float(famdoc["delta"]),
-            radius=float(famdoc["radius"]),
-            width=float(famdoc.get("width", 0.0)),
-        )
-    elif kind == "surface":
-        surf = famdoc["surface"]
-        fam = SurfaceDegenerate(
-            delta=float(famdoc["delta"]),
-            y_samples=tuple(surf["y"]),
-            phi_samples=tuple(surf["phi"]),
-        )
-    elif kind == "constant":
-        m = np.asarray(famdoc["matrix"], dtype=float)
-        if m.shape != (dimension, dimension) or not np.allclose(m, m[0, 0] * np.eye(dimension)):
-            raise SchemaError(
-                f"constant matrix must be c I, {dimension} x {dimension} (the assembly is scalar)"
-            )
-        fam = StronglyElliptic(m[0, 0])
-    elif kind == "sampled":
-        fam = Sampled(values=load_sampled_csv(os.path.join(base_dir or "", famdoc["file"])))
-    else:
+    """The profile a document describes.  Its keys, the family's and a
+    surface's bind against keyword-only signatures, so every unknown or
+    missing key is named in one SchemaError before anything is built."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a profile document is an object, not {doc!r}")
+    family = doc.get("family", {})
+    family = dict(family) if isinstance(family, dict) else {"kind": family}
+    kind = family.pop("kind", None)
+    if "family" in doc and kind not in FAMILIES:
         raise SchemaError(f"unknown profile family kind '{kind}'")
+    parts = [("profile", _profile_document, (), doc)]
+    if kind in FAMILIES:
+        parts.append((f"profile.family ({kind})", FAMILIES[kind], (None, None), family))
+    if kind == "surface" and isinstance(family.get("surface"), dict):
+        parts.append(("profile.family.surface", _surface_samples, (), family["surface"]))
+    problems = []
+    for where, fn, args, fields in parts:
+        try:
+            bind(inspect.signature(fn), *args, **fields)
+        except TypeError as exc:
+            problems.append(f"{where}: {exc}")
+    if problems:
+        raise SchemaError("; ".join(problems))
+    dimension = int(doc["dimension"])
     return CoefficientProfile(
         dimension=dimension,
-        family=fam,
-        domain=domain,
+        family=FAMILIES[kind](dimension, base_dir, **family),
+        domain=doc["domain"],
         epsilon=float(doc.get("epsilon", 0.0)),
     )
 

@@ -286,16 +286,21 @@ def wave_speed_check(
     epsilon=0.0,
     speed_cap=1.05,
     cut_mask=None,
+    graph=None,
 ):
     """cos(t A^{1/2}) phi stays inside the metric cone of radius t around the
     initial support (plus a leapfrog dispersion margin 4h (1 + 0.01 t/h)).
     With cut_mask given, additionally requires zero excitation on the masked
     side at every t; speed_cap=None skips the speed assertion (cut-only
-    probes, where the d_C reach is resolution limited near the degeneracy)."""
+    probes, where the d_C reach is resolution limited near the degeneracy).
+    graph is metric.metric_graph(profile, mesh, epsilon), when the caller
+    holds it."""
     pts = mesh.points()
     phi0 = smooth_bump(pts, support_box)
     sup_mask = nonempty(phi0 > 0, f"wave_speed: support {support_box}")
-    dfield = distance_field(profile, mesh, None, epsilon, sources=np.nonzero(sup_mask)[0])
+    dfield = distance_field(
+        profile, mesh, None, epsilon, sources=np.nonzero(sup_mask)[0], graph=graph
+    )
     h = mesh.h
     table = []
     violations = []
@@ -553,13 +558,16 @@ def largetime_floor_check(
     )
 
 
-def resolvent_volume_scaling(op, profile, mesh, origin, r_grid, m, epsilon=0.0) -> CheckRecord:
+def resolvent_volume_scaling(
+    op, profile, mesh, origin, r_grid, m, epsilon=0.0, graph=None
+) -> CheckRecord:
     """Diagonal kernel of (I + r^2 A)^{-2m} against the metric ball volume:
     log K vs log |B_C(x;r)| has slope -1 and the product K |B| is pinched
-    within a single constant (max/min ratio <= RATIO_CAP)."""
+    within a single constant (max/min ratio <= RATIO_CAP).  graph is
+    metric.metric_graph(profile, mesh, epsilon), when the caller holds it."""
     if 4 * m <= mesh.dimension:
         raise ValueError("need 4m > d")
-    dfield = distance_field(profile, mesh, origin, epsilon)
+    dfield = distance_field(profile, mesh, origin, epsilon, graph=graph)
     idx = mesh.nearest_index(origin)
     vol = mesh.cell_volume
     delta = np.zeros(op.size)

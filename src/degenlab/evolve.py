@@ -29,10 +29,18 @@ Every tridiagonal solve is LAPACK dstevd (divide and conquer, the routine
 scipy.linalg uses for a full tridiagonal spectrum), called through ctypes
 from the function pointer that scipy.linalg.cython_lapack exports.  ctypes
 releases the GIL for the length of a foreign call, so other threads keep
-running beside a decomposition, and the two mirror halves are solved at the
-same time: the odd half in a short-lived thread, the even half in the
-calling one.  All buffers of both solves are allocated before that thread
-starts.
+running beside a decomposition.  All buffers of a solve are allocated before
+any thread starts.
+
+Independent pieces of one call run beside each other through one helper,
+_beside: the first job runs in the calling thread and every other one in a
+short-lived thread, all of them are joined, and the first exception (in job
+order) is re-raised.  It runs the two mirror halves of a decomposition, and
+the column lanes of a block Chebyshev evolution: a block wider than one
+cache-sized slice is split into at most CPUS lanes of whole columns, each
+lane running the recurrence slice by slice.  Sparse block products and large
+ufuncs release the GIL, so the lanes use every core the process may run on;
+a block of one slice (every 1D call) runs in the calling thread alone.
 
 heat_evolve and sup_kernel are the batched entry points: they take a block of
 columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
@@ -53,10 +61,12 @@ import tempfile
 import threading
 import zipfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cython_lapack, eigh, solveh_banded
+from scipy.linalg import cython_lapack, eigh
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import ive
 
 from .errors import CflError, SolverError
@@ -73,6 +83,16 @@ CG_ITER_PER_NODE = 20  # CG iteration budget per unknown
 CFL_SAFETY = 0.5  # leapfrog dt as a fraction of the stability limit 2 / sqrt(lambda_max)
 
 log = logging.getLogger(__name__)
+
+
+def _usable_cpus():
+    """Cores this process may run on; every core where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+CPUS = _usable_cpus()  # the most lanes of one block evolution
 
 
 @dataclass
@@ -281,10 +301,9 @@ def _dstevd(*problems):
     """[(lam, Z)] for each symmetric tridiagonal (d, e) by LAPACK dstevd:
     ascending lam and orthonormal, F-ordered eigenvector columns Z.
 
-    The first problem is solved in the calling thread and every other one in
-    a short-lived thread beside it.  Every buffer is allocated here, before
-    any thread starts, so a helper thread makes only the foreign call (no
-    allocation there, and no malloc arena of its own)."""
+    The problems are solved beside each other (_beside).  Every buffer is
+    allocated here, before any thread starts, so a helper thread makes only
+    the foreign call (no allocation there, and no malloc arena of its own)."""
     calls = []
     for d, e in problems:
         n = d.size
@@ -299,16 +318,38 @@ def _dstevd(*problems):
         args = (b"V", size, lam, off, Z, size, work, ctypes.c_int(work.size),
                 iwork, ctypes.c_int(iwork.size), info)
         calls.append((args, lam, Z, info))
-    helpers = [threading.Thread(target=_LAPACK_DSTEVD, args=args) for args, *_ in calls[1:]]
-    for th in helpers:
-        th.start()
-    _LAPACK_DSTEVD(*calls[0][0])
-    for th in helpers:
-        th.join()
+    _beside([partial(_LAPACK_DSTEVD, *args) for args, *_ in calls])
     for _, lam, _, info in calls:
         if info.value != 0:
             raise SolverError(f"dstevd failed on N={lam.size}: info={info.value}")
     return [(lam, Z) for _, lam, Z, _ in calls]
+
+
+def _beside(jobs):
+    """Run the callables in jobs beside each other: the first in the calling
+    thread, every other one in a short-lived thread.  Every started thread is
+    joined, and then the first exception in job order is re-raised."""
+    errors = [None] * len(jobs)
+
+    def run(i):
+        try:
+            jobs[i]()
+        except BaseException as exc:
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(jobs)):
+            th = threading.Thread(target=run, args=(i,))
+            th.start()
+            started.append(th)
+        run(0)
+    finally:
+        for th in started:
+            th.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +402,10 @@ def _cheb_sums(A, scale, y, coefs):
 def _cheb_expm_apply(op, phi, ts, tol):
     """p_t(A) phi with p_t ~ exp(-t .) uniformly on [0, lambda_max] within
     tol, stacked over t > 0 in ts.  Times without substeps share one
-    recurrence, which takes the columns of phi in cache-sized slices."""
+    recurrence, which takes the columns of phi in cache-sized slices.  The
+    columns are split into at most CPUS lanes of near-equal width, no more
+    lanes than slices, which run beside each other slice by slice; every
+    column sees the same operations in any slice and any lane."""
     lmax = op.spectral_norm_bound
     cols = phi.reshape(op.size, -1)
     out = np.empty((len(ts),) + cols.shape)
@@ -380,16 +424,24 @@ def _cheb_expm_apply(op, phi, ts, tol):
             substepped.append((i, nsub, _cheb_coefficients(a / nsub, tol / nsub)))
     shared.sort(key=lambda ic: -len(ic[1]))
     rows, coefs = [i for i, _ in shared], [c for _, c in shared]
+    ncols = cols.shape[1]
     width = max(1, BLOCK_BYTES // (8 * op.size))
-    for j in range(0, cols.shape[1], width):
-        y = np.ascontiguousarray(cols[:, j : j + width])
-        if shared:
-            out[rows, :, j : j + width] = _cheb_sums(op.matrix, 2.0 / lmax, y, coefs)
-        for i, nsub, c in substepped:
-            z = y
-            for _ in range(nsub):
-                z = _cheb_sums(op.matrix, 2.0 / lmax, z, [c])[0]
-            out[i, :, j : j + width] = z
+
+    def lane(lo, hi):
+        for j in range(lo, hi, width):
+            part = slice(j, min(j + width, hi))
+            y = np.ascontiguousarray(cols[:, part])
+            if shared:
+                out[rows, :, part] = _cheb_sums(op.matrix, 2.0 / lmax, y, coefs)
+            for i, nsub, c in substepped:
+                z = y
+                for _ in range(nsub):
+                    z = _cheb_sums(op.matrix, 2.0 / lmax, z, [c])[0]
+                out[i, :, part] = z
+
+    lanes = max(1, min(CPUS, -(-ncols // width)))
+    bounds = [ncols * n // lanes for n in range(lanes + 1)]
+    _beside([partial(lane, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
     return out.reshape((len(ts),) + phi.shape)
 
 
@@ -398,16 +450,19 @@ def _cheb_expm_apply(op, phi, ts, tol):
 
 
 def _factorized_shift_solver(op, coef):
-    """Solver for (I + coef * A) u = v; banded Cholesky in 1D, sparse LU
-    otherwise."""
+    """Solver for (I + coef * A) u = v, factored once: tridiagonal L D L^T
+    (LAPACK dpttrf, applied by dpttrs) in 1D, sparse LU otherwise."""
     N = op.size
     if op.mesh.dimension == 1:
-        ab = np.zeros((2, N))
-        ab[1] = 1.0 + coef * op.matrix.diagonal()
-        ab[0, 1:] = coef * op.matrix.diagonal(1)
+        d, e, info = dpttrf(1.0 + coef * op.matrix.diagonal(), coef * op.matrix.diagonal(1))
+        if info != 0:
+            raise SolverError(f"dpttrf failed on N={N}: info={info}")
 
         def solve(v):
-            return solveh_banded(ab, v)
+            u, info = dpttrs(d, e, v)
+            if info != 0:
+                raise SolverError(f"dpttrs failed on N={N}: info={info}")
+            return u
 
         return solve
     M = (sp.identity(N, format="csc") + coef * op.matrix.tocsc()).tocsc()
@@ -578,8 +633,8 @@ def _interior_mask(mesh, margin):
 
 
 def resolvent_power_apply(op: DiscreteOperator, r: float, m: int, phi) -> np.ndarray:
-    """(I + r^2 A)^{-m} phi by m successive solves; direct banded elimination
-    in 1D, conjugate gradients in 2D."""
+    """(I + r^2 A)^{-m} phi by m successive solves; one tridiagonal
+    factorization in 1D, conjugate gradients in 2D."""
     if r <= 0:
         raise ValueError("r must be > 0")
     if m < 1:

@@ -6,7 +6,9 @@ and deterministic: the same nodes serve every epsilon, so epsilon-monotone
 families of distances come out exactly monotone.  On meshes, distance fields
 are Dijkstra shortest paths (scipy.sparse.csgraph) on the 2-neighbor (1D) or
 8-neighbor (2D) grid graph with metric edge weights; +inf is a first-class
-value (unreachable components across exact cuts).
+value (unreachable components across exact cuts).  The graph (metric_graph)
+depends only on (profile, mesh, epsilon), so a caller that makes several
+fields builds it once and passes it to each.
 """
 
 from dataclasses import dataclass
@@ -93,29 +95,38 @@ def _graded_or_inf(f_offset, span):
 # grid distance fields
 
 
+def metric_graph(profile: CoefficientProfile, mesh, epsilon: float = 0.0):
+    """The grid graph as a sparse matrix of its finite edge weights, length *
+    (c + eps)^(-1/2) sampled at edge midpoints; near-degenerate edges get an
+    8-point Gauss sub-quadrature along the edge, and the two edges abutting a
+    declared 1D center use the exact graded integral.  An edge of infinite
+    weight (across an exact cut) is left out."""
+    heads, tails, weights = _edge_graph(profile, mesh, epsilon)
+    finite = np.isfinite(weights)
+    return sp.csr_matrix(
+        (weights[finite], (heads[finite], tails[finite])), shape=(mesh.size, mesh.size)
+    )
+
+
 def distance_field(
     profile: CoefficientProfile,
     mesh,
     origin,
     epsilon: float = 0.0,
     sources=None,
+    graph=None,
 ) -> DistanceField:
     """Shortest-path distance field from the origin point (or the given
-    source index set) on the grid graph with edge weights length *
-    (c + eps)^(-1/2) sampled at edge midpoints; near-degenerate edges get an
-    8-point Gauss sub-quadrature along the edge, and the two edges abutting a
-    declared 1D center use the exact graded integral.  One csgraph Dijkstra
-    over the finite-weight edges, so nodes behind an exact cut stay +inf."""
+    source index set) over metric_graph(profile, mesh, epsilon), or over
+    graph when the caller already holds it.  One csgraph Dijkstra, so nodes
+    behind an exact cut stay +inf."""
     # kept out of `import degenlab`: only distance fields need csgraph
     from scipy.sparse.csgraph import dijkstra
 
     if sources is None:
         sources = [mesh.nearest_index(origin)]
-    heads, tails, weights = _edge_graph(profile, mesh, epsilon)
-    finite = np.isfinite(weights)
-    graph = sp.csr_matrix(
-        (weights[finite], (heads[finite], tails[finite])), shape=(mesh.size, mesh.size)
-    )
+    if graph is None:
+        graph = metric_graph(profile, mesh, epsilon)
     dist = dijkstra(graph, directed=False, indices=sources, min_only=True)
     return DistanceField(dist, mesh)
 

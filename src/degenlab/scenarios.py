@@ -10,6 +10,7 @@ every check derives its random seed from the scenario seed and its own index.
 
 import hashlib
 import inspect
+import threading
 import time
 
 import numpy as np
@@ -17,17 +18,19 @@ import numpy as np
 from . import diagnose
 from .coeffs import classify, profile_from_json
 from .diagnose import CheckRecord, Status
-from .errors import SchemaError
+from .errors import SchemaError, bind
 from .grid import assemble, build_mesh
-from .metric import distance_field, holder_fit
+from .metric import distance_field, holder_fit, metric_graph
 
 # ---------------------------------------------------------------------------
 # context
 
 
 class ScenarioContext:
-    """Lazy shared state for one scenario run: profile, mesh, operators per
-    epsilon, distance fields per (center, epsilon)."""
+    """Lazy shared state for one scenario run: profile, mesh, operators and
+    metric graphs per epsilon, distance fields per (center, epsilon).  Each
+    entry is computed once, under the context's lock, and lives as long as
+    the context."""
 
     def __init__(self, doc, base_dir=None):
         self.doc = doc
@@ -38,10 +41,9 @@ class ScenarioContext:
         self.mesh = build_mesh(int(mspec["dimension"]), mspec["box"], int(mspec["n"]))
         self.epsilons = [float(e) for e in doc.get("epsilons", [0.0])]
         self._ops = {}
+        self._graphs = {}
         self._fields = {}
-        import threading
-
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def operator(self, epsilon=None):
         eps = self.epsilons[0] if epsilon is None else float(epsilon)
@@ -50,12 +52,21 @@ class ScenarioContext:
                 self._ops[eps] = assemble(self.profile, self.mesh, eps)
             return self._ops[eps]
 
+    def metric_graph(self, epsilon=None):
+        eps = self.epsilons[0] if epsilon is None else float(epsilon)
+        with self._lock:
+            if eps not in self._graphs:
+                self._graphs[eps] = metric_graph(self.profile, self.mesh, eps)
+            return self._graphs[eps]
+
     def dist_field(self, center, epsilon=None):
         eps = self.epsilons[0] if epsilon is None else float(epsilon)
         key = (tuple(np.atleast_1d(center).tolist()), eps)
         with self._lock:
             if key not in self._fields:
-                self._fields[key] = distance_field(self.profile, self.mesh, center, eps)
+                self._fields[key] = distance_field(
+                    self.profile, self.mesh, center, eps, graph=self.metric_graph(eps)
+                )
             return self._fields[key]
 
     def t_grid(self, spec):
@@ -130,25 +141,6 @@ REGIONS = {
 }
 
 
-def _bind(sig, *args, **fields):
-    """sig.bind(*args, **fields), with every unknown field named.
-
-    Signature.bind stops at the first missing parameter before it looks at
-    unexpected ones, so a misspelled required field would read only as
-    missing; here the unknown fields are listed first."""
-    by_name = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-    named = {k for k, p in sig.parameters.items() if p.kind in by_name}
-    unknown = [k for k in fields if k not in named]
-    problems = [f"unknown field(s) {', '.join(map(repr, unknown))}"] if unknown else []
-    try:
-        bound = sig.bind(*args, **{k: v for k, v in fields.items() if k in named})
-    except TypeError as exc:
-        problems.append(str(exc))
-    if problems:
-        raise TypeError("; ".join(problems))
-    return bound
-
-
 def _check_box(box, dimension):
     """SchemaError unless box is `dimension` finite intervals lo < hi."""
     try:
@@ -173,7 +165,7 @@ def _region_fields(spec, kind=None):
     if kind not in REGIONS:
         raise SchemaError(f"unknown region kind {kind!r}")
     try:
-        _bind(inspect.signature(REGIONS[kind]), None, None, **fields)
+        bind(inspect.signature(REGIONS[kind]), None, None, **fields)
     except TypeError as exc:
         raise SchemaError(f"{kind}: {exc}") from None
     if kind == "halfline" and fields["side"] not in ("left", "right"):
@@ -231,6 +223,7 @@ def _run_wave_speed(
         epsilon=op.epsilon,
         speed_cap=speed_cap,
         cut_mask=None if cut is None else ctx.omega_mask(cut),
+        graph=ctx.metric_graph(op.epsilon),
     )
 
 
@@ -321,7 +314,14 @@ def _run_largetime(
 def _run_resolvent_volume(ctx, seed, *, origin, r_grid, m=1, epsilon=None):
     op = ctx.operator(epsilon)
     return diagnose.resolvent_volume_scaling(
-        op, ctx.profile, ctx.mesh, origin, [float(r) for r in r_grid], int(m), epsilon=op.epsilon
+        op,
+        ctx.profile,
+        ctx.mesh,
+        origin,
+        [float(r) for r in r_grid],
+        int(m),
+        epsilon=op.epsilon,
+        graph=ctx.metric_graph(op.epsilon),
     )
 
 
@@ -423,7 +423,7 @@ def validate_scenario(doc):
         if name not in CHECKS:
             raise SchemaError(f"checks[{i}].check: unknown check '{name}'")
         try:
-            bound = _bind(_SIGNATURES[name], None, 0, **chk.get("params", {}))
+            bound = bind(_SIGNATURES[name], None, 0, **chk.get("params", {}))
         except TypeError as exc:
             raise SchemaError(f"checks[{i}].params: {exc}") from None
         bound.apply_defaults()

@@ -514,8 +514,10 @@ class TestProfileKinds:
         if kind == "constant":
             family = {"kind": "constant", "matrix": [[2.0, 0.5], [0.5, 3.0]]}
         else:
+            # the former (c11, c12, c22) grid layout, without its removed
+            # "shape" key (an unknown key is rejected on its own)
             (tmp_path / "c.csv").write_text("2.0,0.5,3.0\n" * 16)
-            family = {"kind": "sampled", "file": "c.csv", "shape": [4, 4]}
+            family = {"kind": "sampled", "file": "c.csv"}
         profile = {"dimension": 2, "family": family, "domain": [-2.0, 2.0]}
         path = self.write(tmp_path, profile)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1

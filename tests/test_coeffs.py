@@ -204,6 +204,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="positive"):
             profile_from_json(doc)
 
+    def test_unknown_and_missing_keys_are_named(self):
+        doc = {
+            "dimension": 1,
+            "family": {"kind": "power", "delta": 0.5, "centres": [1.0]},
+            "domain": [-4.0, 4.0],
+            "epsilom": 0.1,
+        }
+        with pytest.raises(SchemaError, match="'epsilom'.*'centres'"):
+            profile_from_json(doc)
+        shell = {"dimension": 2, "family": {"kind": "radial_shell", "delta": 0.5, "radus": 1.0}}
+        with pytest.raises(SchemaError) as err:
+            profile_from_json(shell)
+        assert all(key in str(err.value) for key in ("'domain'", "'radus'", "'radius'"))
+        surface = {"dimension": 2, "domain": [-1.0, 1.0], "family": {
+            "kind": "surface", "delta": 0.5, "surface": {"y": [-1.0, 1.0], "ph": [0.0, 0.0]}}}
+        with pytest.raises(SchemaError, match="surface.*'ph'.*'phi'"):
+            profile_from_json(surface)
+        with pytest.raises(SchemaError, match="unknown profile family kind 'cubic'"):
+            profile_from_json({"dimension": 1, "domain": [-1.0, 1.0], "family": {"kind": "cubic"}})
+
+    @pytest.mark.parametrize("key", ["gamma_hint", "cut_hint", "shape"])
+    def test_removed_keys_are_rejected(self, key):
+        doc = {"dimension": 1, "family": {"kind": "power", "delta": 0.5}, "domain": [-1.0, 1.0]}
+        profile_from_json(doc)
+        doc["family"][key] = 1.0
+        with pytest.raises(SchemaError, match=f"unknown field.*'{key}'"):
+            profile_from_json(doc)
+
     def test_sampled_is_one_value_per_point(self, tmp_path):
         path = tmp_path / "field.csv"
         path.write_text("1.0,0.5,1.0\n1.0,0.5,1.0\n")

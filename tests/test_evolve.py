@@ -157,11 +157,21 @@ class TestBatchedEvolve:
     @pytest.mark.parametrize("which", ["laplace_op", "cut_op"])
     def test_chebyshev_block_multitime_bitwise(self, which, request, monkeypatch):
         op = request.getfixturevalue(which)
-        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 3 * 8 * op.size)  # slices of 3, 3, 1
+        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 3 * 8 * op.size)  # slices of at most 3
+        monkeypatch.setattr(evolve_mod, "CPUS", 2)  # two lanes on any machine: 3 | 3 + 1
+        lanes = set()
+        real = evolve_mod._cheb_sums
+
+        def recording(*args):
+            lanes.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(evolve_mod, "_cheb_sums", recording)
         rng = np.random.default_rng(21)
         block = rng.standard_normal((op.size, 7))
         ts = [0.3, 0.0, 0.01, 1.0]
         out = heat_evolve(op, block, ts).values
+        assert len(lanes) == 2
         assert out.shape == (len(ts), op.size, 7)
         for i, t in enumerate(ts):
             for j in range(block.shape[1]):
@@ -170,6 +180,66 @@ class TestBatchedEvolve:
         vec = heat_evolve(op, block[:, 0], ts).values
         assert all(np.array_equal(vec[i], out[i, :, 0]) for i in range(len(ts)))
         assert np.array_equal(heat_evolve(op, block[:, 1], 0.3).values, out[0, :, 1])
+
+    def test_helper_lane_error_reaches_the_caller(self, laplace_op, monkeypatch):
+        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 3 * 8 * laplace_op.size)
+        monkeypatch.setattr(evolve_mod, "CPUS", 2)
+        caller = threading.get_ident()
+        real = evolve_mod._cheb_sums
+
+        def failing_beside(*args):
+            if threading.get_ident() != caller:
+                raise SolverError("helper lane failed")
+            return real(*args)
+
+        monkeypatch.setattr(evolve_mod, "_cheb_sums", failing_beside)
+        before = set(threading.enumerate())
+        with pytest.raises(SolverError, match="helper lane failed"):
+            heat_evolve(laplace_op, np.ones((laplace_op.size, 7)), [0.01, 0.3])
+        assert set(threading.enumerate()) == before
+
+    def test_beside_joins_every_job_and_raises_the_first_error(self):
+        done = []
+
+        def slow_failure():
+            time.sleep(0.05)
+            done.append("helper")
+            raise ValueError("second")
+
+        def caller_failure():
+            raise KeyError("first")
+
+        with pytest.raises(KeyError, match="first"):
+            evolve_mod._beside([caller_failure, slow_failure])
+        assert done == ["helper"]
+        out = []
+        evolve_mod._beside([lambda: out.append(threading.get_ident())])
+        assert out == [threading.get_ident()]
+
+    def test_more_lanes_than_cores_under_fast_switching(self, cut_op, monkeypatch):
+        # eight lanes of one-column slices write disjoint columns of one
+        # output while the interpreter switches threads every microsecond
+        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 8 * cut_op.size)
+        monkeypatch.setattr(evolve_mod, "CPUS", 8)
+        block = np.random.default_rng(24).standard_normal((cut_op.size, 24))
+        ts = [0.01, 0.2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = heat_evolve(cut_op, block, ts).values
+        finally:
+            sys.setswitchinterval(interval)
+        for j in range(block.shape[1]):
+            for i, t in enumerate(ts):
+                assert np.array_equal(out[i, :, j], cheb_reference(cut_op, block[:, j], t))
+
+    def test_lane_count_without_affinity(self, monkeypatch):
+        assert evolve_mod._usable_cpus() >= 1
+        monkeypatch.delattr(evolve_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(evolve_mod.os, "cpu_count", lambda: 3)
+        assert evolve_mod._usable_cpus() == 3
+        monkeypatch.setattr(evolve_mod.os, "cpu_count", lambda: None)
+        assert evolve_mod._usable_cpus() == 1
 
     def test_substepped_time_joins_block(self, monkeypatch):
         # past the degree cap a time is split into substeps; a low cap makes
@@ -202,6 +272,25 @@ class TestBatchedEvolve:
             diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
             ref = diag[keep].max() / mesh.cell_volume
             assert abs(value - ref) <= 1e-15 * ref
+
+
+class TestBackwardEuler:
+    def test_factored_once_bitwise_per_step_solves(self, cut_op):
+        from scipy.linalg import solveh_banded
+
+        coef = 0.5 / evolve_mod.IMPLICIT_STEPS
+        ab = np.zeros((2, cut_op.size))
+        ab[1] = 1.0 + coef * cut_op.matrix.diagonal()
+        ab[0, 1:] = coef * cut_op.matrix.diagonal(1)
+        solve = evolve_mod._factorized_shift_solver(cut_op, coef)
+        u = v = np.random.default_rng(23).standard_normal(cut_op.size)
+        for _ in range(evolve_mod.IMPLICIT_STEPS):
+            u, v = solve(u), solveh_banded(ab, v)
+        assert u.shape == v.shape and np.array_equal(u, v)
+
+    def test_indefinite_shift_raises(self, laplace_op):
+        with pytest.raises(SolverError, match="dpttrf"):
+            evolve_mod._factorized_shift_solver(laplace_op, -1.0)
 
 
 class TestChebyshevBudget:

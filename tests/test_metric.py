@@ -1,3 +1,8 @@
+import json
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,7 +18,9 @@ from degenlab import (
     distance_field,
     holder_fit,
 )
-from degenlab import metric
+from degenlab import cli, diagnose, metric, scenarios
+
+BENCH_SCENARIOS = Path(__file__).parents[1] / "perfbench" / "scenarios"
 
 
 def power1d(delta, domain=(-8.0, 8.0)):
@@ -199,6 +206,69 @@ class TestGraphEngine:
         fin = np.isfinite(ref)
         assert fin.sum() > 100
         assert np.all(np.abs(got[fin] - ref[fin]) <= 4 * np.spacing(ref[fin]))
+
+    def test_one_graph_per_scenario_context(self, tmp_path, monkeypatch):
+        # the benchmark's 2D scenario makes seven fields (four balls, the
+        # wave support, two resolvent origins) on one (mesh, epsilon)
+        builds, fields = [], []
+        real_graph, real_field = metric._edge_graph, metric.distance_field
+
+        def counting_graph(*args):
+            builds.append(args[1].size)
+            return real_graph(*args)
+
+        def counting_field(*args, **kwargs):
+            fields.append(kwargs.get("graph") is not None)
+            return real_field(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "_edge_graph", counting_graph)
+        for module in (scenarios, diagnose):
+            monkeypatch.setattr(module, "distance_field", counting_field)
+        cli.run(
+            str(BENCH_SCENARIOS / "radial-shell-2d-metric.json"),
+            out_dir=str(tmp_path / "out"),
+            overrides=["mesh.n=32"],
+        )
+        assert builds == [33 * 33] and fields == [True] * 7
+
+    def test_concurrent_fields_share_one_graph(self, monkeypatch):
+        builds = []
+        real_graph = metric._edge_graph
+
+        def counting_graph(*args):
+            builds.append(args[1].size)
+            return real_graph(*args)
+
+        monkeypatch.setattr(metric, "_edge_graph", counting_graph)
+        doc = json.loads((BENCH_SCENARIOS / "radial-shell-2d-metric.json").read_text())
+        doc["mesh"]["n"] = 16
+        ctx = scenarios.ScenarioContext(doc)
+        centers = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 1.0)]
+        start = threading.Barrier(len(centers))
+
+        def field(center):
+            start.wait(timeout=10)
+            ctx.dist_field(center)
+
+        threads = [threading.Thread(target=field, args=(c,)) for c in centers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert builds == [17 * 17] and len(ctx._fields) == len(centers)
+
+    def test_given_graph_gives_the_same_field(self):
+        p, mesh = shell2d()
+        graph = metric.metric_graph(p, mesh, 1e-3)
+        for origin in SHELL_ORIGINS:
+            ref = distance_field(p, mesh, origin, epsilon=1e-3).values
+            assert np.array_equal(distance_field(p, mesh, origin, graph=graph).values, ref)
 
     def test_1d_center_edges_take_the_graded_integral(self):
         p = power1d(0.75, domain=(-1.0, 1.0))
