@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evolve import heat_evolve, heat_gram, kernel_column, resolvent_power_apply
+from .evolve import exp_backend, heat_evolve, heat_gram, kernel_column, resolvent_power_apply
 from .evolve import sup_kernel, wave_evolve
 from .grid import assemble, build_mesh, cut_conductance, markov_check
 from .metric import ball_volume, distance_field, fit_loglog
@@ -100,10 +100,10 @@ def nonempty(mask, what):
 
 
 def conservation_defect(op, t_grid, tol=1e-9) -> CheckRecord:
-    """max_t || e^{-tA} 1 - 1 ||_inf by Chebyshev; zero row sums make this
-    solver noise."""
+    """max_t || e^{-tA} 1 - 1 ||_inf by the operator's exponential backend
+    (exp_backend); zero row sums make this solver noise."""
     ts = [float(t) for t in t_grid]
-    evolved = heat_evolve(op, np.ones(op.size), ts).values
+    evolved = heat_evolve(op, np.ones(op.size), ts, backend=exp_backend(op)).values
     worst = 0.0
     worst_t = None
     table = []
@@ -431,7 +431,7 @@ def invariance_defect(op, omega_mask, t, seed=0, tol=1e-8) -> CheckRecord:
             probes.append(phi / nrm)
     worst = 0.0
     if probes:
-        out = heat_evolve(op, np.column_stack(probes), float(t)).values
+        out = heat_evolve(op, np.column_stack(probes), float(t), backend=exp_backend(op)).values
         worst = max(_w_norm2(col * (~omega), vol) for col in out.T)
     return CheckRecord(
         "invariance",

@@ -29,6 +29,30 @@ def power1d(delta, domain=(-8.0, 8.0)):
     return CoefficientProfile(1, PowerDegenerate(delta, ((0.0,),)), domain)
 
 
+EXP_BACKENDS_1D = ("chebyshev", "contour")
+
+
+def each_backend(monkeypatch):
+    """Each 1D exponential backend in turn, also as the one that exp_backend
+    selects for kernel_column."""
+    for backend in EXP_BACKENDS_1D:
+        monkeypatch.setattr(evolve_mod, "exp_backend", lambda op, b=backend: b)
+        yield backend
+
+
+def record_backends(monkeypatch):
+    """The backend of every heat_evolve call made inside the evolve module."""
+    seen = []
+    real = evolve_mod.heat_evolve
+
+    def recording(*args, backend="chebyshev", **kwargs):
+        seen.append(backend)
+        return real(*args, backend=backend, **kwargs)
+
+    monkeypatch.setattr(evolve_mod, "heat_evolve", recording)
+    return seen
+
+
 def dense_eig(op):
     """lam and the full eigenvector matrix V = project(I)^T of operator_eig(op)."""
     basis = operator_eig(op)
@@ -51,9 +75,10 @@ def cut_op():
 class TestHeatEvolve:
     def test_conserves_constants(self, laplace_op):
         ones = np.ones(laplace_op.size)
-        for t in (0.01, 0.3, 2.0):
-            f = heat_evolve(laplace_op, ones, t)
-            assert np.abs(f.values - 1.0).max() < 1e-9
+        for backend in EXP_BACKENDS_1D:
+            for t in (0.01, 0.3, 2.0):
+                f = heat_evolve(laplace_op, ones, t, backend=backend)
+                assert np.abs(f.values - 1.0).max() < 1e-9
 
     def test_time_zero_identity(self, laplace_op):
         phi = np.sin(np.arange(laplace_op.size))
@@ -64,49 +89,55 @@ class TestHeatEvolve:
         with pytest.raises(ValueError):
             heat_evolve(laplace_op, np.ones(laplace_op.size), -1.0)
 
-    def test_gaussian_oracle(self, laplace_op):
+    def test_gaussian_oracle(self, laplace_op, monkeypatch):
         # free-space kernel t^{-1/2} exp(-x^2/(4t)) away from the boundary
         mesh = laplace_op.mesh
         src = mesh.size // 2
-        col = kernel_column(laplace_op, src, 0.1)
         xs = mesh.axis(0)
         exact = (4 * np.pi * 0.1) ** -0.5 * np.exp(-(xs**2) / 0.4)
         m = np.abs(xs) <= 2.5
-        assert np.max(np.abs(col.values[m] - exact[m]) / exact[m]) < 0.02
+        for _ in each_backend(monkeypatch):
+            col = kernel_column(laplace_op, src, 0.1)
+            assert np.max(np.abs(col.values[m] - exact[m]) / exact[m]) < 0.02
 
     def test_semigroup_law(self, laplace_op):
         rng = np.random.default_rng(11)
         phi = rng.standard_normal(laplace_op.size)
-        for s, t in ((0.05, 0.2), (0.3, 0.7)):
-            two_step = heat_evolve(laplace_op, heat_evolve(laplace_op, phi, s).values, t)
-            one_step = heat_evolve(laplace_op, phi, s + t)
-            num = np.linalg.norm(two_step.values - one_step.values)
-            assert num <= 1e-9 * np.linalg.norm(phi)
+        for backend in EXP_BACKENDS_1D:
+            evolve = lambda v, t: heat_evolve(laplace_op, v, t, backend=backend)
+            for s, t in ((0.05, 0.2), (0.3, 0.7)):
+                two_step = evolve(evolve(phi, s).values, t)
+                one_step = evolve(phi, s + t)
+                num = np.linalg.norm(two_step.values - one_step.values)
+                assert num <= 1e-9 * np.linalg.norm(phi)
 
     def test_self_adjoint(self, laplace_op):
         rng = np.random.default_rng(12)
         vol = laplace_op.mesh.cell_volume
         phi = rng.standard_normal(laplace_op.size)
         psi = rng.standard_normal(laplace_op.size)
-        a = np.dot(psi, heat_evolve(laplace_op, phi, 0.4).values) * vol
-        b = np.dot(heat_evolve(laplace_op, psi, 0.4).values, phi) * vol
-        assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
+        for backend in EXP_BACKENDS_1D:
+            a = np.dot(psi, heat_evolve(laplace_op, phi, 0.4, backend=backend).values) * vol
+            b = np.dot(heat_evolve(laplace_op, psi, 0.4, backend=backend).values, phi) * vol
+            assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
     def test_lp_contraction(self, laplace_op):
         rng = np.random.default_rng(13)
         vol = laplace_op.mesh.cell_volume
         phi = rng.standard_normal(laplace_op.size)
-        out = heat_evolve(laplace_op, phi, 0.5).values
         slack = 1.0 + 1e-10
-        assert np.abs(out).sum() * vol <= np.abs(phi).sum() * vol * slack
-        assert np.linalg.norm(out) <= np.linalg.norm(phi) * slack
-        assert np.abs(out).max() <= np.abs(phi).max() * slack
+        for backend in EXP_BACKENDS_1D:
+            out = heat_evolve(laplace_op, phi, 0.5, backend=backend).values
+            assert np.abs(out).sum() * vol <= np.abs(phi).sum() * vol * slack
+            assert np.linalg.norm(out) <= np.linalg.norm(phi) * slack
+            assert np.abs(out).max() <= np.abs(phi).max() * slack
 
     def test_positivity_preserved(self, laplace_op):
         rng = np.random.default_rng(14)
         phi = np.abs(rng.standard_normal(laplace_op.size))
-        out = heat_evolve(laplace_op, phi, 0.7).values
-        assert out.min() >= -1e-10 * np.abs(phi).max()
+        for backend in EXP_BACKENDS_1D:
+            out = heat_evolve(laplace_op, phi, 0.7, backend=backend).values
+            assert out.min() >= -1e-10 * np.abs(phi).max()
 
     def test_backward_euler_positivity(self, cut_op):
         rng = np.random.default_rng(15)
@@ -293,6 +324,88 @@ class TestBackwardEuler:
             evolve_mod._factorized_shift_solver(laplace_op, -1.0)
 
 
+class TestContour:
+    """The Talbot contour backend of 1D operators."""
+
+    @pytest.mark.parametrize("delta, n, floor", [(0.0, 64, 0.0), (0.75, 63, 1.0)],
+                             ids=["laplacian", "degenerate-cut"])
+    def test_matches_dense_eigh(self, delta, n, floor):
+        # t lambda_max from 1 to 1e7.  A dense reference is itself off by
+        # about eps t lambda_max on the slow modes that survive to t, which
+        # the degenerate operator has (floor 1) and the Laplacian, past its
+        # exact constant, does not (floor 0)
+        op = assemble(power1d(delta, domain=(-4.0, 4.0)), build_mesh(1, (-4.0, 4.0), n), 0.0)
+        lam, V = eigh(op.matrix.toarray())
+        lam = np.maximum(lam, 0.0)
+        phi = np.random.default_rng(31).standard_normal((op.size, 3))
+        x_max = np.geomspace(1.0, 1e7, 8)
+        ts = x_max / op.spectral_norm_bound
+        out = heat_evolve(op, phi, ts, backend="contour").values
+        for x, t, got in zip(x_max, ts, out):
+            ref = V @ (np.exp(-t * lam)[:, None] * (V.T @ phi))
+            bound = 1e-12 + floor * np.finfo(float).eps * x
+            assert np.linalg.norm(got - ref, axis=0).max() <= bound * np.linalg.norm(phi, axis=0).max()
+
+    def test_conservation_at_large_time(self):
+        # the refinement step takes the defect from 8e-10 to the rule's
+        # own error at x = 0
+        op = assemble(power1d(0.0), build_mesh(1, (-8.0, 8.0), 4096), 0.0)
+        out = heat_evolve(op, np.ones(op.size), 50.0, backend="contour").values
+        assert np.abs(out - 1.0).max() <= 1e-12
+
+    def test_block_and_times_bitwise(self, cut_op):
+        block = np.random.default_rng(32).standard_normal((cut_op.size, 5))
+        ts = [0.3, 0.0, 0.01, 4.0]
+        out = heat_evolve(cut_op, block, ts, backend="contour").values
+        assert out.shape == (len(ts), cut_op.size, 5)
+        assert np.array_equal(out[1], block)
+        for i, t in enumerate(ts):
+            alone = heat_evolve(cut_op, block, t, backend="contour").values
+            assert np.array_equal(out[i], alone)
+            for j in range(block.shape[1]):
+                column = heat_evolve(cut_op, block[:, j], t, backend="contour").values
+                assert np.array_equal(out[i, :, j], column)
+
+    def test_tol_below_the_rational_floor_raises(self, cut_op):
+        with pytest.raises(SolverError, match="Talbot"):
+            heat_evolve(cut_op, np.ones(cut_op.size), 1.0, backend="contour", tol=1e-16)
+
+    def test_fewer_nodes_for_a_looser_tol(self, cut_op):
+        z_loose, _ = evolve_mod._talbot_nodes(1e5, 1e-6)
+        z_tight, _ = evolve_mod._talbot_nodes(1e5, 1e-13)
+        assert z_loose.size < z_tight.size == evolve_mod.TALBOT_NODE_CAP // 2
+        exact = heat_evolve(cut_op, np.ones(cut_op.size), 1.0, backend="contour").values
+        loose = heat_evolve(cut_op, np.ones(cut_op.size), 1.0, backend="contour", tol=1e-6).values
+        assert 1e-12 < np.abs(loose - exact).max() <= 1e-6
+
+    def test_2d_rejected(self):
+        op = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)),
+                      build_mesh(2, (-1.0, 1.0), 8), 0.0)
+        assert evolve_mod.exp_backend(op) == "chebyshev"
+        with pytest.raises(ValueError, match="1D"):
+            heat_evolve(op, np.ones(op.size), 0.1, backend="contour")
+
+    def test_1d_fallbacks_past_the_eig_cap(self, monkeypatch):
+        # heat_gram and sup_kernel fall back to evolutions past the
+        # eigendecomposition cap; in 1D those run on the contour
+        mesh = build_mesh(1, (-4.0, 4.0), 256)
+        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        xs = mesh.axis(0)
+        phi = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
+        ts = [0.01, 0.2, 1.0]
+        gram_eig = heat_gram(op, phi, ts)
+        sup_eig = sup_kernel(op, ts).value
+        monkeypatch.setattr(evolve_mod, "EIG_POINT_CAP", op.size - 1)
+        seen = record_backends(monkeypatch)
+        gram = heat_gram(op, phi, ts)
+        sup = sup_kernel(op, ts, sample_indices=np.arange(op.size))
+        assert sup.strategy == "columns"
+        assert seen and set(seen) == {"contour"}
+        norms = np.linalg.norm(phi, axis=0)
+        assert np.all(np.abs(gram - gram_eig) <= 1e-12 * np.outer(norms, norms))
+        assert np.allclose(sup.value, sup_eig, rtol=1e-10, atol=0.0)
+
+
 class TestChebyshevBudget:
     def test_capped_tail_raises(self):
         with pytest.raises(SolverError):
@@ -300,27 +413,36 @@ class TestChebyshevBudget:
 
 
 class TestKernelColumn:
-    def test_column_mass_one(self, laplace_op):
-        col = kernel_column(laplace_op, laplace_op.size // 2, 0.2)
-        assert col.mass == pytest.approx(1.0, abs=1e-10)
+    def test_column_mass_one(self, laplace_op, monkeypatch):
+        for _ in each_backend(monkeypatch):
+            col = kernel_column(laplace_op, laplace_op.size // 2, 0.2)
+            assert col.mass == pytest.approx(1.0, abs=1e-10)
 
-    def test_short_time_concentration(self, laplace_op):
+    def test_short_time_concentration(self, laplace_op, monkeypatch):
         mesh = laplace_op.mesh
         t = 1e-3 * mesh.h**2  # ||C|| = 1
-        col = kernel_column(laplace_op, 100, t)
-        assert col.values[100] >= 0.99 / mesh.cell_volume
+        for _ in each_backend(monkeypatch):
+            col = kernel_column(laplace_op, 100, t)
+            assert col.values[100] >= 0.99 / mesh.cell_volume
 
-    def test_column_symmetry(self, laplace_op):
+    def test_column_symmetry(self, laplace_op, monkeypatch):
         i, j = 900, 1100
-        a = kernel_column(laplace_op, i, 0.3).values[j]
-        b = kernel_column(laplace_op, j, 0.3).values[i]
-        assert a == pytest.approx(b, rel=1e-8)
+        for _ in each_backend(monkeypatch):
+            a = kernel_column(laplace_op, i, 0.3).values[j]
+            b = kernel_column(laplace_op, j, 0.3).values[i]
+            assert a == pytest.approx(b, rel=1e-8)
 
-    def test_exact_zero_across_cut(self, cut_op):
+    def test_exact_zero_across_cut(self, cut_op, monkeypatch):
         xs = cut_op.mesh.axis(0)
         src = cut_op.mesh.nearest_index((-1.0,))
-        col = kernel_column(cut_op, src, 1.0)
-        assert np.abs(col.values[xs > 0]).max() == 0.0
+        for _ in each_backend(monkeypatch):
+            col = kernel_column(cut_op, src, 1.0)
+            assert np.abs(col.values[xs > 0]).max() == 0.0
+
+    def test_selects_the_contour_in_1d(self, cut_op, monkeypatch):
+        seen = record_backends(monkeypatch)
+        kernel_column(cut_op, 0, 1.0)
+        assert seen == ["contour"]
 
 
 class TestSupKernel:
