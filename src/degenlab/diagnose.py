@@ -27,6 +27,10 @@ PROBES = 16  # random data of invariance_defect and form_additivity_defect
 OVERSHOOT = 1.10  # smalltime_decay: largest sup_kernel / bound curve that holds
 SLOPE_TOL = 0.15  # resolvent_volume: largest |slope + 1| that holds
 RATIO_CAP = 3.0  # resolvent_volume: largest max/min of K |B| that holds
+MODES = {  # the modes of the checks that take one
+    "largetime_floor": ("separated", "elliptic"),
+    "ondiagonal_lower": ("uniform", "separated"),
+}
 
 
 class Status(str, Enum):
@@ -354,8 +358,9 @@ def separation_probe(
     """Leakage-under-refinement probe of the separation dichotomy.
 
     For each spacing h (degeneracy strictly between faces) a unit-mass bump
-    left of the cut is evolved with the positivity-certified backward Euler
-    backend; the mass found right of the cut is the leakage L(h, eps).
+    left of the cut is evolved by the semigroup e^{-tA} on the operator's
+    backend (exp_backend: the Talbot contour); the mass found right of the
+    cut is the leakage L(h, eps).
     Verdict on the eps = 0 column: stabilization of the last two levels
     within STABILIZE_TOL is NonSeparating; strict monotone decrease with the
     leakage/conductance ratio within [0.1, 10] of its median is Separating.
@@ -380,7 +385,7 @@ def separation_probe(
         right = xs > cut
         for eps in epsilon_list:
             opv = assemble(profile, mesh, float(eps))
-            f = heat_evolve(opv, phi, float(t), backend="backward_euler")
+            f = heat_evolve(opv, phi, float(t), backend=exp_backend(opv))
             leakage = float(f.values[right].sum() * mesh.cell_volume)
             cond = cut_conductance(profile, mesh, cut_interval, float(eps))
             table.append(
@@ -523,6 +528,8 @@ def largetime_floor_check(
     """Separated mode: sup_x K_t(x;x) >= 1/|Omega_0| for all t (trapped mass
     forbids t^{-d/2} decay).  Elliptic control mode: sup * t^{d/2} stays in
     the given band around (4 pi)^{-d/2}."""
+    if mode not in MODES["largetime_floor"]:
+        raise ValueError(f"unknown mode '{mode}'")
     d = mesh.dimension
     ts = [float(t) for t in t_grid]
     sups = sup_kernel(op, ts, boundary_margin=boundary_margin).value
@@ -534,13 +541,11 @@ def largetime_floor_check(
         if mode == "separated":
             row["floor"] = floor
             ok = s >= floor * (1.0 - 1e-6)
-        elif mode == "elliptic":
+        else:
             ref = (4.0 * np.pi) ** (-d / 2.0)
             row["band_lo"] = band[0] * ref
             row["band_hi"] = band[1] * ref
             ok = band[0] * ref <= prod <= band[1] * ref
-        else:
-            raise ValueError(f"unknown mode '{mode}'")
         row["holds"] = int(ok)
         table.append(row)
         if not ok:
@@ -613,6 +618,8 @@ def ondiagonal_lower_check(
     diameter at several centers.  Uniform mode requires min/max >= the
     uniformity factor; separated mode reports per-center values (all must be
     strictly positive, the square-norm identity)."""
+    if mode not in MODES["ondiagonal_lower"]:
+        raise ValueError(f"unknown mode '{mode}'")
     pts = mesh.points()
     vol = mesh.cell_volume
     centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in centers]

@@ -46,12 +46,13 @@ through two operations: project (V^T phi) and diag (the kernel diagonal
 sum_k V[x, k]^2 decay_k, one half row per mirror pair).
 
 Every tridiagonal eigensolve is LAPACK dstevd (divide and conquer, the
-routine scipy.linalg uses for a full tridiagonal spectrum).  It and the
-contour's zgttrf and zgttrs are called through ctypes from the function
-pointers that scipy.linalg.cython_lapack exports.  ctypes releases the GIL
-for the length of a foreign call, so other threads keep running beside a
-decomposition or a shifted solve.  All buffers of an eigensolve are
-allocated before any thread starts.
+routine scipy.linalg uses for a full tridiagonal spectrum), and every shifted
+tridiagonal solve (the contour's complex shifts and the 1D resolvent's
+I + r^2 A) is LAPACK zgttrf and zgttrs.  All three are called through
+ctypes from the function pointers that scipy.linalg.cython_lapack exports.
+ctypes releases the GIL for the length of a foreign call, so other threads
+keep running beside a decomposition or a shifted solve.  All buffers of an
+eigensolve are allocated before any thread starts.
 
 Independent pieces of one call run beside each other through one helper,
 _beside: the first job runs in the calling thread and every other one in a
@@ -86,9 +87,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cython_lapack, eigh
-from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import ive
 
 from .errors import CflError, SolverError
@@ -98,7 +97,6 @@ EIG_POINT_CAP = 4200  # eigenvector blocks stay comfortably in memory
 CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
 BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
-IMPLICIT_STEPS = 128  # backward-Euler steps per evolution time
 CG_RTOL = 1e-12  # CG stops at this residual relative to ||b||
 CG_CHECK_TOL = 1e-10  # a recomputed relative residual above this raises SolverError
 CG_ITER_PER_NODE = 20  # CG iteration budget per unknown
@@ -533,9 +531,9 @@ def _shifted_tridiagonal_solver(z, d, e):
     (d, e), factored once with partial pivoting (LAPACK zgttrf) and applied
     to every column of the (n, k) block v (zgttrs); x comes back C-ordered.
     A zero coupling in e stays a zero in the factors: the pivoting never
-    crosses it."""
+    crosses it.  z may be real: every buffer LAPACK writes is complex128."""
     n = d.size
-    diag = d + z
+    diag = np.add(d, z, dtype=complex)
     lower = np.zeros(max(n - 1, 1), dtype=complex)
     lower[: n - 1] = e
     upper = lower.copy()
@@ -584,40 +582,6 @@ def _contour_expm_apply(op, phi, ts, tol):
 
 
 # ---------------------------------------------------------------------------
-# implicit backends
-
-
-def _factorized_shift_solver(op, coef):
-    """Solver for (I + coef * A) u = v, factored once: tridiagonal L D L^T
-    (LAPACK dpttrf, applied by dpttrs) in 1D, sparse LU otherwise."""
-    N = op.size
-    if op.mesh.dimension == 1:
-        d, e, info = dpttrf(1.0 + coef * op.matrix.diagonal(), coef * op.matrix.diagonal(1))
-        if info != 0:
-            raise SolverError(f"dpttrf failed on N={N}: info={info}")
-
-        def solve(v):
-            u, info = dpttrs(d, e, v)
-            if info != 0:
-                raise SolverError(f"dpttrs failed on N={N}: info={info}")
-            return u
-
-        return solve
-    M = (sp.identity(N, format="csc") + coef * op.matrix.tocsc()).tocsc()
-    lu = sp.linalg.splu(M)
-    return lu.solve
-
-
-def _implicit_evolve(op, phi, t):
-    """Backward Euler: IMPLICIT_STEPS solves with (I + (t / IMPLICIT_STEPS) A)."""
-    solve = _factorized_shift_solver(op, t / IMPLICIT_STEPS)
-    u = phi
-    for _ in range(IMPLICIT_STEPS):
-        u = solve(u)
-    return u
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -636,11 +600,10 @@ def heat_evolve(
     bitwise for 'chebyshev' and 'contour'.
 
     Backends (exp_backend names the one the checks use for an operator):
-    'chebyshev' and 'contour' (1D operators only; ValueError otherwise) keep
-    the scalar error of their approximant on [0, t lambda_max] within tol,
-    so the result is within tol * ||phi0||_2, and raise SolverError when
-    their degree or node cap cannot; 'backward_euler' (128 steps, first
-    order, unconditionally positivity preserving for M-matrices) ignores tol.
+    'chebyshev' and 'contour' (1D operators only; ValueError otherwise).
+    Both keep the scalar error of their approximant on [0, t lambda_max]
+    within tol, so the result is within tol * ||phi0||_2, and raise
+    SolverError when their degree or node cap cannot.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0):
@@ -652,8 +615,6 @@ def heat_evolve(
         if op.mesh.dimension != 1:
             raise ValueError("the contour backend needs a 1D (tridiagonal) operator")
         evolve = lambda s: _contour_expm_apply(op, phi0, s, tol)
-    elif backend == "backward_euler":
-        evolve = lambda s: [_implicit_evolve(op, phi0, u) for u in s]
     else:
         raise ValueError(f"unknown backend '{backend}'")
     vals = np.empty((ts.size,) + phi0.shape)
@@ -781,25 +742,26 @@ def _interior_mask(mesh, margin):
 
 def resolvent_power_apply(op: DiscreteOperator, r: float, m: int, phi) -> np.ndarray:
     """(I + r^2 A)^{-m} phi by m successive solves; one tridiagonal
-    factorization in 1D, conjugate gradients in 2D."""
+    factorization in 1D (_shifted_tridiagonal_solver with shift 1),
+    conjugate gradients in 2D."""
     if r <= 0:
         raise ValueError("r must be > 0")
     if m < 1:
         raise ValueError("m must be >= 1")
     phi = np.asarray(phi, dtype=float)
-    N = op.size
     coef = r * r
     if op.mesh.dimension == 1:
-        solve = _factorized_shift_solver(op, coef)
+        A = op.matrix
+        factored = _shifted_tridiagonal_solver(1.0, coef * A.diagonal(), coef * A.diagonal(1))
+        solve = lambda v: factored(v[:, None])[:, 0].real
         shift_norm = 1.0 + coef * op.spectral_norm_bound
         u = phi
         for _ in range(m):
             v = u
             u = solve(v)
             # one step of iterative refinement covers ill-conditioned r^2 A
-            r_vec = v - u - coef * (op.matrix @ u)
-            u = u + solve(r_vec)
-            res = np.linalg.norm(v - u - coef * (op.matrix @ u))
+            u = u + solve(v - u - coef * (A @ u))
+            res = np.linalg.norm(v - u - coef * (A @ u))
             scale = np.linalg.norm(v) + shift_norm * np.linalg.norm(u)
             if res > 1e-12 * max(scale, 1.0):
                 raise SolverError(f"tridiagonal solve backward residual {res / scale:.3e}")

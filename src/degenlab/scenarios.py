@@ -449,6 +449,11 @@ def validate_scenario(doc):
                 raise SchemaError(f"checks[{i}].params.t_grid: smalltime grid must stay <= 0.1")
         if name == "resolvent_volume" and 4 * int(args["m"]) <= int(mesh["dimension"]):
             raise SchemaError(f"checks[{i}].params.m: need 4m > d")
+        if name in diagnose.MODES and args["mode"] not in diagnose.MODES[name]:
+            raise SchemaError(
+                f"checks[{i}].params.mode ({name}): unknown mode '{args['mode']}',"
+                f" not one of {', '.join(diagnose.MODES[name])}"
+            )
         if name == "largetime_floor" and args["mode"] == "separated" and args["floor"] is None:
             raise SchemaError(f"checks[{i}].params.floor: separated mode needs a floor")
     return doc

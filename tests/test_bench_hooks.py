@@ -15,10 +15,9 @@ from degenlab import cli
 
 BENCH = Path(__file__).parents[1] / "perfbench"
 
-# (scenario, overrides): together they reach contour (1D), Chebyshev (2D) and
-# backward-Euler evolution, the separation probe, holder, an eig sup-kernel
-# scan, distance fields, the 2D resolvent and classify with its coefficient
-# evaluations
+# (scenario, overrides): together they reach contour (1D) and Chebyshev (2D)
+# evolution, the separation probe, holder, an eig sup-kernel scan, distance
+# fields, the 2D resolvent and classify with its coefficient evaluations
 RUNS = [
     ("degenerate1d-d025",
      ["mesh.n=256", "t_small=[0.05,0.2]", "checks.4.params.h_list=[0.0625,0.03125,0.015625]"]),
@@ -29,7 +28,6 @@ RUNS = [
 EXPECTED = (
     "evolve.heat_evolve.contour_s",
     "evolve.heat_evolve.chebyshev_s",
-    "evolve.heat_evolve.backward_euler_s",
     "evolve.sup_kernel.eig_s",
     "metric.distance_field_s",
     "metric.holder_fit_s",

@@ -406,6 +406,54 @@ class TestBoxSpecs:
         assert not (tmp_path / "out").exists()
 
 
+class TestCheckModes:
+    """A mode picks a check's criterion: a mode the check does not have fails
+    validation before any compute, and the check itself refuses it."""
+
+    @pytest.mark.parametrize(
+        "scenario, index, mode",
+        [("laplacian1d", 7, "unifrom"), ("laplacian1d", 6, "eliptic"),
+         ("double-zero", 3, "separate")],
+        ids=["ondiagonal-uniform", "largetime-elliptic", "largetime-separated"],
+    )
+    def test_unknown_mode_fails_before_any_check(
+        self, scenario, index, mode, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        out = tmp_path / "out"
+        override = f"checks.{index}.params.mode={mode}"
+        assert cli.main(["run", scenario, "--out", str(out), "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ")
+        assert f"checks[{index}].params.mode" in err and f"'{mode}'" in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "check, args, mode",
+        [("ondiagonal_lower_check", (1.0, 1.0, [[0.0]]), "unifrom"),
+         ("largetime_floor_check", ([1.0, 2.0],), "eliptic")],
+        ids=["ondiagonal_lower", "largetime_floor"],
+    )
+    def test_check_refuses_an_unknown_mode(self, check, args, mode, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("a kernel was computed")
+
+        for name in ("heat_gram", "sup_kernel"):
+            monkeypatch.setattr(diagnose, name, spy)
+        doc = builtin_by_name("laplacian1d")
+        doc["mesh"]["n"] = 256
+        ctx = ScenarioContext(doc)
+        with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+            getattr(diagnose, check)(ctx.operator(None), ctx.mesh, *args, mode=mode)
+
+
 class TestEmptySets:
     """A set that selects no mesh node is an error naming the set, not a
     check that holds vacuously."""

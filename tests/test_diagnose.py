@@ -226,6 +226,24 @@ class TestSeparationProbe:
         )
         assert rec.fitted["verdict"] == "NonSeparating"
 
+    def test_leakage_is_the_semigroup_leakage(self):
+        # the probe measures e^{-tA}: a dense eigh evolution gives the same
+        # leakage within the contour's tol (1e-12 ||phi||_2 on each vector)
+        p = power1d(0.75, domain=(-2.0, 2.0))
+        rec = separation_probe(
+            p, (-2.0, 2.0), 1.0, [2.0**-6], [0.0, 1e-2], cut_interval=(-0.5, 0.5)
+        )
+        mesh = build_mesh(1, (-2.0, 2.0), 256)
+        xs, vol = mesh.axis(0), mesh.cell_volume
+        phi = ((xs >= -1.5) & (xs <= -0.5)).astype(float)
+        phi /= phi.sum() * vol
+        right = xs > 0.0
+        bound = np.sqrt(right.sum()) * 1e-12 * np.linalg.norm(phi) * vol
+        for row in rec.table:
+            lam, V = np.linalg.eigh(assemble(p, mesh, row["epsilon"]).matrix.toarray())
+            ref = float((V @ (np.exp(-lam) * (V.T @ phi)))[right].sum() * vol)
+            assert abs(row["leakage"] - ref) <= bound
+
     def test_viscous_approximant_never_separates(self):
         p = power1d(0.75, domain=(-2.0, 2.0))
         rec = separation_probe(

@@ -139,20 +139,6 @@ class TestHeatEvolve:
             out = heat_evolve(laplace_op, phi, 0.7, backend=backend).values
             assert out.min() >= -1e-10 * np.abs(phi).max()
 
-    def test_backward_euler_positivity(self, cut_op):
-        rng = np.random.default_rng(15)
-        phi = np.abs(rng.standard_normal(cut_op.size))
-        out = heat_evolve(cut_op, phi, 1.0, backend="backward_euler").values
-        assert out.min() >= -1e-12 * np.abs(phi).max()
-
-    def test_backward_euler_2d(self):
-        mesh = build_mesh(2, (-1.0, 1.0), 16)
-        p = CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0))
-        op = assemble(p, mesh, 1e-3)
-        ones = np.ones(op.size)
-        out = heat_evolve(op, ones, 0.3, backend="backward_euler").values
-        assert np.abs(out - 1.0).max() < 1e-10
-
     def test_epsilon_convergence_to_block_limit(self):
         # viscous evolutions approach the eps = 0 (block-diagonal) evolution
         mesh = build_mesh(1, (-4.0, 4.0), 511)
@@ -303,25 +289,6 @@ class TestBatchedEvolve:
             diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
             ref = diag[keep].max() / mesh.cell_volume
             assert abs(value - ref) <= 1e-15 * ref
-
-
-class TestBackwardEuler:
-    def test_factored_once_bitwise_per_step_solves(self, cut_op):
-        from scipy.linalg import solveh_banded
-
-        coef = 0.5 / evolve_mod.IMPLICIT_STEPS
-        ab = np.zeros((2, cut_op.size))
-        ab[1] = 1.0 + coef * cut_op.matrix.diagonal()
-        ab[0, 1:] = coef * cut_op.matrix.diagonal(1)
-        solve = evolve_mod._factorized_shift_solver(cut_op, coef)
-        u = v = np.random.default_rng(23).standard_normal(cut_op.size)
-        for _ in range(evolve_mod.IMPLICIT_STEPS):
-            u, v = solve(u), solveh_banded(ab, v)
-        assert u.shape == v.shape and np.array_equal(u, v)
-
-    def test_indefinite_shift_raises(self, laplace_op):
-        with pytest.raises(SolverError, match="dpttrf"):
-            evolve_mod._factorized_shift_solver(laplace_op, -1.0)
 
 
 class TestContour:
@@ -509,6 +476,30 @@ class TestResolvent:
         u = resolvent_power_apply(laplace_op, 0.5, 1, delta)
         K = np.dot(u, u) / vol
         assert K >= 0.0
+
+    def test_1d_matches_banded_solves(self, cut_op):
+        from scipy.linalg import solveh_banded
+
+        r = 0.6
+        A = cut_op.matrix
+        ab = np.zeros((2, cut_op.size))
+        ab[1] = 1.0 + r * r * A.diagonal()
+        ab[0, 1:] = r * r * A.diagonal(1)
+        phi = np.random.default_rng(23).standard_normal(cut_op.size)
+        u = resolvent_power_apply(cut_op, r, 2, phi)
+        ref = solveh_banded(ab, solveh_banded(ab, phi))
+        assert u.dtype == np.float64 and u.shape == phi.shape
+        assert np.linalg.norm(u - ref) <= 1e-13 * np.linalg.norm(phi)
+
+    def test_shifted_solver_takes_a_real_shift(self, cut_op):
+        # a real shift must still give LAPACK complex128 buffers to write
+        d, e = cut_op.matrix.diagonal(), cut_op.matrix.diagonal(1)
+        v = np.random.default_rng(24).standard_normal((cut_op.size, 3))
+        x = evolve_mod._shifted_tridiagonal_solver(2.0, d, e)(v)
+        assert x.dtype == np.complex128 and x.shape == v.shape
+        T = 2.0 * np.eye(cut_op.size) + cut_op.matrix.toarray()
+        assert np.abs(x.imag).max() == 0.0
+        assert np.linalg.norm(T @ x.real - v) <= 1e-13 * np.linalg.norm(v)
 
     def test_2d_cg_path(self):
         mesh = build_mesh(2, (-1.0, 1.0), 24)
