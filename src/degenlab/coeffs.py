@@ -21,7 +21,6 @@ quadrature and a piece-ratio divergence test.
 """
 
 import csv
-import inspect
 import math
 import os
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, bind
+from .errors import DomainError, SchemaError, bind_documents
 from .quadrature import graded_tail
 
 _PSD_SLACK = 1e-12  # sampled values >= -_PSD_SLACK * max|c| are treated as 0
@@ -539,14 +538,7 @@ def profile_from_json(doc: dict, base_dir=None) -> CoefficientProfile:
         parts.append((f"profile.family ({kind})", FAMILIES[kind], (None, None), family))
     if kind == "surface" and isinstance(family.get("surface"), dict):
         parts.append(("profile.family.surface", _surface_samples, (), family["surface"]))
-    problems = []
-    for where, fn, args, fields in parts:
-        try:
-            bind(inspect.signature(fn), *args, **fields)
-        except TypeError as exc:
-            problems.append(f"{where}: {exc}")
-    if problems:
-        raise SchemaError("; ".join(problems))
+    bind_documents(parts)
     dimension = int(doc["dimension"])
     return CoefficientProfile(
         dimension=dimension,

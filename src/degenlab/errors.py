@@ -46,3 +46,20 @@ def bind(sig, *args, **fields):
     if problems:
         raise TypeError("; ".join(problems))
     return bound
+
+
+def bind_documents(parts):
+    """Bind each (where, fn, args, fields) of parts, fields a JSON object,
+    against fn's signature after args; one SchemaError names every field
+    that is unknown or missing and every part that is not an object."""
+    problems = []
+    for where, fn, args, fields in parts:
+        if not isinstance(fields, dict):
+            problems.append(f"{where} is an object, not {fields!r}")
+            continue
+        try:
+            bind(inspect.signature(fn), *args, **fields)
+        except TypeError as exc:
+            problems.append(f"{where}: {exc}")
+    if problems:
+        raise SchemaError("; ".join(problems))

@@ -9,7 +9,6 @@ off-diagonals, zero row sums, positive semidefinite; its negative exponential
 is automatically a conservative positivity-preserving contraction semigroup.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +98,6 @@ class DiscreteOperator:
         self.epsilon = epsilon
         diag = matrix.diagonal()
         self.spectral_norm_bound = float(2.0 * diag.max()) if diag.size else 0.0
-        self._eig = None  # lazily filled by evolve.operator_eig, under _lock
-        self._lock = threading.Lock()
 
     @property
     def size(self):

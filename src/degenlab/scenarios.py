@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnose
 from .coeffs import classify, profile_from_json
 from .diagnose import CheckRecord, Status
-from .errors import SchemaError, bind
+from .errors import SchemaError, bind, bind_documents
 from .grid import assemble, build_mesh
 from .metric import distance_field, holder_fit, metric_graph
 
@@ -70,12 +70,7 @@ class ScenarioContext:
             return self._fields[key]
 
     def t_grid(self, spec):
-        if isinstance(spec, str):
-            key = {"small": "t_small", "large": "t_large"}.get(spec, spec)
-            if key not in self.doc:
-                raise SchemaError(f"scenario has no time grid '{spec}'")
-            return [float(t) for t in self.doc[key]]
-        return [float(t) for t in spec]
+        return _named_grid(self.doc, spec) if isinstance(spec, str) else [float(t) for t in spec]
 
     def seed_for(self, check_index, check_name):
         digest = hashlib.sha256(f"{self.seed}:{check_index}:{check_name}".encode()).digest()
@@ -404,21 +399,47 @@ CHECKS = {
 _SIGNATURES = {name: inspect.signature(fn) for name, fn in CHECKS.items()}
 
 
+def _scenario_document(
+    *, name, profile, mesh, checks, claim=None, seed=0, epsilons=(0.0,), t_small=None,
+    t_large=None, out_dir=None,
+):
+    """Schema of a scenario document."""
+
+
+def _mesh_document(*, dimension, box, n):
+    """Schema of a scenario's mesh."""
+
+
+def _check_entry(*, check, params=None):
+    """Schema of one entry of a scenario's checks."""
+
+
+def _named_grid(doc, name):
+    """The time grid that a t_grid string names: 'small' (the scenario's
+    t_small) or 'large' (its t_large)."""
+    key = {"small": "t_small", "large": "t_large"}.get(name)
+    if doc.get(key) is None:
+        raise SchemaError(f"scenario has no time grid '{name}'")
+    return [float(t) for t in doc[key]]
+
+
 def validate_scenario(doc):
     """Schema validation with field-naming errors; returns the document.
 
-    Each check's params bind against its glue signature, so unknown, missing
-    or misplaced parameters fail here, before any compute."""
-    for key in ("name", "profile", "mesh", "checks"):
-        if key not in doc:
-            raise SchemaError(f"scenario missing required field '{key}'")
+    The document, its mesh and each check entry bind against keyword-only
+    schemas, and each check's params against its glue signature, so unknown,
+    missing or misplaced fields fail here, before any compute; so does a
+    t_grid that names a grid the scenario lacks."""
+    parts = [("scenario", _scenario_document, (), doc)]
+    if isinstance(doc, dict):
+        parts.append(("mesh", _mesh_document, (), doc.get("mesh", {})))
+        checks = doc.get("checks", [])
+        if not isinstance(checks, list):
+            raise SchemaError(f"checks is a list, not {checks!r}")
+        parts += [(f"checks[{i}]", _check_entry, (), c) for i, c in enumerate(checks)]
+    bind_documents(parts)
     mesh = doc["mesh"]
-    for key in ("dimension", "box", "n"):
-        if key not in mesh:
-            raise SchemaError(f"scenario mesh missing field 'mesh.{key}'")
     for i, chk in enumerate(doc["checks"]):
-        if "check" not in chk:
-            raise SchemaError(f"checks[{i}] missing field 'check'")
         name = chk["check"]
         if name not in CHECKS:
             raise SchemaError(f"checks[{i}].check: unknown check '{name}'")
@@ -444,6 +465,11 @@ def validate_scenario(doc):
                         _region_fields(spec, "euclidean_ball" if kind is Balls else None)
                 except SchemaError as exc:
                     raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
+        if isinstance(args.get("t_grid"), str):
+            try:
+                _named_grid(doc, args["t_grid"])
+            except SchemaError as exc:
+                raise SchemaError(f"checks[{i}].params.t_grid ({name}): {exc}") from None
         if name == "smalltime_decay" and not isinstance(args["t_grid"], str):
             if max(float(t) for t in args["t_grid"]) > 0.1:
                 raise SchemaError(f"checks[{i}].params.t_grid: smalltime grid must stay <= 0.1")

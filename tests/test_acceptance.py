@@ -399,7 +399,6 @@ def test_criterion_9_structural_suite(contexts):
     A = op.matrix.tolil(copy=True)
     A[11, 11] += 1e-3
     bad_row.matrix = A.tocsr()
-    bad_row._eig = None
     if conservation_defect(bad_row, [0.1]).status is not Status.VIOLATED:
         failures.append("sabotage-row-sum-undetected")
     if structure_check(bad_row, seed=1).status is not Status.VIOLATED:
@@ -409,7 +408,6 @@ def test_criterion_9_structural_suite(contexts):
     A2[5, 6] = 1e-4
     A2[6, 5] = 1e-4
     bad_off.matrix = A2.tocsr()
-    bad_off._eig = None
     if structure_check(bad_off, seed=1).status is not Status.VIOLATED:
         failures.append("sabotage-offdiag-undetected")
 

@@ -240,6 +240,67 @@ class TestCheckParams:
         assert rec.table[-1]["max_distance"] > 0
 
 
+class TestScenarioDocuments:
+    """A scenario document, its mesh and each check entry bind against
+    keyword-only schemas, and a named time grid must exist: each failure
+    names its fields before any check runs."""
+
+    def edited(self, edit):
+        doc = builtin_by_name("degenerate1d-d025")
+        edit(doc)
+        return doc
+
+    def misspell_top_level_and_mesh(doc):
+        doc["epsilon"] = doc["epsilons"]
+        doc["t_larg"] = [1.0]
+        doc["mesh"]["nn"] = doc["mesh"]["n"]
+
+    def misspell_params(doc):
+        doc["checks"] = [{"check": "structure"}, {"check": "conservation", "parms": {"tol": 1e-30}}]
+
+    def name_a_missing_grid(doc):
+        doc.pop("t_large", None)
+        doc["checks"] = [{"check": "structure"}, {"check": "conservation", "params": {"t_grid": "large"}}]
+
+    def mesh_not_an_object(doc):
+        doc["mesh"] = [1, [-4.0, 4.0], 64]
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (misspell_top_level_and_mesh,
+             r"scenario: unknown field\(s\) 'epsilon', 't_larg'; mesh: unknown field\(s\) 'nn'"),
+            (misspell_params, r"checks\[1\]: unknown field\(s\) 'parms'"),
+            (name_a_missing_grid,
+             r"checks\[1\]\.params\.t_grid \(conservation\): scenario has no time grid 'large'"),
+            (mesh_not_an_object, r"mesh is an object"),
+        ],
+        ids=["top-level-and-mesh", "check-entry", "named-grid", "mesh-type"],
+    )
+    def test_bad_document_fails_before_any_check(self, edit, match, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(self.edited(edit)))
+        with pytest.raises(SchemaError, match=match):
+            cli.run(str(path), out_dir=str(tmp_path / "out"))
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_misspelled_check_entry_exits_1(self, tmp_path, capsys):
+        argv = ["run", "laplacian1d", "--out", str(tmp_path / "out")]
+        assert cli.main(argv + ["--override", "checks.1.parms={}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and "checks[1]" in err and "'parms'" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRegionSpecs:
     """A region spec's fields are the keyword-only parameters of its kind's
     resolver: unknown, missing or invalid fields fail validation."""

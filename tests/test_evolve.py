@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +39,84 @@ def each_backend(monkeypatch):
         yield backend
 
 
+def mp_diagonal(op, ts, dps=40):
+    """diag e^{-tA} as (N, T) from eigenpairs refined in mpmath at dps
+    digits.  Each irreducible block (split at exact zero couplings) starts
+    from its float eigenpairs, grouped into clusters of eigenvalues closer
+    than 1e-8 ||A|| (a mirror-symmetric operator has pairs that agree to
+    roundoff).  Each cluster takes two steps of inverse iteration at the
+    mean of its Rayleigh quotients, then Gram-Schmidt and Rayleigh-Ritz.
+    The pairs are checked: residuals below 1e-20 ||A|| and
+    sum_k v_k(i)^2 = 1 to 1e-20, eight digits past the tolerances that the
+    reference is used for."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        d = [mp.mpf(float(x)) for x in op.matrix.diagonal()]
+        e = [mp.mpf(float(x)) for x in op.matrix.diagonal(1)]
+        norm = 2 * max(abs(x) for x in d)
+        tiny = mp.mpf(10) ** (-2 * dps)
+        N = len(d)
+        cuts = [0] + [i + 1 for i in range(N - 1) if e[i] == 0] + [N]
+        pairs = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            db, eb = d[lo:hi], e[lo : hi - 1]
+            n = hi - lo
+            apply = lambda x: [db[i] * x[i] + (eb[i - 1] * x[i - 1] if i else 0)
+                               + (eb[i] * x[i + 1] if i < n - 1 else 0) for i in range(n)]
+
+            def solve(s, y):
+                # (A - s) x = y by elimination without pivoting; an exactly
+                # singular pivot is nudged off zero
+                piv, rhs = [(db[0] - s) or tiny], [y[0]]
+                for i in range(1, n):
+                    m = eb[i - 1] / piv[-1]
+                    piv.append((db[i] - s - m * eb[i - 1]) or tiny)
+                    rhs.append(y[i] - m * rhs[-1])
+                x = [mp.mpf(0)] * n
+                for i in reversed(range(n)):
+                    x[i] = (rhs[i] - (eb[i] * x[i + 1] if i < n - 1 else 0)) / piv[i]
+                return x
+
+            lam0, V = eigh_tridiagonal(np.array(db, float), np.array(eb, float))
+            clusters = [[0]]
+            for k in range(1, n):
+                if lam0[k] - lam0[k - 1] < 1e-8 * float(norm):
+                    clusters[-1].append(k)
+                else:
+                    clusters.append([k])
+            for cluster in clusters:
+                Y = [[mp.mpf(float(a)) for a in V[:, k]] for k in cluster]
+                s = mp.fsum(mp.fdot(y, apply(y)) for y in Y) / len(Y)
+                Y = [solve(s, solve(s, y)) for y in Y]
+                for j in range(len(Y)):
+                    for q in Y[:j]:
+                        c = mp.fdot(q, Y[j])
+                        Y[j] = [a - c * b for a, b in zip(Y[j], q)]
+                    scale = mp.sqrt(mp.fdot(Y[j], Y[j]))
+                    Y[j] = [a / scale for a in Y[j]]
+                H = mp.matrix([[mp.fdot(y, apply(x)) for x in Y] for y in Y])
+                lams, Q = mp.eigsy(H)
+                for k in range(len(Y)):
+                    y = [mp.fsum(Q[j, k] * Y[j][i] for j in range(len(Y))) for i in range(n)]
+                    residual = max(abs(a - lams[k] * b) for a, b in zip(apply(y), y))
+                    assert residual <= 1e-20 * norm
+                    pairs.append((lams[k], lo, y))
+        completeness = [mp.mpf(0)] * N
+        for _, lo, y in pairs:
+            for j, a in enumerate(y):
+                completeness[lo + j] += a * a
+        assert max(abs(c - 1) for c in completeness) <= 1e-20
+        out = np.empty((N, len(ts)))
+        for k, t in enumerate(ts):
+            diag = [mp.mpf(0)] * N
+            for lam, lo, y in pairs:
+                f = mp.exp(-mp.mpf(float(t)) * lam)
+                for j, a in enumerate(y):
+                    diag[lo + j] += a * a * f
+            out[:, k] = [float(v) for v in diag]
+    return out
+
+
 def record_backends(monkeypatch):
     """The backend of every heat_evolve call made inside the evolve module."""
     seen = []
@@ -54,9 +131,9 @@ def record_backends(monkeypatch):
 
 
 def dense_eig(op):
-    """lam and the full eigenvector matrix V = project(I)^T of operator_eig(op)."""
-    basis = operator_eig(op)
-    return basis.lam, basis.project(np.eye(op.size)).T
+    """lam, clamped at 0, and the eigenvector matrix V of operator_eig(op)."""
+    lam, V = operator_eig(op)
+    return np.maximum(lam, 0.0), V
 
 
 @pytest.fixture(scope="module")
@@ -278,17 +355,20 @@ class TestBatchedEvolve:
 
     @pytest.mark.parametrize("margin", [0.0, 1.0])
     def test_sup_kernel_multitime_matches_einsum(self, margin):
+        # each time of the batch is bitwise its own call; against the einsum
+        # of a dense eigendecomposition the diagonal is within the rule's tol
         mesh = build_mesh(1, (-4.0, 4.0), 600)
         op = assemble(power1d(0.25, domain=(-4.0, 4.0)), mesh, 0.0)
         ts = np.geomspace(1e-3, 5.0, 9)
         got = sup_kernel(op, ts, boundary_margin=margin)
-        assert got.strategy == "eig" and np.array_equal(got.t, ts)
+        assert got.strategy == "contour" and np.array_equal(got.t, ts)
         lam, V = dense_eig(op)
         keep = np.abs(mesh.axis(0)) <= 4.0 - margin
         for t, value in zip(ts, got.value):
+            assert value == sup_kernel(op, t, boundary_margin=margin).value
             diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
             ref = diag[keep].max() / mesh.cell_volume
-            assert abs(value - ref) <= 1e-15 * ref
+            assert abs(value - ref) <= evolve_mod.DEFAULT_TOL / mesh.cell_volume
 
 
 class TestContour:
@@ -352,25 +432,22 @@ class TestContour:
         with pytest.raises(ValueError, match="1D"):
             heat_evolve(op, np.ones(op.size), 0.1, backend="contour")
 
-    def test_1d_fallbacks_past_the_eig_cap(self, monkeypatch):
-        # heat_gram and sup_kernel fall back to evolutions past the
-        # eigendecomposition cap; in 1D those run on the contour
-        mesh = build_mesh(1, (-4.0, 4.0), 256)
-        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        xs = mesh.axis(0)
-        phi = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
-        ts = [0.01, 0.2, 1.0]
-        gram_eig = heat_gram(op, phi, ts)
-        sup_eig = sup_kernel(op, ts).value
-        monkeypatch.setattr(evolve_mod, "EIG_POINT_CAP", op.size - 1)
-        seen = record_backends(monkeypatch)
-        gram = heat_gram(op, phi, ts)
-        sup = sup_kernel(op, ts, sample_indices=np.arange(op.size))
-        assert sup.strategy == "columns"
-        assert seen and set(seen) == {"contour"}
-        norms = np.linalg.norm(phi, axis=0)
-        assert np.all(np.abs(gram - gram_eig) <= 1e-12 * np.outer(norms, norms))
-        assert np.allclose(sup.value, sup_eig, rtol=1e-10, atol=0.0)
+    @pytest.mark.parametrize("delta, n", [(0.0, 64), (0.75, 63), (0.5, 64)],
+                             ids=["laplacian", "degenerate-cut", "degenerate"])
+    def test_diagonal_matches_mpmath(self, delta, n):
+        # t lambda_max from 1e-3 to 1e7; the catalogue reaches about 3e6
+        op = assemble(power1d(delta, domain=(-4.0, 4.0)), build_mesh(1, (-4.0, 4.0), n), 0.0)
+        x_max = np.geomspace(1e-3, 1e7, 11)
+        ts = x_max / op.spectral_norm_bound
+        tol = evolve_mod.DEFAULT_TOL
+        got = evolve_mod._contour_diag(op, ts, tol)
+        ref = mp_diagonal(op, ts)
+        assert got.shape == (op.size, ts.size)
+        assert np.abs(got - ref).max() <= tol
+
+    def test_diagonal_tol_below_the_rational_floor_raises(self, cut_op):
+        with pytest.raises(SolverError, match="Talbot"):
+            evolve_mod._contour_diag(cut_op, np.array([1.0]), 1e-16)
 
 
 class TestChebyshevBudget:
@@ -419,7 +496,7 @@ class TestSupKernel:
         for t in np.geomspace(1e-3, 1e-1, 5):
             s = sup_kernel(op, t, boundary_margin=1.0)
             assert s.value == pytest.approx((4 * np.pi * t) ** -0.5, rel=0.03)
-            assert s.strategy == "eig"
+            assert s.strategy == "contour"
 
     def test_boundary_margin_matters(self):
         # reflecting walls double the on-diagonal value; the bulk does not
@@ -442,15 +519,19 @@ class TestSupKernel:
         assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
     def test_columns_strategy_matches_eig(self):
-        mesh = build_mesh(1, (-4.0, 4.0), 256)
-        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        se = sup_kernel(op, 0.2)
-        sc = sup_kernel(op, 0.2, strategy="columns", sample_indices=np.arange(op.size))
-        assert sc.value == pytest.approx(se.value, rel=1e-8)
+        # 2D: blocks of evolved kernel columns against a dense eigh diagonal
+        mesh = build_mesh(2, (-1.0, 1.0), 12)
+        p = CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0))
+        op = assemble(p, mesh, 0.0)
+        lam, V = eigh(op.matrix.toarray())
+        lam = np.maximum(lam, 0.0)
         ts = [0.05, 0.2]
-        multi = sup_kernel(op, ts, strategy="columns", sample_indices=np.arange(op.size))
-        assert multi.value[1] == sc.value
-        assert multi.value[0] == pytest.approx(sup_kernel(op, 0.05).value, rel=1e-8)
+        multi = sup_kernel(op, ts, sample_indices=np.arange(op.size))
+        assert multi.strategy == "columns"
+        for t, value in zip(ts, multi.value):
+            ref = np.einsum("ij,ij->i", V, V * np.exp(-t * lam)).max() / mesh.cell_volume
+            assert value == pytest.approx(ref, rel=1e-8)
+        assert multi.value[1] == sup_kernel(op, 0.2, sample_indices=np.arange(op.size)).value
 
 
 class TestResolvent:
@@ -573,212 +654,17 @@ class TestWaveEvolve:
             wave_evolve(op, np.exp(-(xs**2) * 50), 5.0)
 
 
-class TestEigCache:
-    def test_disk_memoization(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
-        mesh = build_mesh(1, (-1.0, 1.0), 64)
-        op1 = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        lam1 = operator_eig(op1).lam
-        files = list(tmp_path.glob("eig_*.npz"))
-        assert len(files) == 1
-        op2 = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        lam2 = operator_eig(op2).lam
-        assert np.array_equal(lam1, lam2)
+def dct_gram(phi, h, ts):
+    """(phi_i, e^{-tA} phi_j) for the uniform Laplacian A with reflecting
+    ends (diagonal 1, 2, ..., 2, 1 and couplings -1, over h^2) from its
+    analytic eigenbasis: cos(pi k (i + 1/2) / N), the DCT-II, with
+    eigenvalues 4 sin^2(pi k / (2N)) / h^2."""
+    from scipy.fft import dct
 
-    def test_truncated_entry_recomputed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
-        mesh = build_mesh(1, (-1.0, 1.0), 64)
-        b1 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        (path,) = tmp_path.glob("eig_*.npz")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        b2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        assert np.array_equal(b1.lam, b2.lam) and len(b1.blocks) == len(b2.blocks) == 2
-        assert all(np.array_equal(W1, W2) for W1, W2 in zip(b1.blocks, b2.blocks))
-        assert path.read_bytes() == data
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    def test_wrong_shape_entry_recomputed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
-        mesh = build_mesh(1, (-1.0, 1.0), 64)
-        lam1 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)).lam
-        (path,) = tmp_path.glob("eig_*.npz")
-        with open(path, "wb") as fh:
-            np.savez(fh, lam=np.full(65, np.nan), V=np.zeros((3, 3)))
-        b2 = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        assert np.array_equal(lam1, b2.lam)
-        assert [W.shape for W in b2.blocks] == [(33, 33), (32, 32)]
-
-    def test_old_dense_layout_recomputed_and_rewritten(self, tmp_path, monkeypatch):
-        # an entry written as (lam, V) with correct shapes, the dense layout
-        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
-        mesh = build_mesh(1, (-1.0, 1.0), 64)
-        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        lam, V = dense_eig(op)
-        (path,) = tmp_path.glob("eig_*.npz")
-        with open(path, "wb") as fh:
-            np.savez(fh, lam=lam, V=V)
-        basis = operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        assert np.array_equal(basis.lam, lam) and len(basis.blocks) == 2
-        with np.load(path) as data:
-            assert sorted(data.files) == ["arr_0", "arr_1", "lam"]
-
-    def test_debug_log_names_split_and_cache(self, tmp_path, monkeypatch, caplog):
-        monkeypatch.setenv("DEGENLAB_CACHE", str(tmp_path))
-        caplog.set_level("DEBUG", logger="degenlab.evolve")
-        mesh = build_mesh(1, (-1.0, 1.0), 64)
-        operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        operator_eig(assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0))
-        text = caplog.text
-        assert "N=65: disk cache miss" in text and "N=65: disk cache hit" in text
-        assert "N=65: mirror split 33 even + 32 odd" in text
-
-    def test_threads_decompose_once(self, monkeypatch):
-        calls = []
-        real = evolve_mod._tridiagonal_eig
-
-        def counting(d, e):
-            calls.append(1)
-            time.sleep(0.05)  # hold the window open for the other threads
-            return real(d, e)
-
-        monkeypatch.setattr(evolve_mod, "_tridiagonal_eig", counting)
-        mesh = build_mesh(1, (-1.0, 1.0), 128)
-        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        start = threading.Barrier(4)
-        results = []
-
-        def worker():
-            start.wait(timeout=10)
-            results.append(operator_eig(op))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert len(results) == 4 and all(r is results[0] for r in results)
-        assert len(calls) == 1
-
-    def test_tridiagonal_matches_dense(self):
-        mesh = build_mesh(1, (-1.0, 1.0), 48)
-        op = assemble(power1d(0.3, domain=(-1.0, 1.0)), mesh, 1e-3)
-        lam = np.sort(operator_eig(op).lam)
-        d = op.matrix.diagonal()
-        e = op.matrix.diagonal(1)
-        lam_ref = eigh_tridiagonal(d, e, eigvals_only=True)
-        assert np.allclose(lam, np.maximum(lam_ref, 0.0), atol=1e-10)
-
-
-def stevd_reference(d, e):
-    """eigh_tridiagonal through LAPACK dstevd, the routine _dstevd calls."""
-    return eigh_tridiagonal(d, e, lapack_driver="stevd")
-
-
-try:
-    stevd_reference(np.zeros(2), np.zeros(1))
-    HAS_STEVD_REFERENCE = True
-except ValueError:  # older scipy: eigh_tridiagonal cannot call stevd
-    HAS_STEVD_REFERENCE = False
-needs_stevd_reference = pytest.mark.skipif(
-    not HAS_STEVD_REFERENCE, reason="eigh_tridiagonal cannot call stevd here"
-)
-
-
-def mirror_tridiagonal(N, rng):
-    """Random tridiagonal (d, e) with d and e palindromes."""
-    h, g = rng.standard_normal(N), rng.standard_normal(N - 1)
-    return h + h[::-1], g + g[::-1]
-
-
-def tridiagonal(N, palindromic, rng):
-    if palindromic:
-        return mirror_tridiagonal(N, rng)
-    return rng.standard_normal(N), rng.standard_normal(N - 1)
-
-
-class TestEigBasis:
-    """The factored basis against a dense eigh reference, through what does
-    not depend on the choice of eigenvectors: f(A) phi, (phi, f(A) psi) and
-    the diagonal of f(A)."""
-
-    @pytest.mark.parametrize("palindromic", [True, False], ids=["mirror", "full"])
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 64, 65, 257])
-    def test_operations_match_dense_eigh(self, N, palindromic):
-        rng = np.random.default_rng(300 + N)
-        d, e = tridiagonal(N, palindromic, rng)
-        basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
-        assert len(basis.blocks) == (2 if palindromic and N > 1 else 1)
-        A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        lam_ref, Z = eigh(A)
-        norm = max(np.abs(lam_ref).max(), 1.0)
-        tol = 64 * N * np.finfo(float).eps
-        assert np.abs(np.sort(basis.lam) - lam_ref).max() <= tol * norm
-        f, f_ref = np.exp(-basis.lam / norm), np.exp(-lam_ref / norm)  # within [1/e, e]
-        F = (Z * f_ref) @ Z.T
-        phi, psi = rng.standard_normal((N, 3)), rng.standard_normal((N, 2))
-        size = np.linalg.norm(phi, 2)
-
-        P = basis.project(phi)
-        assert P.shape == (N, 3)
-        V = basis.project(np.eye(N)).T
-        assert np.linalg.norm(V @ P - phi, 2) <= tol * size
-        A_phi = V @ (basis.lam[:, None] * P)
-        assert np.linalg.norm(A_phi - A @ phi, 2) <= tol * norm * size
-        assert np.linalg.norm(V @ (f[:, None] * P) - F @ phi, 2) <= np.e * tol * size
-        gram = P.T @ (f[:, None] * basis.project(psi))
-        assert np.abs(gram - phi.T @ F @ psi).max() <= np.e * tol * size * np.linalg.norm(psi, 2)
-        vec = basis.project(phi[:, 0])
-        assert vec.shape == (N,) and np.abs(vec - P[:, 0]).max() <= tol * size
-
-        rows = rng.permutation(np.concatenate([np.arange(N), rng.integers(0, N, N)]))
-        diag = basis.diag(np.column_stack([f, basis.lam]), rows)
-        assert diag.shape == (rows.size, 2)
-        assert np.abs(diag[:, 0] - np.diag(F)[rows]).max() <= np.e * tol
-        assert np.abs(diag[:, 1] - d[rows]).max() <= tol * norm
-
-    @pytest.mark.parametrize("N", [256, 257, 513])
-    def test_mirror_basis_stores_two_half_blocks(self, N):
-        if N == 513:  # an assembled operator on a symmetric box
-            mesh = build_mesh(1, (-4.0, 4.0), 512)
-            basis = operator_eig(assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0))
-        else:
-            d, e = mirror_tridiagonal(N, np.random.default_rng(N))
-            basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
-        assert len(basis.blocks) == 2 and basis.lam.size == N
-        stored = basis.lam.size + sum(W.size for W in basis.blocks)
-        assert stored <= (N - N // 2) ** 2 + (N // 2) ** 2 + N
-
-    def test_no_dense_matrix_on_the_1d_path(self):
-        # tracemalloc sees numpy's buffers.  The decomposition peaks at the two
-        # half bases plus dstevd's two (N/2)^2 workspaces, about N^2 floats in
-        # all; an assembled V would add N^2 more.  The consumers then allocate
-        # far less than one half block beyond the basis.
-        mesh = build_mesh(1, (-4.0, 4.0), 1024)
-        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        N = op.size
-        dense = 8 * N * N
-        xs = mesh.axis(0)
-        phi = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
-        ts = np.geomspace(1e-3, 1.0, 8)
-        tracemalloc.start()
-        try:
-            operator_eig(op)
-            held, decompose_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            heat_gram(op, phi, ts)
-            sup_kernel(op, ts)
-            _, use_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert decompose_peak < 1.25 * dense
-        assert use_peak - held < 0.25 * dense
+    N = phi.shape[0]
+    P = dct(phi, type=2, norm="ortho", axis=0)
+    lam = 4.0 * np.sin(np.pi * np.arange(N) / (2 * N)) ** 2 / h**2
+    return np.array([P.T @ (np.exp(-t * lam)[:, None] * P) for t in ts])
 
 
 class TestHeatGram:
@@ -786,21 +672,33 @@ class TestHeatGram:
         xs = mesh.axis(0)
         return np.column_stack([(np.abs(xs - c) < width).astype(float) for c in centers])
 
-    @pytest.mark.parametrize("center, n, blocks", [(0.0, 512, 2), (0.0, 400, 1), (0.3, 401, 1)])
-    def test_eig_path_matches_evolve_then_dot(self, center, n, blocks):
-        mesh = build_mesh(1, (-4.0, 4.0), n)
-        profile = CoefficientProfile(1, PowerDegenerate(0.5, ((center,),)), (-4.0, 4.0))
-        op = assemble(profile, mesh, 0.0)
-        assert len(operator_eig(op).blocks) == blocks
-        phi = self.masks(mesh, (-2.0, 0.0, 1.5))
-        ts = [0.0, 0.01, 0.2, 1.0]
+    def test_laplacian1d_matches_the_analytic_gram(self):
+        # the builtin laplacian1d operator and its off-diagonal balls, in the
+        # check's weighted units (the check's lhs is |gram| * cell volume)
+        from degenlab.scenarios import ScenarioContext, builtin_by_name
+
+        doc = builtin_by_name("laplacian1d")
+        ctx = ScenarioContext(doc)
+        op, mesh = ctx.operator(), ctx.mesh
+        (balls,) = [c["params"]["balls"] for c in doc["checks"] if c["check"] == "offdiagonal_gaussian"]
+        phi = np.column_stack([ctx.dist_field(b["center"]).values < b["radius"] for b in balls])
+        phi = phi.astype(float)
+        ts = [0.1, 1.0]
         gram = heat_gram(op, phi, ts)
+        ref = dct_gram(phi, mesh.h, ts)
+        assert np.abs(gram - ref).max() * mesh.cell_volume <= 1e-13
+
+    def test_contour_path_is_the_per_pair_dots(self, cut_op):
+        phi = self.masks(cut_op.mesh, (-2.0, 0.0, 1.5))
+        ts = [0.0, 0.01, 0.2, 1.0]
+        gram = heat_gram(cut_op, phi, ts)
         assert gram.shape == (4, 3, 3)
-        lam, V = dense_eig(op)
-        norms = np.linalg.norm(phi, axis=0)
-        for g, t in zip(gram, ts):
-            ref = phi.T @ (V @ (np.exp(-t * lam)[:, None] * (V.T @ phi)))
-            assert np.all(np.abs(g - ref) <= 64 * np.finfo(float).eps * np.outer(norms, norms))
+        evolved = heat_evolve(cut_op, phi, ts, backend="contour", tol=1e-13).values
+        rows = np.ascontiguousarray(phi.T)
+        for g, block in zip(gram, evolved):
+            columns = np.ascontiguousarray(block.T)
+            ref = [[np.dot(rows[i], columns[j]) for j in range(3)] for i in range(3)]
+            assert np.array_equal(g, np.array(ref))
 
     def test_chebyshev_path_is_the_per_pair_dots(self):
         mesh = build_mesh(2, (-1.0, 1.0), 24)
@@ -819,9 +717,8 @@ class TestHeatGram:
             assert np.array_equal(g, np.array(ref))
 
     def test_exact_cut_gives_exact_zero(self, cut_op):
-        # one full solve: dstevd splits at the zero conductance, so every
-        # eigenvector vanishes exactly on one side
-        assert len(operator_eig(cut_op).blocks) == 1
+        # the shifted factors never couple across the zero conductance, so
+        # every evolved column vanishes exactly on the far side
         phi = self.masks(cut_op.mesh, (-1.0, 1.3, 2.0), width=0.4)
         gram = heat_gram(cut_op, phi, [0.1, 1.0, 4.0])
         assert np.all(gram[:, 0, 1:] == 0.0) and np.all(gram[:, 1:, 0] == 0.0)
@@ -829,9 +726,7 @@ class TestHeatGram:
 
     def test_mirror_cut_gives_exact_zero(self):
         # a zero conductance between the two middle points of a mirror-
-        # symmetric operator (N even): across the cut the even and the odd
-        # block give contributions equal up to sign, and the Gram form sums
-        # block by block, so they cancel bit for bit
+        # symmetric operator (N even): the two halves never meet
         mesh = build_mesh(1, (-1.0, 1.0), 63)
         op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
         A = op.matrix.tolil()
@@ -840,7 +735,6 @@ class TestHeatGram:
         A[31, 31] += c
         A[32, 32] += c
         op.matrix = A.tocsr()
-        assert len(operator_eig(op).blocks) == 2
         phi = self.masks(mesh, (-0.6, 0.3, 0.7), width=0.2)
         gram = heat_gram(op, phi, [0.01, 0.1, 1.0])
         assert np.all(gram[:, 0, 1:] == 0.0) and np.all(gram[:, 1:, 0] == 0.0)
@@ -849,169 +743,3 @@ class TestHeatGram:
     def test_negative_time_rejected(self, laplace_op):
         with pytest.raises(ValueError):
             heat_gram(laplace_op, np.ones((laplace_op.size, 1)), [0.1, -0.1])
-
-
-class TestMirrorSplit:
-    """_tridiagonal_eig on matrices equal to their own reversal: two
-    half-size solves, checked against the full eigenproblem."""
-
-    @pytest.fixture()
-    def solve_sizes(self, monkeypatch):
-        """Sizes of the tridiagonal solves made through evolve._dstevd."""
-        sizes = []
-        real = evolve_mod._dstevd
-
-        def counting(*problems):
-            sizes.extend(d.size for d, _ in problems)
-            return real(*problems)
-
-        monkeypatch.setattr(evolve_mod, "_dstevd", counting)
-        return sizes
-
-    def assert_eigenpairs(self, d, e, basis):
-        N = d.size
-        lam, V = basis.lam, basis.project(np.eye(N)).T
-        A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        bound = 64 * N * np.finfo(float).eps * np.linalg.norm(A, 2)
-        assert lam.shape == (N,) and V.shape == (N, N)
-        assert all(np.all(np.diff(lam[span]) >= 0) for span in basis.spans())
-        assert np.abs(np.sort(lam) - eigh_tridiagonal(d, e, eigvals_only=True)).max() <= bound
-        assert np.linalg.norm(A @ V - V * lam, 2) <= bound
-        assert np.linalg.norm(V.T @ V - np.eye(N), 2) <= 64 * N * np.finfo(float).eps
-
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 64, 65, 257])
-    def test_random_mirror_matrices(self, N, solve_sizes):
-        rng = np.random.default_rng(N)
-        d, e = mirror_tridiagonal(N, rng)
-        basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
-        assert solve_sizes == ([1] if N == 1 else [N - N // 2, N // 2])
-        self.assert_eigenpairs(d, e, basis)
-
-    def test_even_n_parity_ties(self):
-        # a zero conductance between the two middle points (an aligned cut)
-        # decouples two mirror-image halves: every eigenvalue is double
-        rng = np.random.default_rng(7)
-        d, e = mirror_tridiagonal(64, rng)
-        e[31] = 0.0
-        basis = evolve_mod.EigBasis(*evolve_mod._tridiagonal_eig(d, e))
-        lam, V = basis.lam, basis.project(np.eye(64)).T
-        assert np.array_equal(lam[:32], lam[32:])
-        # the even block comes first, then the odd one
-        assert np.array_equal(V[::-1, :32], V[:, :32])
-        assert np.array_equal(V[::-1, 32:], -V[:, 32:])
-        self.assert_eigenpairs(d, e, basis)
-
-    @needs_stevd_reference
-    @pytest.mark.parametrize("where", ["d", "e"])
-    def test_one_ulp_asymmetry_takes_full_solve(self, where, solve_sizes):
-        rng = np.random.default_rng(3)
-        d, e = mirror_tridiagonal(65, rng)
-        x = d if where == "d" else e
-        x[0] = np.nextafter(x[0], np.inf)
-        lam, (Z,) = evolve_mod._tridiagonal_eig(d, e)
-        assert solve_sizes == [65]
-        lam_ref, V_ref = stevd_reference(d, e)
-        assert np.array_equal(lam, lam_ref) and np.array_equal(Z, V_ref)
-
-    def test_power_law_operator_matches_unsplit(self):
-        mesh = build_mesh(1, (-4.0, 4.0), 512)
-        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        d, e = op.matrix.diagonal(), op.matrix.diagonal(1)
-        assert op.size == 513 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
-        lam, V = eigh_tridiagonal(d, e)
-        unsplit = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
-        unsplit._eig = evolve_mod.EigBasis(np.maximum(lam, 0.0), (V,))
-        xs = mesh.axis(0)
-        phi = np.column_stack([np.exp(-((xs - c) ** 2)) for c in (-1.5, 0.0, 0.7)])
-        ts = [0.01, 0.3, 2.0]
-        got = heat_gram(op, phi, ts)
-        ref = heat_gram(unsplit, phi, ts)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        for margin in (0.0, 1.0):
-            s_got = sup_kernel(op, ts, boundary_margin=margin)
-            s_ref = sup_kernel(unsplit, ts, boundary_margin=margin)
-            assert s_got.strategy == s_ref.strategy == "eig"
-            assert np.all(np.abs(s_got.value - s_ref.value) <= 1e-12 * s_ref.value)
-
-
-class TestDstevd:
-    """The ctypes dstevd helper that makes every 1D decomposition."""
-
-    @needs_stevd_reference
-    @pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 257])
-    def test_full_solve_bitwise(self, N):
-        rng = np.random.default_rng(100 + N)
-        d, e = rng.standard_normal(N), rng.standard_normal(N - 1)
-        d_in, e_in = d.copy(), e.copy()
-        ((lam, Z),) = evolve_mod._dstevd((d, e))
-        lam_ref, Z_ref = stevd_reference(d, e)
-        assert np.array_equal(lam, lam_ref) and np.array_equal(Z, Z_ref)
-        assert Z.flags.f_contiguous
-        assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
-
-    @needs_stevd_reference
-    @pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 257])
-    def test_mirror_halves_bitwise(self, N, monkeypatch):
-        solves = []
-        real = evolve_mod._dstevd
-
-        def recording(*problems):
-            results = real(*problems)
-            solves.extend(zip(problems, results))
-            return results
-
-        monkeypatch.setattr(evolve_mod, "_dstevd", recording)
-        d, e = mirror_tridiagonal(N, np.random.default_rng(200 + N))
-        evolve_mod._tridiagonal_eig(d, e)
-        assert [p[0].size for p, _ in solves] == ([1] if N == 1 else [N - N // 2, N // 2])
-        for (d_half, e_half), (lam, Z) in solves:
-            lam_ref, Z_ref = stevd_reference(d_half, e_half)
-            assert np.array_equal(lam, lam_ref) and np.array_equal(Z, Z_ref)
-
-    def test_nonzero_info_raises(self, monkeypatch):
-        real = evolve_mod._LAPACK_DSTEVD
-
-        def odd_half_fails(*args):
-            # args: jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
-            if args[1].value == 4:
-                args[10].value = 3
-            else:
-                real(*args)
-
-        monkeypatch.setattr(evolve_mod, "_LAPACK_DSTEVD", odd_half_fails)
-        d, e = mirror_tridiagonal(9, np.random.default_rng(9))  # halves of 5 and 4
-        with pytest.raises(SolverError, match="N=4: info=3"):
-            evolve_mod._tridiagonal_eig(d, e)
-        with pytest.raises(SolverError, match="info=3"):
-            evolve_mod._dstevd((d[:4], e[:3]))
-
-    def test_releases_gil(self):
-        # a busy Python thread beside a 2049-point solve keeps finishing its
-        # 10 ms slices only if the solve runs without the GIL
-        N = 2049
-        d = np.full(N, 2.0)
-        d[[0, -1]] = 1.0
-        e = np.full(N - 1, -1.0)
-        stop, ends = threading.Event(), []
-
-        def busy():
-            while not stop.is_set():
-                t = time.perf_counter()
-                while time.perf_counter() - t < 0.01:
-                    pass
-                ends.append(time.perf_counter())
-
-        th = threading.Thread(target=busy)
-        th.start()
-        try:
-            time.sleep(0.05)
-            t0 = time.perf_counter()
-            evolve_mod._dstevd((d, e))
-            t1 = time.perf_counter()
-        finally:
-            stop.set()
-            th.join()
-        possible = int((t1 - t0) / 0.01)
-        done = sum(t0 < t <= t1 for t in ends)
-        assert possible >= 5
-        assert done >= possible / 2, f"{done} of {possible} slices"
