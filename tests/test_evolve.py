@@ -1,15 +1,19 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 
 import degenlab.evolve as evolve_mod
 
 from degenlab import (
     CoefficientProfile,
+    DiscreteOperator,
+    Mesh,
     PowerDegenerate,
     assemble,
     build_mesh,
@@ -654,6 +658,94 @@ class TestWaveEvolve:
             wave_evolve(op, np.exp(-(xs**2) * 50), 5.0)
 
 
+class TestEigCache:
+    def test_tridiagonal_matches_dense(self):
+        # operator_eig, the reference other tests compare against, against a
+        # dense eigh of the assembled matrix
+        mesh = build_mesh(1, (-1.0, 1.0), 48)
+        op = assemble(power1d(0.3, domain=(-1.0, 1.0)), mesh, 1e-3)
+        lam, V = operator_eig(op)
+        A = op.matrix.toarray()
+        lam_ref = eigh(A, eigvals_only=True)
+        norm = np.abs(lam_ref).max()
+        bound = 64 * op.size * np.finfo(float).eps
+        assert np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - lam_ref).max() <= bound * norm
+        assert np.linalg.norm(A @ V - V * lam, 2) <= bound * norm
+        assert np.linalg.norm(V.T @ V - np.eye(op.size), 2) <= bound
+
+
+def random_operator(N, palindromic, rng):
+    """A 1D operator of N points on a stand-in mesh (h = 1): the tridiagonal
+    generator of random conductances in [0.5, 2] plus a random potential in
+    [0, 1] on the diagonal, so positive semidefinite.  palindromic makes the
+    conductances and the potential their own reversal (a mirror-symmetric
+    operator)."""
+    c, r = rng.uniform(0.5, 2.0, N - 1), rng.uniform(0.0, 1.0, N)
+    if palindromic:
+        c, r = c + c[::-1], r + r[::-1]
+    return operator_from(c, r)
+
+
+def operator_from(c, r):
+    """The operator with couplings -c and row sums r; palindromes (c, r)
+    give a diagonal that is its own reversal bit for bit."""
+    N = r.size
+    diag = r + (np.concatenate([[0.0], c]) + np.concatenate([c, [0.0]]))
+    A = sp.diags([-c, diag, -c], [-1, 0, 1], format="csr")
+    return DiscreteOperator(A, Mesh(1, ((0.0, float(N)),), N - 1, 1.0), 0.0)
+
+
+class TestEigBasis:
+    """The 1D operations on the contour against a dense eigh reference,
+    through what does not depend on the choice of eigenvectors: f(A) phi
+    (heat_evolve), (phi, f(A) phi) (heat_gram) and the diagonal of f(A)
+    (_contour_diag, sup_kernel), for t lambda_max from 1e-2 to 1e2."""
+
+    @pytest.mark.parametrize("palindromic", [True, False], ids=["mirror", "full"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 64, 65, 257])
+    def test_operations_match_dense_eigh(self, N, palindromic):
+        rng = np.random.default_rng(300 + N)
+        op = random_operator(N, palindromic, rng)
+        lam, Z = eigh(op.matrix.toarray())
+        ts = np.array([1e-2, 1.0, 1e2]) / op.spectral_norm_bound
+        phi = rng.standard_normal((N, 3))
+        norms = np.linalg.norm(phi, axis=0)
+        tol = evolve_mod.DEFAULT_TOL
+
+        evolved = heat_evolve(op, phi, ts, backend="contour").values
+        gram = heat_gram(op, phi, ts)
+        diag = evolve_mod._contour_diag(op, ts, tol)
+        assert evolved.shape == (3, N, 3) and gram.shape == (3, 3, 3) and diag.shape == (N, 3)
+        for k, t in enumerate(ts):
+            F = (Z * np.exp(-t * lam)) @ Z.T
+            assert np.linalg.norm(evolved[k] - F @ phi, axis=0).max() <= tol * norms.max()
+            assert np.all(np.abs(gram[k] - phi.T @ F @ phi) <= 1e-13 * np.outer(norms, norms))
+            assert np.abs(diag[:, k] - np.diag(F)).max() <= tol
+        assert np.array_equal(sup_kernel(op, ts).value, diag.max(axis=0))
+        if palindromic:
+            assert np.abs(diag - diag[::-1]).max() <= 64 * np.finfo(float).eps
+
+    def test_no_dense_matrix_on_the_1d_path(self):
+        # tracemalloc sees numpy's buffers.  The Gram forms evolve three
+        # columns and the diagonal sweeps hold one (N, 2, nodes x times)
+        # complex buffer, about a fifth of one dense N x N matrix here
+        mesh = build_mesh(1, (-4.0, 4.0), 2048)
+        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        dense = 8 * op.size * op.size
+        xs = mesh.axis(0)
+        phi = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
+        ts = np.geomspace(1e-3, 1.0, 8)
+        tracemalloc.start()
+        try:
+            heat_gram(op, phi, ts)
+            sup_kernel(op, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * dense
+
+
 def dct_gram(phi, h, ts):
     """(phi_i, e^{-tA} phi_j) for the uniform Laplacian A with reflecting
     ends (diagonal 1, 2, ..., 2, 1 and couplings -1, over h^2) from its
@@ -743,3 +835,51 @@ class TestHeatGram:
     def test_negative_time_rejected(self, laplace_op):
         with pytest.raises(ValueError):
             heat_gram(laplace_op, np.ones((laplace_op.size, 1)), [0.1, -0.1])
+
+
+class TestMirrorSplit:
+    """The contour on operators equal to their own reversal, checked against
+    the full eigenproblem: the kernel diagonal is a palindrome and
+    evolution commutes with the reversal, up to roundoff."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 64, 65, 257])
+    def test_random_mirror_matrices(self, N):
+        rng = np.random.default_rng(N)
+        op = random_operator(N, True, rng)
+        d, e = op.matrix.diagonal(), op.matrix.diagonal(1)
+        assert np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+        lam, V = eigh_tridiagonal(d, e)
+        ts = np.array([1e-2, 1.0, 1e2]) / op.spectral_norm_bound
+        eps = np.finfo(float).eps
+        diag = evolve_mod._contour_diag(op, ts, evolve_mod.DEFAULT_TOL)
+        assert np.abs(diag - diag[::-1]).max() <= 64 * eps
+        ref = np.stack([(V**2) @ np.exp(-t * lam) for t in ts], axis=1)
+        assert np.abs(diag - ref).max() <= evolve_mod.DEFAULT_TOL
+        phi = rng.standard_normal((N, 2))
+        forward = heat_evolve(op, phi, ts, backend="contour").values
+        mirrored = heat_evolve(op, phi[::-1], ts, backend="contour").values
+        assert np.abs(forward[:, ::-1] - mirrored).max() <= 64 * eps * np.linalg.norm(phi, axis=0).max()
+
+    def test_even_n_parity_ties(self):
+        # a zero conductance between the two middle points (an aligned cut)
+        # decouples two mirror-image halves: every eigenvalue is double, and
+        # the contour sees each half as if it were alone
+        rng = np.random.default_rng(7)
+        c, r = rng.uniform(0.5, 2.0, 63), rng.uniform(0.0, 1.0, 64)
+        c, r = c + c[::-1], r + r[::-1]
+        c[31] = 0.0
+        op = operator_from(c, r)
+        lam = eigh_tridiagonal(op.matrix.diagonal(), op.matrix.diagonal(1), eigvals_only=True)
+        assert np.abs(lam[0::2] - lam[1::2]).max() <= 64 * 64 * np.finfo(float).eps * lam.max()
+        half = operator_from(c[:31], r[:32])
+        assert half.spectral_norm_bound == op.spectral_norm_bound
+        ts = np.array([1e-2, 1.0, 1e2]) / op.spectral_norm_bound
+        diag = evolve_mod._contour_diag(op, ts, evolve_mod.DEFAULT_TOL)
+        alone = evolve_mod._contour_diag(half, ts, evolve_mod.DEFAULT_TOL)
+        assert np.array_equal(diag[:32], alone)
+        assert np.abs(diag[32:] - alone[::-1]).max() <= 64 * np.finfo(float).eps
+        phi = np.zeros(64)
+        phi[:32] = rng.standard_normal(32)
+        evolved = heat_evolve(op, phi, ts, backend="contour").values
+        assert np.all(evolved[:, 32:] == 0.0)
+        assert np.array_equal(evolved[:, :32], heat_evolve(half, phi[:32], ts, backend="contour").values)
