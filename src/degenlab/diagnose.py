@@ -577,14 +577,12 @@ def resolvent_volume_scaling(
     vol = mesh.cell_volume
     delta = np.zeros(op.size)
     delta[idx] = 1.0
+    volumes = [(float(r), ball_volume(dfield, float(r))) for r in r_grid]
+    usable = [(r, volume) for r, volume in volumes if volume > 0 and np.isfinite(volume)]
+    us = resolvent_power_apply(op, [r for r, _ in usable], m, delta)
     table = []
     Ks, Vs = [], []
-    for r in r_grid:
-        r = float(r)
-        volume = ball_volume(dfield, r)
-        if volume <= 0 or not np.isfinite(volume):
-            continue
-        u = resolvent_power_apply(op, r, m, delta)
+    for (r, volume), u in zip(usable, us):
         K = float(np.dot(u, u) / vol)
         table.append({"r": r, "ball_volume": volume, "K_diag": K, "product": K * volume})
         Ks.append(K)

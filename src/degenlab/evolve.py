@@ -55,6 +55,14 @@ one-vector, one-t result.  heat_gram gives the inner products
 (phi_i, e^{-tA} phi_j) of the off-diagonal and on-diagonal checks from
 evolutions on the operator's backend.  operator_eig is a dense reference
 for tests; no check calls it.
+
+resolvent_power_apply takes a sequence of radii as heat_evolve takes one of
+times.  In 1D each radius is m refined tridiagonal solves; in 2D one
+Chebyshev recurrence serves every radius and the whole power m.  The pole
+of (1 + r^2 lambda)^{-m} at -1/r^2 makes its coefficients decay like rho^{-k},
+rho = a + sqrt(a^2 - 1), a = 1 + 2 / (r^2 lambda_max); FINE_TOL bounds the
+scalar error, so u is within FINE_TOL ||phi||_2, and a residual check per
+radius raises SolverError.
 """
 
 import ctypes
@@ -62,6 +70,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from math import comb
 
 import numpy as np
 from scipy.linalg import cython_lapack, eigh_tridiagonal
@@ -72,10 +81,9 @@ from .grid import DiscreteOperator
 
 CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
+FINE_TOL = 1e-13  # heat_gram and 2D resolvent powers: tail-accurate values
+RESOLVENT_CHECK_FACTOR = 4.0  # slack of the 2D resolvent residual check over its bound
 BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
-CG_RTOL = 1e-12  # CG stops at this residual relative to ||b||
-CG_CHECK_TOL = 1e-10  # a recomputed relative residual above this raises SolverError
-CG_ITER_PER_NODE = 20  # CG iteration budget per unknown
 CFL_SAFETY = 0.5  # leapfrog dt as a fraction of the stability limit 2 / sqrt(lambda_max)
 TALBOT_NODE_CAP = 24  # nodes of the largest contour rule: 12 shifted solves per time
 
@@ -221,13 +229,63 @@ def _cheb_sums(A, scale, y, coefs):
     return acc
 
 
+def _resolvent_coefficients(kappa, m, tol):
+    """Chebyshev coefficients of (1 + kappa (1 + xi))^{-m} on [-1, 1], kappa
+    > 0, within tol / 2.  The pole xi = -a, a = 1 + 1/kappa, bounds them:
+    |c_k| <= 2 binom(k+m-1, m-1) rho^{-k} with rho = a + sqrt(a^2 - 1), and
+    |c_{k+1} / c_k| <= q_k = (k+m) / ((k+1) rho).  They come from a DCT-I
+    (one real FFT) at the n + 1 Lobatto points, n the least whose bound on
+    what aliases is below tol / 8, cut at the first k with |c_k| / (1 - q_k)
+    <= tol / 4.  That bounds the tail without summing its roundoff plateau,
+    about 1e-16 per coefficient, which over hundreds of terms exceeds tol / 4."""
+    a = 1.0 + 1.0 / kappa
+    rho = a + np.sqrt(a * a - 1.0)
+    n = 2
+    while True:
+        q = (n + m) / ((n + 1) * rho)
+        if q < 1.0 and 2.0 * comb(n + m - 1, m - 1) * rho ** -n <= 0.125 * tol * (1.0 - q):
+            break
+        n += 1 + n // 16
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    f = (1.0 + kappa * (1.0 + x)) ** -m
+    c = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / n
+    c[0] *= 0.5
+    c[n] *= 0.5
+    k = np.arange(2, n + 1)
+    q = (k + m) / ((k + 1) * rho)
+    cut = np.flatnonzero((q < 1.0) & (np.abs(c[2:]) <= 0.25 * tol * (1.0 - q)))
+    return c[: k[cut[0]]] if cut.size else c
+
+
+def _cheb_apply(op, cols, coefs):
+    """sum_k c[k] T_k(M) cols, M = 2 A / lambda_max - I, stacked over the
+    coefficient vectors c in coefs, for the (N, k) block cols.  One
+    recurrence serves every vector, and it takes the columns in cache-sized
+    slices.  The columns are split into at most CPUS lanes of near-equal
+    width, no more lanes than slices, which run beside each other slice by
+    slice; every column sees the same operations in any slice and any lane."""
+    order = sorted(range(len(coefs)), key=lambda i: -len(coefs[i]))
+    longest_first = [coefs[i] for i in order]
+    out = np.empty((len(coefs),) + cols.shape)
+    ncols = cols.shape[1]
+    width = max(1, BLOCK_BYTES // (8 * op.size))
+
+    def lane(lo, hi):
+        for j in range(lo, hi, width):
+            part = slice(j, min(j + width, hi))
+            y = np.ascontiguousarray(cols[:, part])
+            out[order, :, part] = _cheb_sums(op.matrix, 2.0 / op.spectral_norm_bound, y, longest_first)
+
+    lanes = max(1, min(CPUS, -(-ncols // width)))
+    bounds = [ncols * n // lanes for n in range(lanes + 1)]
+    _beside([partial(lane, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return out
+
+
 def _cheb_expm_apply(op, phi, ts, tol):
     """p_t(A) phi with p_t ~ exp(-t .) uniformly on [0, lambda_max] within
     tol, stacked over t > 0 in ts.  Times without substeps share one
-    recurrence, which takes the columns of phi in cache-sized slices.  The
-    columns are split into at most CPUS lanes of near-equal width, no more
-    lanes than slices, which run beside each other slice by slice; every
-    column sees the same operations in any slice and any lane."""
+    _cheb_apply; a substepped time applies its own nsub times."""
     lmax = op.spectral_norm_bound
     cols = phi.reshape(op.size, -1)
     out = np.empty((len(ts),) + cols.shape)
@@ -244,26 +302,13 @@ def _cheb_expm_apply(op, phi, ts, tol):
             shared.append((i, _cheb_coefficients(a, tol)))
         else:
             substepped.append((i, nsub, _cheb_coefficients(a / nsub, tol / nsub)))
-    shared.sort(key=lambda ic: -len(ic[1]))
-    rows, coefs = [i for i, _ in shared], [c for _, c in shared]
-    ncols = cols.shape[1]
-    width = max(1, BLOCK_BYTES // (8 * op.size))
-
-    def lane(lo, hi):
-        for j in range(lo, hi, width):
-            part = slice(j, min(j + width, hi))
-            y = np.ascontiguousarray(cols[:, part])
-            if shared:
-                out[rows, :, part] = _cheb_sums(op.matrix, 2.0 / lmax, y, coefs)
-            for i, nsub, c in substepped:
-                z = y
-                for _ in range(nsub):
-                    z = _cheb_sums(op.matrix, 2.0 / lmax, z, [c])[0]
-                out[i, :, part] = z
-
-    lanes = max(1, min(CPUS, -(-ncols // width)))
-    bounds = [ncols * n // lanes for n in range(lanes + 1)]
-    _beside([partial(lane, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    if shared:
+        out[[i for i, _ in shared]] = _cheb_apply(op, cols, [c for _, c in shared])
+    for i, nsub, c in substepped:
+        z = cols
+        for _ in range(nsub):
+            z = _cheb_apply(op, z, [c])[0]
+        out[i] = z
     return out.reshape((len(ts),) + phi.shape)
 
 
@@ -464,7 +509,7 @@ def heat_gram(op: DiscreteOperator, phi, t) -> np.ndarray:
     t in the sequence t, as a (T, k, k) array of plain dot products.
 
     Each column is evolved by the operator's backend (exp_backend) with tol
-    1e-13 (tail-accurate values for the off-diagonal margins) and dotted
+    FINE_TOL (tail-accurate values for the off-diagonal margins) and dotted
     with each column of phi.  Both backends keep an exact zero coupling
     exact, so sets that no path connects get exactly 0.
     """
@@ -475,7 +520,7 @@ def heat_gram(op: DiscreteOperator, phi, t) -> np.ndarray:
     k = phi.shape[1]
     rows = np.ascontiguousarray(phi.T)
     gram = np.empty((ts.size, k, k))
-    for g, block in zip(gram, heat_evolve(op, phi, ts, backend=exp_backend(op), tol=1e-13).values):
+    for g, block in zip(gram, heat_evolve(op, phi, ts, backend=exp_backend(op), tol=FINE_TOL).values):
         columns = np.ascontiguousarray(block.T)
         for i in range(k):
             for j in range(k):
@@ -531,8 +576,10 @@ def sup_kernel(
     keep = _interior_mask(mesh, boundary_margin)
     idx = np.flatnonzero(keep)
     if sample_indices is not None:
-        sample_indices = np.asarray(sample_indices)
+        sample_indices = np.asarray(sample_indices, dtype=np.intp)
         idx = sample_indices[keep[sample_indices]]
+    if idx.size == 0:
+        raise ValueError("sup_kernel: empty sample set (no sample index inside the boundary margin)")
     if mesh.dimension == 1:
         strategy = "contour"
         best = _contour_diag(op, ts, DEFAULT_TOL)[idx].max(axis=0) / vol
@@ -560,26 +607,50 @@ def _interior_mask(mesh, margin):
     for k in range(mesh.dimension):
         a, b = mesh.box[k]
         keep &= (pts[:, k] >= a + margin) & (pts[:, k] <= b - margin)
-    if not np.any(keep):
-        raise ValueError("boundary margin excludes every grid point")
     return keep
 
 
-def resolvent_power_apply(op: DiscreteOperator, r: float, m: int, phi) -> np.ndarray:
-    """(I + r^2 A)^{-m} phi by m successive solves; one tridiagonal
-    factorization in 1D (_shifted_tridiagonal_solver with shift 1),
-    conjugate gradients in 2D."""
-    if r <= 0:
+def resolvent_power_apply(op: DiscreteOperator, r, m: int, phi) -> np.ndarray:
+    """(I + r^2 A)^{-m} phi for a vector phi.  r is a radius or a sequence
+    of radii; a sequence gives the result a leading radius axis, and each
+    radius's result is bitwise that of a call for it alone.
+
+    1D: per radius, m solves with one refined tridiagonal factorization.
+    2D: one Chebyshev recurrence (_cheb_apply) for every radius, with the
+    coefficients of (1 + r^2 lambda)^{-m} on [0, lambda_max]; they decay like
+    rho^{-k}, rho = a + sqrt(a^2 - 1), a = 1 + 2 / (r^2 lambda_max).  The
+    scalar error is at most FINE_TOL, so u is within FINE_TOL ||phi||_2.  A
+    residual ||(I + r^2 A)^m u - phi|| above RESOLVENT_CHECK_FACTOR FINE_TOL
+    (1 + r^2 lambda_max)^m ||phi|| raises SolverError.  lambda_max = 0
+    returns phi."""
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(rs <= 0):
         raise ValueError("r must be > 0")
     if m < 1:
         raise ValueError("m must be >= 1")
     phi = np.asarray(phi, dtype=float)
-    coef = r * r
-    if op.mesh.dimension == 1:
-        A = op.matrix
+    A = op.matrix
+    lmax = op.spectral_norm_bound
+    out = np.empty((rs.size,) + phi.shape)
+    if op.mesh.dimension != 1:
+        out[:] = phi  # the identity when lambda_max = 0
+        if lmax > 0.0 and rs.size:
+            coefs = [_resolvent_coefficients(0.5 * s * s * lmax, m, FINE_TOL) for s in rs]
+            out[:] = _cheb_apply(op, phi.reshape(op.size, -1), coefs).reshape(out.shape)
+        for radius, u in zip(rs, out):
+            v = u
+            for _ in range(m):
+                v = v + radius * radius * (A @ v)
+            res = np.linalg.norm(v - phi)
+            bound = RESOLVENT_CHECK_FACTOR * FINE_TOL * (1.0 + radius * radius * lmax) ** m
+            if res > bound * np.linalg.norm(phi):
+                raise SolverError(f"resolvent power residual {res:.3e} at r={radius:g}, m={m}")
+        return out[0] if np.ndim(r) == 0 else out
+    for i, radius in enumerate(rs):
+        coef = radius * radius
         factored = _shifted_tridiagonal_solver(1.0, coef * A.diagonal(), coef * A.diagonal(1))
         solve = lambda v: factored(v[:, None])[:, 0].real
-        shift_norm = 1.0 + coef * op.spectral_norm_bound
+        shift_norm = 1.0 + coef * lmax
         u = phi
         for _ in range(m):
             v = u
@@ -590,37 +661,8 @@ def resolvent_power_apply(op: DiscreteOperator, r: float, m: int, phi) -> np.nda
             scale = np.linalg.norm(v) + shift_norm * np.linalg.norm(u)
             if res > 1e-12 * max(scale, 1.0):
                 raise SolverError(f"tridiagonal solve backward residual {res / scale:.3e}")
-        return u
-    u = phi
-    for _ in range(m):
-        u = _cg_shifted(op, coef, u)
-    return u
-
-
-def _cg_shifted(op, coef, b):
-    """Conjugate gradients for (I + coef A) u = b; SPD with condition number
-    at most 1 + coef * lambda_max."""
-    A = op.matrix
-    matvec = lambda v: v + coef * (A @ v)
-    x = np.zeros_like(b)
-    r = b - matvec(x)
-    p = r.copy()
-    rs = float(r @ r)
-    bnorm = float(np.linalg.norm(b)) or 1.0
-    for _ in range(CG_ITER_PER_NODE * op.size):
-        if np.sqrt(rs) <= CG_RTOL * bnorm:
-            break
-        Ap = matvec(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    res = float(np.linalg.norm(b - matvec(x)))
-    if res > CG_CHECK_TOL * bnorm:
-        raise SolverError(f"CG stalled: relative residual {res / bnorm:.3e}")
-    return x
+        out[i] = u
+    return out[0] if np.ndim(r) == 0 else out
 
 
 def wave_evolve(op: DiscreteOperator, phi0, t: float) -> WaveField:

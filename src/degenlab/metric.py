@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coeffs import CoefficientProfile
-from .quadrature import graded_tail, integrate_graded
+from .quadrature import graded_tail
 
 # 8-point Gauss-Legendre on [0, 1] for near-degenerate edge weights
 _G8_X, _G8_W = np.polynomial.legendre.leggauss(8)
@@ -80,15 +80,12 @@ def _offset_integrand(profile, z0, side, eps):
 def _graded_or_inf(f_offset, span):
     """Convergent graded integral, or +inf when the dyadic tail diverges.
     The divergence threshold is far above any finite d_{C_eps} of interest;
-    genuine divergence is caught by the piece-ratio test."""
+    genuine divergence is caught by the piece-ratio test.  A strict
+    graded_tail raises, declares divergence (value +inf) or returns a
+    finite value."""
     if span <= 0:
         return 0.0
-    probe = graded_tail(f_offset, span, levels=52, div_threshold=1e15, strict=True)
-    if probe.divergent:
-        return np.inf
-    if np.isfinite(probe.value):
-        return probe.value
-    return integrate_graded(f_offset, span, levels=52)
+    return graded_tail(f_offset, span, levels=52, div_threshold=1e15, strict=True).value
 
 
 # ---------------------------------------------------------------------------

@@ -45,29 +45,28 @@ class ScenarioContext:
         self._fields = {}
         self._lock = threading.RLock()
 
-    def operator(self, epsilon=None):
+    def _memo(self, table, epsilon, build, *key):
+        """The entry of table at (*key, eps), with eps resolved from epsilon,
+        made by build(eps) on first use; the lock makes each entry compute
+        once (re-entrant: a build may ask for another entry)."""
         eps = self.epsilons[0] if epsilon is None else float(epsilon)
+        entry = (*key, eps)
         with self._lock:
-            if eps not in self._ops:
-                self._ops[eps] = assemble(self.profile, self.mesh, eps)
-            return self._ops[eps]
+            if entry not in table:
+                table[entry] = build(eps)
+            return table[entry]
+
+    def operator(self, epsilon=None):
+        return self._memo(self._ops, epsilon, lambda eps: assemble(self.profile, self.mesh, eps))
 
     def metric_graph(self, epsilon=None):
-        eps = self.epsilons[0] if epsilon is None else float(epsilon)
-        with self._lock:
-            if eps not in self._graphs:
-                self._graphs[eps] = metric_graph(self.profile, self.mesh, eps)
-            return self._graphs[eps]
+        return self._memo(self._graphs, epsilon, lambda eps: metric_graph(self.profile, self.mesh, eps))
 
     def dist_field(self, center, epsilon=None):
-        eps = self.epsilons[0] if epsilon is None else float(epsilon)
-        key = (tuple(np.atleast_1d(center).tolist()), eps)
-        with self._lock:
-            if key not in self._fields:
-                self._fields[key] = distance_field(
-                    self.profile, self.mesh, center, eps, graph=self.metric_graph(eps)
-                )
-            return self._fields[key]
+        build = lambda eps: distance_field(
+            self.profile, self.mesh, center, eps, graph=self.metric_graph(eps)
+        )
+        return self._memo(self._fields, epsilon, build, tuple(np.atleast_1d(center).tolist()))
 
     def t_grid(self, spec):
         return _named_grid(self.doc, spec) if isinstance(spec, str) else [float(t) for t in spec]

@@ -15,6 +15,7 @@ from degenlab import (
     DiscreteOperator,
     Mesh,
     PowerDegenerate,
+    RadialShell,
     assemble,
     build_mesh,
     heat_evolve,
@@ -537,6 +538,15 @@ class TestSupKernel:
             assert value == pytest.approx(ref, rel=1e-8)
         assert multi.value[1] == sup_kernel(op, 0.2, sample_indices=np.arange(op.size)).value
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_empty_sample_set_raises(self, dimension):
+        mesh = build_mesh(dimension, (-1.0, 1.0), 8)
+        centers = ((0.0,) * dimension,)
+        op = assemble(CoefficientProfile(dimension, PowerDegenerate(0.5, centers), (-1.0, 1.0)), mesh, 0.0)
+        for picked, margin in (([0], 0.5), ([], 0.0), (None, 1.5)):
+            with pytest.raises(ValueError, match="empty sample set"):
+                sup_kernel(op, [0.1, 0.2], sample_indices=picked, boundary_margin=margin)
+
 
 class TestResolvent:
     def test_constants_fixed(self, laplace_op):
@@ -597,6 +607,65 @@ class TestResolvent:
         v = u + 0.09 * (op.matrix @ u)
         v = v + 0.09 * (op.matrix @ v)
         assert np.linalg.norm(v - phi) <= 1e-8 * np.linalg.norm(phi)
+
+    @pytest.mark.parametrize(
+        "family",
+        [RadialShell(0.75, 0.5, width=0.25), PowerDegenerate(0.5, ((0.0, 0.0),))],
+        ids=["radial_shell_plateau", "power"],
+    )
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_2d_matches_splu(self, family, m):
+        from scipy.sparse.linalg import splu
+
+        mesh = build_mesh(2, (-1.0, 1.0), 32)
+        op = assemble(CoefficientProfile(2, family, (-1.0, 1.0)), mesh, 0.0)
+        delta = np.zeros(op.size)
+        delta[mesh.nearest_index((0.0, 0.0))] = 1.0
+        radii = [0.02, 0.05, 0.1, 0.2, 0.4]
+        us = resolvent_power_apply(op, radii, m, delta)
+        for r, u in zip(radii, us):
+            lu = splu(sp.csc_matrix(sp.identity(op.size) + r * r * op.matrix))
+            ref = delta
+            for _ in range(m):
+                ref = lu.solve(ref)
+            assert np.dot(u, u) == pytest.approx(np.dot(ref, ref), rel=1e-12, abs=0)
+        if isinstance(family, RadialShell):
+            # sparse products keep the region behind the plateau exactly 0
+            behind = np.linalg.norm(mesh.points(), axis=1) > 0.75
+            assert behind.any() and np.all(us[:, behind] == 0.0)
+
+    def test_radii_sequence_is_each_radius_alone(self, cut_op):
+        mesh = build_mesh(2, (-1.0, 1.0), 16)
+        op2 = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)), mesh, 0.0)
+        for op in (cut_op, op2):
+            phi = np.random.default_rng(25).standard_normal(op.size)
+            radii = [0.3, 0.05, 0.7]
+            us = resolvent_power_apply(op, radii, 2, phi)
+            assert us.shape == (3, op.size)
+            for r, u in zip(radii, us):
+                assert np.array_equal(u, resolvent_power_apply(op, r, 2, phi))
+
+    def test_2d_short_expansion_raises(self, monkeypatch):
+        mesh = build_mesh(2, (-1.0, 1.0), 16)
+        op = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)), mesh, 0.0)
+        full = evolve_mod._resolvent_coefficients
+
+        def half(*args):
+            c = full(*args)
+            return c[: len(c) // 2 + 1]
+
+        monkeypatch.setattr(evolve_mod, "_resolvent_coefficients", half)
+        delta = np.zeros(op.size)
+        delta[mesh.nearest_index((0.0, 0.0))] = 1.0
+        with pytest.raises(SolverError, match="residual"):
+            resolvent_power_apply(op, [0.1, 0.3], 1, delta)
+
+    def test_zero_operator_returns_phi(self):
+        mesh = build_mesh(2, (-1.0, 1.0), 8)
+        op = DiscreteOperator(sp.csr_matrix((mesh.size, mesh.size)), mesh, 0.0)
+        phi = np.random.default_rng(26).standard_normal(op.size)
+        assert np.array_equal(resolvent_power_apply(op, 0.5, 3, phi), phi)
+        assert np.array_equal(resolvent_power_apply(op, [0.5, 2.0], 1, phi), [phi, phi])
 
     def test_bad_arguments(self, laplace_op):
         with pytest.raises(ValueError):

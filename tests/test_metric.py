@@ -17,8 +17,10 @@ from degenlab import (
     distance_1d,
     distance_field,
     holder_fit,
+    profile_from_json,
 )
 from degenlab import cli, diagnose, metric, scenarios
+from degenlab.quadrature import graded_tail
 
 BENCH_SCENARIOS = Path(__file__).parents[1] / "perfbench" / "scenarios"
 
@@ -35,6 +37,28 @@ class TestDistance1D:
     def test_unit_coefficient(self):
         p = power1d(0.0)
         assert distance_1d(p, -1.0, 2.5) == pytest.approx(3.5, rel=1e-12)
+
+    def test_strict_graded_tail_is_finite_or_divergent(self):
+        # _graded_or_inf returns the value of a strict graded_tail as it is:
+        # +inf when divergent, else finite, on the half segments that
+        # _segment_distance integrates for every 1D builtin profile
+        for doc in scenarios.builtin_scenarios():
+            profile = profile_from_json(doc["profile"])
+            if profile.dimension != 1:
+                continue
+            (lo, hi), = profile.domain
+            knots = sorted({lo, *profile.axis_degeneracies(), 0.37 * lo + 0.63 * hi, hi})
+            for a, b in zip(knots[:-1], knots[1:]):
+                half = 0.5 * (b - a)
+                for z0, side in ((a, 1.0), (b, -1.0)):
+                    for eps in doc.get("epsilons", [0.0]):
+                        f = metric._offset_integrand(profile, z0, side, eps)
+                        for span in (1e-9, 1e-3 * half, half):
+                            tail = graded_tail(f, span, levels=52, div_threshold=1e15, strict=True)
+                            if tail.divergent:
+                                assert tail.value == np.inf
+                            else:
+                                assert tail.divergent is False and np.isfinite(tail.value)
 
     def test_small_y_model(self):
         # d(0, y) ~ y^{1-delta}/(1-delta) near the degeneracy
