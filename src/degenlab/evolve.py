@@ -41,11 +41,12 @@ Independent pieces of one call run beside each other through one helper,
 _beside: the first job runs in the calling thread and every other one in a
 short-lived thread, all of them are joined, and the first exception (in job
 order) is re-raised.  It runs the column lanes of a block Chebyshev
-evolution: a block wider than one cache-sized slice is split into at most
-CPUS lanes of whole columns, each lane running the recurrence slice by
-slice.  Sparse block products and large ufuncs release the GIL, so the
-lanes use every core the process may run on; a block of one slice runs in
-the calling thread alone.
+evolution: at most CPUS lanes of whole columns, each one recurrence.  Sparse
+block products and large ufuncs release the GIL, so the lanes use every core
+the process may run on.  The recurrence runs only on the components of the
+operator's graph (DiscreteOperator.components) that the block meets: an
+exact cut splits the graph, and the rows cut off stay exactly 0, bitwise as
+in a recurrence over every row.
 
 heat_evolve and sup_kernel are the batched entry points: they take a block of
 columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
@@ -83,7 +84,9 @@ CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
 FINE_TOL = 1e-13  # heat_gram and 2D resolvent powers: tail-accurate values
 RESOLVENT_CHECK_FACTOR = 4.0  # slack of the 2D resolvent residual check over its bound
-BLOCK_BYTES = 1 << 19  # column slice of a block evolution, sized for the cache
+# bytes of the (N, width) delta block that one 2D sup_kernel evolution takes, so
+# that a full scan never forms an N x N block; width is at least CPUS columns
+BLOCK_BYTES = 1 << 21
 CFL_SAFETY = 0.5  # leapfrog dt as a fraction of the stability limit 2 / sqrt(lambda_max)
 TALBOT_NODE_CAP = 24  # nodes of the largest contour rule: 12 shifted solves per time
 
@@ -219,13 +222,18 @@ def _cheb_sums(A, scale, y, coefs):
     w_prev = y
     w = scale * (A @ y) - y  # T_1(M) y
     acc = C[:, 0] * w_prev + C[:, 1] * w
+    tmp = np.empty_like(acc)  # C[i, k] * w, and 2.0 * w in its first slot
     live = len(coefs)
     for k in range(2, len(coefs[0])):
         # T_{k+1} = 2 M T_k - T_{k-1}
-        w_prev, w = w, 2.0 * scale * (A @ w) - 2.0 * w - w_prev
+        w_next = A @ w
+        w_next *= 2.0 * scale
+        w_next -= np.multiply(2.0, w, out=tmp[0])
+        w_next -= w_prev
+        w_prev, w = w, w_next
         while len(coefs[live - 1]) <= k:
             live -= 1
-        acc[:live] += C[:live, k] * w
+        acc[:live] += np.multiply(C[:live, k], w, out=tmp[:live])
     return acc
 
 
@@ -260,25 +268,38 @@ def _resolvent_coefficients(kappa, m, tol):
 def _cheb_apply(op, cols, coefs):
     """sum_k c[k] T_k(M) cols, M = 2 A / lambda_max - I, stacked over the
     coefficient vectors c in coefs, for the (N, k) block cols.  One
-    recurrence serves every vector, and it takes the columns in cache-sized
-    slices.  The columns are split into at most CPUS lanes of near-equal
-    width, no more lanes than slices, which run beside each other slice by
-    slice; every column sees the same operations in any slice and any lane."""
+    recurrence serves every vector.  It runs only on the connected
+    components of A (op.components) that a nonzero row of cols meets, on
+    A[idx][:, idx] with the full lambda_max; every other row is an exact 0.
+    That is bitwise the full recurrence: a dropped term is an explicit zero
+    coupling (-0.0) times a zero row (+0.0), and row slicing keeps each row's
+    summation order.  The columns are split into at most CPUS lanes of whole
+    columns, which run beside each other; every column sees the same
+    operations in any lane."""
     order = sorted(range(len(coefs)), key=lambda i: -len(coefs[i]))
     longest_first = [coefs[i] for i in order]
-    out = np.empty((len(coefs),) + cols.shape)
+    count, labels = op.components()
+    touched = np.zeros(count, dtype=bool)
+    touched[labels[np.any(cols != 0, axis=1)]] = True
+    if not touched.any():
+        return np.zeros((len(coefs),) + cols.shape)
+    full = touched.all()
+    idx = slice(None) if full else np.flatnonzero(touched[labels])
+    A = op.matrix if full else op.matrix[idx][:, idx]
     ncols = cols.shape[1]
-    width = max(1, BLOCK_BYTES // (8 * op.size))
+    sub = np.empty((len(coefs), A.shape[0], ncols))
 
     def lane(lo, hi):
-        for j in range(lo, hi, width):
-            part = slice(j, min(j + width, hi))
-            y = np.ascontiguousarray(cols[:, part])
-            out[order, :, part] = _cheb_sums(op.matrix, 2.0 / op.spectral_norm_bound, y, longest_first)
+        y = np.ascontiguousarray(cols[idx, lo:hi])
+        sub[order, :, lo:hi] = _cheb_sums(A, 2.0 / op.spectral_norm_bound, y, longest_first)
 
-    lanes = max(1, min(CPUS, -(-ncols // width)))
+    lanes = min(CPUS, ncols)
     bounds = [ncols * n // lanes for n in range(lanes + 1)]
     _beside([partial(lane, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    if full:
+        return sub
+    out = np.zeros((len(coefs),) + cols.shape)
+    out[:, idx] = sub
     return out
 
 
@@ -563,7 +584,8 @@ def sup_kernel(
     rule's own error, at small t lambda_max.  Past t lambda_max = 1e4 a
     roundoff part grows with t lambda_max, to 2.3e-13 at 1e7 on the cut
     operator (about 2e-20 t lambda_max).  'columns' (2D) evolves blocks of
-    kernel columns by the operator's backend (exp_backend).
+    kernel columns by the operator's backend (exp_backend), BLOCK_BYTES of
+    deltas but at least CPUS columns a block, so every lane gets columns.
     boundary_margin excludes diagonal entries within that distance of the box
     boundary, where the reflecting truncation inflates the on-diagonal value
     (image terms) relative to the free-space kernel.
@@ -585,7 +607,7 @@ def sup_kernel(
         best = _contour_diag(op, ts, DEFAULT_TOL)[idx].max(axis=0) / vol
     else:
         strategy = "columns"
-        width = max(1, BLOCK_BYTES // (8 * op.size))
+        width = max(CPUS, BLOCK_BYTES // (8 * op.size))
         best = np.full(ts.size, -np.inf)
         for lo in range(0, idx.size, width):
             cols = idx[lo : lo + width]

@@ -9,6 +9,7 @@ off-diagonals, zero row sums, positive semidefinite; its negative exponential
 is automatically a conservative positivity-preserving contraction semigroup.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,25 @@ class DiscreteOperator:
         self.epsilon = epsilon
         diag = matrix.diagonal()
         self.spectral_norm_bound = float(2.0 * diag.max()) if diag.size else 0.0
+        self._components = None  # (matrix, count, labels)
+        self._components_lock = threading.Lock()
 
     @property
     def size(self):
         return self.matrix.shape[0]
+
+    def components(self):
+        """(count, labels): the connected components of the graph of nonzero
+        couplings, explicit zeros dropped, so an exact cut separates.  Labelled
+        once per matrix, and once for concurrent readers."""
+        with self._components_lock:
+            if self._components is None or self._components[0] is not self.matrix:
+                from scipy.sparse.csgraph import connected_components
+
+                graph = self.matrix.copy()
+                graph.eliminate_zeros()
+                self._components = (self.matrix, *connected_components(graph, directed=False))
+            return self._components[1:]
 
     def quadratic_form(self, phi):
         return float(phi @ (self.matrix @ phi))

@@ -135,6 +135,19 @@ def record_backends(monkeypatch):
     return seen
 
 
+def record_lanes(monkeypatch):
+    """The lane count (_beside job count) of every block evolution."""
+    seen = []
+    real = evolve_mod._beside
+
+    def recording(jobs):
+        seen.append(len(jobs))
+        return real(jobs)
+
+    monkeypatch.setattr(evolve_mod, "_beside", recording)
+    return seen
+
+
 def dense_eig(op):
     """lam, clamped at 0, and the eigenvector matrix V of operator_eig(op)."""
     lam, V = operator_eig(op)
@@ -256,8 +269,8 @@ class TestBatchedEvolve:
     @pytest.mark.parametrize("which", ["laplace_op", "cut_op"])
     def test_chebyshev_block_multitime_bitwise(self, which, request, monkeypatch):
         op = request.getfixturevalue(which)
-        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 3 * 8 * op.size)  # slices of at most 3
-        monkeypatch.setattr(evolve_mod, "CPUS", 2)  # two lanes on any machine: 3 | 3 + 1
+        monkeypatch.setattr(evolve_mod, "CPUS", 2)  # two lanes on any machine: 3 | 4 columns
+        jobs = record_lanes(monkeypatch)
         lanes = set()
         real = evolve_mod._cheb_sums
 
@@ -270,7 +283,7 @@ class TestBatchedEvolve:
         block = rng.standard_normal((op.size, 7))
         ts = [0.3, 0.0, 0.01, 1.0]
         out = heat_evolve(op, block, ts).values
-        assert len(lanes) == 2
+        assert len(lanes) == 2 and jobs == [2]
         assert out.shape == (len(ts), op.size, 7)
         for i, t in enumerate(ts):
             for j in range(block.shape[1]):
@@ -281,8 +294,7 @@ class TestBatchedEvolve:
         assert np.array_equal(heat_evolve(op, block[:, 1], 0.3).values, out[0, :, 1])
 
     def test_helper_lane_error_reaches_the_caller(self, laplace_op, monkeypatch):
-        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 3 * 8 * laplace_op.size)
-        monkeypatch.setattr(evolve_mod, "CPUS", 2)
+        monkeypatch.setattr(evolve_mod, "CPUS", 2)  # 7 columns: a helper lane of 4
         caller = threading.get_ident()
         real = evolve_mod._cheb_sums
 
@@ -316,10 +328,10 @@ class TestBatchedEvolve:
         assert out == [threading.get_ident()]
 
     def test_more_lanes_than_cores_under_fast_switching(self, cut_op, monkeypatch):
-        # eight lanes of one-column slices write disjoint columns of one
+        # eight lanes of three whole columns write disjoint columns of one
         # output while the interpreter switches threads every microsecond
-        monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", 8 * cut_op.size)
         monkeypatch.setattr(evolve_mod, "CPUS", 8)
+        jobs = record_lanes(monkeypatch)
         block = np.random.default_rng(24).standard_normal((cut_op.size, 24))
         ts = [0.01, 0.2]
         interval = sys.getswitchinterval()
@@ -328,6 +340,7 @@ class TestBatchedEvolve:
             out = heat_evolve(cut_op, block, ts).values
         finally:
             sys.setswitchinterval(interval)
+        assert jobs == [8]
         for j in range(block.shape[1]):
             for i, t in enumerate(ts):
                 assert np.array_equal(out[i, :, j], cheb_reference(cut_op, block[:, j], t))
@@ -374,6 +387,137 @@ class TestBatchedEvolve:
             diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
             ref = diag[keep].max() / mesh.cell_volume
             assert abs(value - ref) <= evolve_mod.DEFAULT_TOL / mesh.cell_volume
+
+
+def shell_op(n=32):
+    """The radial-shell-2d builtin's profile at n: at n = 32, 1,089 nodes in
+    14 components (the disc inside the shell, the outer region, and
+    singletons on the shell)."""
+    p = CoefficientProfile(2, RadialShell(0.75, 1.0, width=0.125), (-2.0, 2.0))
+    return assemble(p, build_mesh(2, (-2.0, 2.0), n), 0.0)
+
+
+def record_matrices(monkeypatch):
+    """The matrix of every recurrence that _cheb_apply runs, on one lane, so
+    one recurrence per call."""
+    monkeypatch.setattr(evolve_mod, "CPUS", 1)
+    seen = []
+    real = evolve_mod._cheb_sums
+
+    def recording(A, *args):
+        seen.append(A)
+        return real(A, *args)
+
+    monkeypatch.setattr(evolve_mod, "_cheb_sums", recording)
+    return seen
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestComponents:
+    """The 2D Chebyshev path evolves only the connected components that a
+    block meets, bitwise as the recurrence over every row."""
+
+    def test_block_inside_the_disc_is_the_full_recurrence(self, monkeypatch):
+        op = shell_op()
+        count, labels = op.components()
+        assert (op.size, count) == (1089, 14)
+        inside = np.linalg.norm(op.mesh.points(), axis=1) < 1.0
+        block = np.random.default_rng(27).standard_normal((op.size, 5)) * inside[:, None]
+        ts = [0.05, 0.5]
+        mats = record_matrices(monkeypatch)
+        out = heat_evolve(op, block, ts).values
+        full = heat_evolve(op, np.column_stack([block, np.ones(op.size)]), ts).values
+        assert [A.shape[0] for A in mats] == [np.isin(labels, labels[inside]).sum(), op.size]
+        assert mats[0].shape[0] < op.size and mats[1] is op.matrix
+        assert same_bits(out, full[:, :, :5])
+        outside = ~np.isin(labels, labels[inside])
+        assert outside.any() and same_bits(out[:, outside], np.zeros_like(out[:, outside]))
+
+    def test_resolvent_radii_are_the_full_recurrence(self, monkeypatch):
+        op = shell_op()
+        delta = np.zeros(op.size)
+        delta[op.mesh.nearest_index((0.0, 0.0))] = 1.0
+        radii = [0.05, 0.1, 0.2, 0.4]
+        _, labels = op.components()
+        mats = record_matrices(monkeypatch)
+        us = resolvent_power_apply(op, radii, 2, delta)
+        # labels of one component: the recurrence over every row
+        monkeypatch.setattr(op, "components", lambda: (1, np.zeros(op.size, dtype=np.intp)))
+        full = resolvent_power_apply(op, radii, 2, delta)
+        assert mats[0].shape[0] < op.size and mats[1] is op.matrix
+        assert same_bits(us, full)
+        outside = labels != labels[delta != 0][0]
+        assert same_bits(us[:, outside], np.zeros_like(us[:, outside]))
+
+    def test_zero_block_runs_no_recurrence(self, monkeypatch):
+        op = shell_op()
+
+        def never(*args):
+            raise AssertionError("the recurrence ran on a zero block")
+
+        monkeypatch.setattr(evolve_mod, "_cheb_sums", never)
+        out = heat_evolve(op, np.zeros((op.size, 3)), [0.1, 0.5]).values
+        assert same_bits(out, np.zeros((2, op.size, 3)))
+        u = resolvent_power_apply(op, [0.1, 0.3], 1, np.zeros(op.size))
+        assert same_bits(u, np.zeros((2, op.size)))
+
+    def test_labels_are_computed_once_per_operator(self, monkeypatch):
+        import copy
+
+        import scipy.sparse.csgraph as csgraph
+
+        calls = []
+        real = csgraph.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(threading.get_ident())
+            time.sleep(0.05)  # both threads arrive while the first labels
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "connected_components", counting)
+        op = shell_op(16)
+        phi = np.zeros(op.size)
+        phi[op.mesh.nearest_index((0.0, 0.0))] = 1.0
+        heat_evolve(op, phi, 0.1)
+        heat_evolve(op, phi, [0.2, 0.3])
+        resolvent_power_apply(op, 0.2, 1, phi)
+        assert len(calls) == 1
+        calls.clear()
+        op = shell_op(16)
+        start = threading.Barrier(2)
+        results = []
+
+        def reader():
+            start.wait(timeout=60)
+            results.append(heat_evolve(op, phi, 0.1).values)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert len(calls) == 1 and len(results) == 2
+        assert np.array_equal(results[0], results[1])
+        # a copy that swaps in a new matrix is labelled again
+        swapped = copy.copy(op)
+        swapped.matrix = op.matrix + sp.identity(op.size, format="csr")
+        assert swapped.components()[0] == op.components()[0]
+        assert len(calls) == 2
+
+    def test_one_component_builds_no_submatrix(self, monkeypatch):
+        mesh = build_mesh(2, (-1.0, 1.0), 16)
+        op = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)), mesh, 0.0)
+        assert op.components()[0] == 1
+        mats = record_matrices(monkeypatch)
+        phi = np.zeros(op.size)
+        phi[mesh.nearest_index((0.5, 0.5))] = 1.0
+        heat_evolve(op, phi, [0.01, 0.1])
+        resolvent_power_apply(op, [0.1, 0.2], 1, phi)
+        assert len(mats) == 2 and all(A is op.matrix for A in mats)
 
 
 class TestContour:
@@ -537,6 +681,24 @@ class TestSupKernel:
             ref = np.einsum("ij,ij->i", V, V * np.exp(-t * lam)).max() / mesh.cell_volume
             assert value == pytest.approx(ref, rel=1e-8)
         assert multi.value[1] == sup_kernel(op, 0.2, sample_indices=np.arange(op.size)).value
+
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default", "tiny"])
+    def test_columns_scan_feeds_every_lane(self, block_bytes, monkeypatch):
+        # two lanes per block, also when BLOCK_BYTES holds less than a
+        # column: a block is then CPUS columns wide
+        op = shell_op(16)
+        monkeypatch.setattr(evolve_mod, "CPUS", 2)
+        if block_bytes is not None:
+            monkeypatch.setattr(evolve_mod, "BLOCK_BYTES", block_bytes)
+        width = max(2, evolve_mod.BLOCK_BYTES // (8 * op.size))
+        idx = np.arange(0, op.size, 7)
+        ts = [0.02, 0.2]
+        jobs = record_lanes(monkeypatch)
+        got = sup_kernel(op, ts, sample_indices=idx)
+        assert got.strategy == "columns"
+        assert jobs == [2] * -(-idx.size // width)
+        for t, value in zip(ts, got.value):
+            assert value == max(kernel_column(op, i, t).values[i] for i in idx)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_empty_sample_set_raises(self, dimension):
