@@ -165,12 +165,14 @@ def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid):
     """|(1_i, S_t 1_j)| <= exp(-d_ij^2/(4 c_norm t)) ||1_i||_2 ||1_j||_2 over
     the pairs i < j of node masks, at every t; dist[i][j] is the pair
     distance, reported in column dist_col.  All pairs at all times come
-    from one heat_gram call."""
+    from one heat_gram call, which evolves masks 1..k-1 and dots them with
+    masks 0..k-2: gram[i, j - 1] = (1_i, S_t 1_j)."""
     vol = op.mesh.cell_volume
     masks = [m.astype(float) for m in masks]
     norms = [_w_norm2(m, vol) for m in masks]
     ts = [float(t) for t in t_grid]
-    grams = heat_gram(op, np.column_stack(masks), ts)
+    block = np.column_stack(masks)
+    grams = heat_gram(op, block[:, :-1], block[:, 1:], ts)
     table = []
     worst_margin = np.inf
     violations = []
@@ -178,7 +180,7 @@ def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid):
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
                 d = dist[i][j]
-                lhs = abs(float(gram[i, j] * vol))
+                lhs = abs(float(gram[i, j - 1] * vol))
                 bound = float(np.exp(-(d**2) / (4.0 * c_norm * t)) * norms[i] * norms[j])
                 ok = lhs <= bound * (1.0 + REL_TOL) + ABS_TOL
                 log_margin = float(np.log(max(bound + ABS_TOL, 1e-300)) - np.log(max(lhs, 1e-300)))
@@ -359,7 +361,7 @@ def separation_probe(
 
     For each spacing h (degeneracy strictly between faces) a unit-mass bump
     left of the cut is evolved by the semigroup e^{-tA} on the operator's
-    backend (exp_backend: the Talbot contour); the mass found right of the
+    backend (exp_backend: the hyperbolic contour); the mass found right of the
     cut is the leakage L(h, eps).
     Verdict on the eps = 0 column: stabilization of the last two levels
     within STABILIZE_TOL is NonSeparating; strict monotone decrease with the
@@ -626,7 +628,8 @@ def ondiagonal_lower_check(
                  f"ondiagonal_lower: bump at center {c.tolist()}").astype(float)
         for c in centers
     ]
-    self_ip = heat_gram(op, np.column_stack(bumps), [float(t)])[0].diagonal()
+    block = np.column_stack(bumps)
+    self_ip = heat_gram(op, block, block, [float(t)])[0].diagonal()
     values = np.array(
         [float(g * vol) / float(np.abs(phi).sum() * vol) ** 2 for g, phi in zip(self_ip, bumps)]
     )

@@ -373,8 +373,9 @@ class TestBatchedEvolve:
 
     @pytest.mark.parametrize("margin", [0.0, 1.0])
     def test_sup_kernel_multitime_matches_einsum(self, margin):
-        # each time of the batch is bitwise its own call; against the einsum
-        # of a dense eigendecomposition the diagonal is within the rule's tol
+        # each time of the batch is within the certified bound of its own
+        # call; against the einsum of a dense eigendecomposition the diagonal
+        # is within the rule's tol
         mesh = build_mesh(1, (-4.0, 4.0), 600)
         op = assemble(power1d(0.25, domain=(-4.0, 4.0)), mesh, 0.0)
         ts = np.geomspace(1e-3, 5.0, 9)
@@ -383,7 +384,8 @@ class TestBatchedEvolve:
         lam, V = dense_eig(op)
         keep = np.abs(mesh.axis(0)) <= 4.0 - margin
         for t, value in zip(ts, got.value):
-            assert value == sup_kernel(op, t, boundary_margin=margin).value
+            alone = sup_kernel(op, t, boundary_margin=margin).value
+            assert abs(value - alone) <= 2.0 * evolve_mod.DEFAULT_TOL / mesh.cell_volume
             diag = np.einsum("ij,ij->i", V, V * np.exp(-t * lam))
             ref = diag[keep].max() / mesh.cell_volume
             assert abs(value - ref) <= evolve_mod.DEFAULT_TOL / mesh.cell_volume
@@ -521,7 +523,7 @@ class TestComponents:
 
 
 class TestContour:
-    """The Talbot contour backend of 1D operators."""
+    """The hyperbolic contour backend of 1D operators."""
 
     @pytest.mark.parametrize("delta, n, floor", [(0.0, 64, 0.0), (0.75, 63, 1.0)],
                              ids=["laplacian", "degenerate-cut"])
@@ -550,29 +552,89 @@ class TestContour:
         assert np.abs(out - 1.0).max() <= 1e-12
 
     def test_block_and_times_bitwise(self, cut_op):
+        # the times of one call share its shifts, so a time's value depends on
+        # the call's grid within the certified bound; a column does not
+        # depend on its block, and a call does not depend on its history
         block = np.random.default_rng(32).standard_normal((cut_op.size, 5))
         ts = [0.3, 0.0, 0.01, 4.0]
+        tol = evolve_mod.DEFAULT_TOL
         out = heat_evolve(cut_op, block, ts, backend="contour").values
         assert out.shape == (len(ts), cut_op.size, 5)
         assert np.array_equal(out[1], block)
+        assert np.array_equal(out, heat_evolve(cut_op, block, ts, backend="contour").values)
+        for j in range(block.shape[1]):
+            column = heat_evolve(cut_op, block[:, j], ts, backend="contour").values
+            assert np.array_equal(out[:, :, j], column)
+        norms = np.linalg.norm(block, axis=0)
         for i, t in enumerate(ts):
             alone = heat_evolve(cut_op, block, t, backend="contour").values
-            assert np.array_equal(out[i], alone)
-            for j in range(block.shape[1]):
-                column = heat_evolve(cut_op, block[:, j], t, backend="contour").values
-                assert np.array_equal(out[i, :, j], column)
+            assert np.all(np.linalg.norm(out[i] - alone, axis=0) <= 2.0 * tol * norms)
+
+    def test_batch_across_the_exact_cut_stays_zero(self, cut_op):
+        # several groups of times, each with its own rule: the far side of
+        # the zero conductance stays exactly 0 at every time
+        xs = cut_op.mesh.axis(0)
+        assert np.any(cut_op.matrix.diagonal(1) == 0.0)
+        block = np.column_stack([np.exp(-((xs + c) ** 2)) * (xs < 0) for c in (0.5, 1.0, 2.0)])
+        ts = np.geomspace(1e-3, 50.0, 12)
+        assert len(evolve_mod._contour_groups(ts, evolve_mod.DEFAULT_TOL)) > 1
+        out = heat_evolve(cut_op, block, ts, backend="contour").values
+        assert np.all(out[:, xs > 0] == 0.0)
+        assert np.all(out[:, xs < 0].sum(axis=1) > 0.0)
+
+    def test_multitime_peak_holds_one_chunk_of_solutions(self):
+        # tracemalloc sees numpy's buffers.  One time takes 13 shifts, a
+        # grid over [0.5, 1] 28 and one over [0.01, 1] 44; at most
+        # CONTOUR_CHUNK solutions are held at a time, so the peak does not
+        # grow with the shifts, where holding every solution would add
+        # 16 N k bytes per shift
+        mesh = build_mesh(1, (-4.0, 4.0), 2048)
+        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        block = np.random.default_rng(33).standard_normal((op.size, 8))
+        peaks, shifts = [], []
+        for ts in ([1.0], [0.5, 1.0], [0.01, 1.0]):
+            groups = evolve_mod._contour_groups(np.array(ts), evolve_mod.DEFAULT_TOL)
+            shifts.append(sum(s.size for _, _, s, _ in groups))
+            tracemalloc.start()
+            try:
+                heat_evolve(op, block, ts, backend="contour")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert shifts == [13, 28, 44]
+        solution = 16 * block.size
+        assert peaks[2] - peaks[0] < 0.25 * (shifts[2] - shifts[0]) * solution
+        assert peaks[2] - peaks[1] < 0.25 * (shifts[2] - shifts[1]) * solution
 
     def test_tol_below_the_rational_floor_raises(self, cut_op):
-        with pytest.raises(SolverError, match="Talbot"):
+        with pytest.raises(SolverError, match="contour rule"):
             heat_evolve(cut_op, np.ones(cut_op.size), 1.0, backend="contour", tol=1e-16)
 
     def test_fewer_nodes_for_a_looser_tol(self, cut_op):
-        z_loose, _ = evolve_mod._talbot_nodes(1e5, 1e-6)
-        z_tight, _ = evolve_mod._talbot_nodes(1e5, 1e-13)
-        assert z_loose.size < z_tight.size == evolve_mod.TALBOT_NODE_CAP // 2
+        ((*_, s_loose, _),) = evolve_mod._contour_groups(np.array([1.0]), 1e-6)
+        ((*_, s_tight, _),) = evolve_mod._contour_groups(np.array([1.0]), 1e-13)
+        single = [row[1] for row in evolve_mod.CONTOUR_ROWS if row[0] == 1.0]
+        assert s_loose.size < s_tight.size == max(single)
         exact = heat_evolve(cut_op, np.ones(cut_op.size), 1.0, backend="contour").values
         loose = heat_evolve(cut_op, np.ones(cut_op.size), 1.0, backend="contour", tol=1e-6).values
         assert 1e-12 < np.abs(loose - exact).max() <= 1e-6
+
+    def test_groups_cut_from_the_smallest_time(self):
+        # a grid wider than the widest row is cut into groups from its
+        # smallest time up; each group takes the fewest shifts that cover it
+        tol = evolve_mod.DEFAULT_TOL
+        rows = [row for row in evolve_mod.CONTOUR_ROWS if row[5] <= tol]
+        widest = max(row[0] for row in rows)
+        ts = np.geomspace(1e-3, 1e3, 25)
+        groups = evolve_mod._contour_groups(ts, tol)
+        assert groups[0][0] == 0 and groups[-1][1] == ts.size
+        for (lo, hi, s, _), nxt in zip(groups, groups[1:] + [None]):
+            assert ts[hi - 1] <= widest * ts[lo]
+            assert nxt is None or (nxt[0] == hi and ts[hi] > widest * ts[lo])
+            fewest = min(row[1] for row in rows if row[0] * ts[lo] >= ts[hi - 1])
+            assert s.size == fewest
+        ((*_, s, _),) = evolve_mod._contour_groups(np.array([2.0]), tol)
+        assert s.size == min(row[1] for row in rows if row[0] == 1.0)
 
     def test_2d_rejected(self):
         op = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)),
@@ -595,8 +657,27 @@ class TestContour:
         assert np.abs(got - ref).max() <= tol
 
     def test_diagonal_tol_below_the_rational_floor_raises(self, cut_op):
-        with pytest.raises(SolverError, match="Talbot"):
+        with pytest.raises(SolverError, match="contour rule"):
             evolve_mod._contour_diag(cut_op, np.array([1.0]), 1e-16)
+
+    @pytest.mark.parametrize("row", evolve_mod.CONTOUR_ROWS, ids=lambda row: f"{row[0]:g}-{row[1]}")
+    def test_row_meets_its_bound_on_a_finer_grid(self, row):
+        # the rows were fitted on 100 times a decade of tau and their bounds
+        # measured on 400; here on the midpoints of 1000 a decade
+        lam, n, mu, alpha, hn, bound = row
+        s, w = evolve_mod._hyperbola(n, mu, alpha, hn / n)
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 1e16, 4801)])
+        resolvents = 1.0 / (s + x[:, None])
+        steps = int(np.ceil(1000 * np.log10(lam)))
+        taus = np.geomspace(1.0, lam, 2 * steps + 1)[1::2] if lam > 1 else np.ones(1)
+        worst = 0.0
+        for chunk in np.array_split(taus, max(1, taus.size // 200)):
+            v = w[:, None] * np.exp(np.outer(s, chunk))
+            err = np.abs(np.exp(-np.outer(x, chunk)) - (resolvents @ v).real).max(axis=0)
+            roundoff = 2.0 * np.finfo(float).eps * np.abs(v).sum(axis=0)
+            worst = max(worst, float((err + roundoff).max()))
+        assert worst <= bound
+        assert s.size == n and np.all(np.diff(s.real) < 0) and np.all(s.imag >= 0)
 
 
 class TestChebyshevBudget:
@@ -945,7 +1026,7 @@ class TestEigBasis:
         tol = evolve_mod.DEFAULT_TOL
 
         evolved = heat_evolve(op, phi, ts, backend="contour").values
-        gram = heat_gram(op, phi, ts)
+        gram = heat_gram(op, phi, phi, ts)
         diag = evolve_mod._contour_diag(op, ts, tol)
         assert evolved.shape == (3, N, 3) and gram.shape == (3, 3, 3) and diag.shape == (N, 3)
         for k, t in enumerate(ts):
@@ -969,7 +1050,7 @@ class TestEigBasis:
         ts = np.geomspace(1e-3, 1.0, 8)
         tracemalloc.start()
         try:
-            heat_gram(op, phi, ts)
+            heat_gram(op, phi, phi, ts)
             sup_kernel(op, ts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1007,14 +1088,14 @@ class TestHeatGram:
         phi = np.column_stack([ctx.dist_field(b["center"]).values < b["radius"] for b in balls])
         phi = phi.astype(float)
         ts = [0.1, 1.0]
-        gram = heat_gram(op, phi, ts)
+        gram = heat_gram(op, phi, phi, ts)
         ref = dct_gram(phi, mesh.h, ts)
         assert np.abs(gram - ref).max() * mesh.cell_volume <= 1e-13
 
     def test_contour_path_is_the_per_pair_dots(self, cut_op):
         phi = self.masks(cut_op.mesh, (-2.0, 0.0, 1.5))
         ts = [0.0, 0.01, 0.2, 1.0]
-        gram = heat_gram(cut_op, phi, ts)
+        gram = heat_gram(cut_op, phi, phi, ts)
         assert gram.shape == (4, 3, 3)
         evolved = heat_evolve(cut_op, phi, ts, backend="contour", tol=1e-13).values
         rows = np.ascontiguousarray(phi.T)
@@ -1022,6 +1103,8 @@ class TestHeatGram:
             columns = np.ascontiguousarray(block.T)
             ref = [[np.dot(rows[i], columns[j]) for j in range(3)] for i in range(3)]
             assert np.array_equal(g, np.array(ref))
+        # the pairs i < j from the columns they read, as the off-diagonal checks take them
+        assert np.array_equal(heat_gram(cut_op, phi[:, :-1], phi[:, 1:], ts), gram[:, :-1, 1:])
 
     def test_chebyshev_path_is_the_per_pair_dots(self):
         mesh = build_mesh(2, (-1.0, 1.0), 24)
@@ -1031,19 +1114,20 @@ class TestHeatGram:
         phi = np.column_stack([np.linalg.norm(pts - c, axis=1) < 0.4
                                for c in ((-0.5, 0.0), (0.5, 0.2), (0.0, -0.5))]).astype(float)
         ts = [0.01, 0.1]
-        gram = heat_gram(op, phi, ts)
+        gram = heat_gram(op, phi, phi, ts)
         evolved = heat_evolve(op, phi, ts, tol=1e-13).values
         masks = [np.array(col) for col in phi.T]
         for g, block in zip(gram, evolved):
             columns = np.ascontiguousarray(block.T)
             ref = [[np.dot(masks[i], columns[j]) for j in range(3)] for i in range(3)]
             assert np.array_equal(g, np.array(ref))
+        assert np.array_equal(heat_gram(op, phi[:, :-1], phi[:, 1:], ts), gram[:, :-1, 1:])
 
     def test_exact_cut_gives_exact_zero(self, cut_op):
         # the shifted factors never couple across the zero conductance, so
         # every evolved column vanishes exactly on the far side
         phi = self.masks(cut_op.mesh, (-1.0, 1.3, 2.0), width=0.4)
-        gram = heat_gram(cut_op, phi, [0.1, 1.0, 4.0])
+        gram = heat_gram(cut_op, phi, phi, [0.1, 1.0, 4.0])
         assert np.all(gram[:, 0, 1:] == 0.0) and np.all(gram[:, 1:, 0] == 0.0)
         assert np.all(gram[:, 1:, 1:] > 0.0)
 
@@ -1059,13 +1143,14 @@ class TestHeatGram:
         A[32, 32] += c
         op.matrix = A.tocsr()
         phi = self.masks(mesh, (-0.6, 0.3, 0.7), width=0.2)
-        gram = heat_gram(op, phi, [0.01, 0.1, 1.0])
+        gram = heat_gram(op, phi, phi, [0.01, 0.1, 1.0])
         assert np.all(gram[:, 0, 1:] == 0.0) and np.all(gram[:, 1:, 0] == 0.0)
         assert np.all(gram[:, 1:, 1:] > 0.0)
 
     def test_negative_time_rejected(self, laplace_op):
+        ones = np.ones((laplace_op.size, 1))
         with pytest.raises(ValueError):
-            heat_gram(laplace_op, np.ones((laplace_op.size, 1)), [0.1, -0.1])
+            heat_gram(laplace_op, ones, ones, [0.1, -0.1])
 
 
 class TestMirrorSplit:
