@@ -4,8 +4,11 @@ cos(t A^{1/2}), and resolvent powers (I + r^2 A)^{-m}.
 Exponential actions have two backends, and exp_backend picks one per
 operator: the hyperbolic contour in 1D and Chebyshev otherwise.  Either way
 tol bounds the scalar error |e^{-tx} - r_t(x)| of the approximant r_t on the
-spectrum, so the action is off by at most tol * ||phi||_2, and a tol that the
-approximant cannot reach raises SolverError.
+spectrum, so in exact arithmetic the action is off by at most
+tol * ||phi||_2, and a tol that the approximant cannot reach raises
+SolverError.  The bound covers the approximant, not the roundoff of the
+arithmetic that applies it: on the contour that roundoff grows with t on the
+degenerate 1D builtins, past tol ||phi||_2 at t = 50 (heat_evolve).
 
 Chebyshev is a polynomial approximation of exp(-t x) on [0, lambda_max].
 Coefficients come from scaled modified Bessel functions, so the polynomial
@@ -20,11 +23,14 @@ over the n shifts s_k of a hyperbola (Weideman and Trefethen, Math. Comp. 76,
 2007, section 4).  The resolvent does not depend on t, so one rule serves
 every t in [t0, Lambda t0]: a call's times are cut into groups from the
 smallest up, and each group takes the row of CONTOUR_ROWS with the fewest
-shifts that covers it and whose bound meets tol.  A bound is the max of
-|e^{-tx} - r_t(x)| over x >= 0 and the row's times, plus the roundoff
-2 eps sum |w_k e^{t s_k}|, so it holds for any lambda_max.  On the catalogue
-a single time takes 13 shifts at tol 1e-12 and 16 at 1e-13, and a grid of
-ratio 4-10 takes 28 (30), of ratio 50 40 (42) and of ratio 100 44 (48).
+shifts that covers it and whose bound meets tol, or its first time alone
+takes the single-time row when that row's shifts for each of the group's
+times come to no more.  A bound is the max of |e^{-tx} - r_t(x)| over x >= 0
+and the row's times, plus the roundoff 2 eps sum |w_k e^{t s_k}|, so it
+holds for any lambda_max.  On the catalogue a single time takes 13 shifts at
+tol 1e-12 and 16 at 1e-13, and a grid of ratio 4-10 takes 28 (30), of ratio
+50 40 (42) and of ratio 100 44 (48); two times take 26 (32) whenever one
+row would take more.
 Each shifted tridiagonal matrix is factored once (LAPACK zgttrf, applied by
 zgttrs) and solves the whole block of columns once; partial pivoting never
 crosses a zero coupling, so decoupled blocks stay exactly decoupled.  Each
@@ -100,10 +106,11 @@ CFL_SAFETY = 0.5  # leapfrog dt as a fraction of the stability limit 2 / sqrt(la
 # times the max over tau = t / t0 in geomspace(1, Lambda, 1 + 400 log10
 # Lambda) and x in {0} and geomspace(1e-8, 1e16, 4801) of
 # |e^{-tau x} - r_tau(x)| plus the roundoff 2 eps sum_k |w_k e^{tau s_k}|,
-# for the rule of t0 = 1 (the rule scales with t0), rounded up.  The
-# parameters were fitted offline (the single-time rows with a fixed mu t0,
-# which sets the roundoff of large-time conservation), and
-# tests/test_evolve.py re-measures every bound on a finer grid
+# for the rule of t0 = 1 (the rule scales with t0), rounded up.
+# tools/contour_rows.py fits the parameters (the single-time rows with a
+# fixed mu t0, which sets the roundoff of large-time conservation) and
+# certifies the bounds, and tests/test_evolve.py re-measures every bound
+# between the points of that grid
 CONTOUR_ROWS = (
     (1.0, 8, 10.0, 0.9181, 1.8076, 2.7e-8),
     (1.0, 13, 15.0, 0.9071, 1.8669, 7.5e-13),
@@ -385,24 +392,33 @@ def _hyperbola(n, mu, alpha, h):
 
 
 def _contour_groups(ts, tol):
-    """The rules of the sorted distinct times ts > 0, as (lo, hi, s, w): the
-    times ts[lo:hi] share the shifts s and weights w.  Groups are cut from
+    """The rules of the sorted distinct times ts > 0, as (lo, hi, s, W): the
+    times ts[lo:hi] share the shifts s, and the real (2n, T) matrix W holds
+    the weights w_k e^{t s_k} of every time t as rows Re and then -Im, so
+    that Re[sum_k w_k e^{t s_k} x_k] = [Re x, Im x] @ W.  Groups are cut from
     the smallest time up, each reaching Lambda t0 of the widest row that
     meets tol, and each takes the row of fewest shifts that covers it and
-    meets tol.  Raises SolverError when no row meets tol."""
+    meets tol, unless the single-time row takes no more shifts for each of
+    its times: then its first time is a group of its own.  Raises
+    SolverError when no row meets tol."""
     rows = [row for row in CONTOUR_ROWS if row[5] <= tol]
     if not rows:
         best = min(row[5] for row in CONTOUR_ROWS)
         raise SolverError(f"no hyperbolic contour rule meets tol {tol:.3e} (best bound {best:.3e})")
     widest = max(row[0] for row in rows)
+    single = min((row for row in rows if row[0] == 1.0), key=lambda row: row[1])
     groups = []
     lo = 0
     while lo < ts.size:
         t0 = ts[lo]
         hi = int(np.searchsorted(ts, widest * t0, side="right"))
-        _, n, mu, alpha, hn, _ = min((row for row in rows if row[0] * t0 >= ts[hi - 1]),
-                                     key=lambda row: row[1])
-        groups.append((lo, hi) + _hyperbola(n, mu / t0, alpha, hn / n))
+        row = min((row for row in rows if row[0] * t0 >= ts[hi - 1]), key=lambda row: row[1])
+        if (hi - lo) * single[1] <= row[1]:
+            hi, row = lo + 1, single
+        _, n, mu, alpha, hn, _ = row
+        s, w = _hyperbola(n, mu / t0, alpha, hn / n)
+        v = w[:, None] * np.exp(np.outer(s, ts[lo:hi]))
+        groups.append((lo, hi, s, np.concatenate([v.real, -v.imag])))
         lo = hi
     return groups
 
@@ -410,9 +426,10 @@ def _contour_groups(ts, tol):
 def _shifted_tridiagonal_solver(z, d, e):
     """Solver for (z I + T) x = v with T the real symmetric tridiagonal
     (d, e), factored once with partial pivoting (LAPACK zgttrf) and applied
-    to every column of the (n, k) block v (zgttrs); x comes back C-ordered.
-    A zero coupling in e stays a zero in the factors: the pivoting never
-    crosses it.  z may be real: every buffer LAPACK writes is complex128."""
+    to every column of the (n, k) block v (zgttrs); x comes back C-ordered,
+    and a complex F-ordered v is solved in place.  A zero coupling in e stays
+    a zero in the factors: the pivoting never crosses it.  z may be real:
+    every buffer LAPACK writes is complex128."""
     n = d.size
     diag = np.add(d, z, dtype=complex)
     lower = np.zeros(max(n - 1, 1), dtype=complex)
@@ -428,7 +445,7 @@ def _shifted_tridiagonal_solver(z, d, e):
         raise SolverError(f"zgttrf failed on N={n}: info={info.value}")
 
     def solve(v):
-        x = np.array(v, dtype=complex, order="F")
+        x = np.asfortranarray(v, dtype=complex)
         _LAPACK_ZGTTRS(b"N", size, ctypes.c_int(x.shape[1]), *[a.ctypes.data for a in factors],
                        x.ctypes.data, size, info)
         if info.value != 0:
@@ -454,8 +471,7 @@ def _contour_expm_apply(op, phi, ts, tol):
     k = cols.shape[1]
     tu, inv = np.unique(ts, return_inverse=True)
     out = np.zeros((k, tu.size, op.size))
-    for lo, hi, s, w in _contour_groups(tu, tol):
-        weights = w * np.exp(np.outer(tu[lo:hi], s))
+    for lo, hi, s, W in _contour_groups(tu, tol):
         for c0 in range(0, s.size, CONTOUR_CHUNK):
             shifts = s[c0 : c0 + CONTOUR_CHUNK]
             m = shifts.size
@@ -463,14 +479,15 @@ def _contour_expm_apply(op, phi, ts, tol):
             for i, z in enumerate(shifts):
                 solve = _shifted_tridiagonal_solver(z, d, e)
                 x = solve(cols)
-                Ax = (A @ x.view(np.float64)).view(complex)  # real products on (re, im) pairs
-                x += solve(cols - (z * x + Ax))
+                res = z * x
+                res += (A @ x.view(np.float64)).view(complex)  # real products on (re, im) pairs
+                x += solve(np.subtract(cols, res, out=res))
                 parts[:, i] = x.real.T
                 parts[:, m + i] = x.imag.T
-            v = weights[:, c0 : c0 + m]
-            W = np.concatenate([v.real, -v.imag], axis=1)  # Re(v x) = Re v Re x - Im v Im x
+            rows = np.r_[c0 : c0 + m, s.size + c0 : s.size + c0 + m]
+            weights = np.ascontiguousarray(W[rows].T)
             for j in range(k):
-                out[j, lo:hi] += W @ parts[j]
+                out[j, lo:hi] += weights @ parts[j]
     return np.moveaxis(out, 0, -1)[inv].reshape((len(ts),) + phi.shape)
 
 
@@ -506,9 +523,12 @@ def _contour_diag(op, ts, tol):
     rr = np.stack([r, r[::-1]], axis=1)[:, :, None]
     tail = np.zeros((op.size, 2, u.size), dtype=complex)
     shifted = u + rr
-    for c_i, g_i, p_i, p_next in zip(cc, shifted, tail, tail[1:]):
-        g = g_i + p_i
-        np.divide(c_i * g, c_i + g, out=p_next)
+    num, total = np.empty((2, 2, u.size), dtype=complex)  # per-row buffers of the sweeps
+    for c_i, g, p_i, p_next in zip(cc, shifted, tail, tail[1:]):
+        g += p_i
+        np.multiply(c_i, g, out=num)
+        np.add(c_i, g, out=total)
+        np.divide(num, total, out=p_next)
     den = tail[:, 0]  # summed in place, in the largest buffer here
     den += tail[::-1, 1]
     den += r[:, None]
@@ -516,10 +536,8 @@ def _contour_diag(op, ts, tol):
     np.divide(1.0, den, out=den)
     out = np.empty((op.size, tu.size))
     at = 0
-    for lo, hi, s, w in groups:
-        v = w[:, None] * np.exp(np.outer(s, tu[lo:hi]))
+    for lo, hi, s, W in groups:
         part = den[:, at : at + s.size]
-        W = np.concatenate([v.real, -v.imag])  # Re(d v) = Re d Re v - Im d Im v
         out[:, lo:hi] = np.concatenate([part.real, part.imag], axis=1) @ W
         at += s.size
     return out[:, inv]
@@ -545,17 +563,21 @@ def heat_evolve(
     Backends (exp_backend names the one the checks use for an operator):
     'chebyshev' and 'contour' (1D operators only; ValueError otherwise).
     Both keep the scalar error of their approximant on the spectrum within
-    tol, so the result is within tol * ||phi0||_2, and raise SolverError
-    when their degree cap or rule table cannot.  With 'chebyshev' each
+    tol, so in exact arithmetic the result is within tol * ||phi0||_2, and
+    raise SolverError when their degree cap or rule table cannot.  The
+    roundoff of the arithmetic is not in that bound.  With 'chebyshev' each
     (t, column) result is bitwise a call for that vector and that t alone.
     With 'contour' the times of a call share one rule per group of times,
     so a time's value depends on the call's grid within that bound; each
     column is bitwise its own call with the same times, and a repeated call
-    is bitwise the same.  The contour's roundoff floor in conservation,
-    ||e^{-tA} 1 - 1||_inf at tol 1e-12 for t = 50 alone: 2.6e-13 on the
-    4097-point Laplacian; 5.6e-12, 7.9e-12, 5.2e-12 and 5.9e-12 on the
-    degenerate1d-d025, -d05, -d075-cut and double-zero builtins (at most
-    1.3e-11 over geomspace(1, 50, 10) on them).
+    is bitwise the same.  The contour's roundoff in conservation grows with
+    t on degenerate operators.  At tol 1e-12 and t = 50 alone,
+    ||e^{-tA} 1 - 1||_inf is 2.6e-13 on the 4097-point Laplacian and 5.6e-12,
+    7.9e-12, 5.2e-12 and 5.9e-12 on the degenerate1d-d025, -d05, -d075-cut
+    and double-zero builtins (at most 1.3e-11 over geomspace(1, 50, 10) on
+    them).  In the 2-norm the same defects are 1.6e-10, 2.9e-10, 1.6e-10
+    and 1.2e-10, 3.4 to 6.3 times tol ||1||_2 (4.5e-11, and 3.2e-11 on
+    double-zero); on the Laplacian 1.7e-11, within it.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0):
@@ -635,8 +657,9 @@ def sup_kernel(
     DEFAULT_TOL (_contour_diag), one rule per group of times, so a time's
     value depends on the call's grid within tol.  Against a 40-digit eigen
     reference on 64- and 65-point Laplacian, cut and delta = 0.5 operators,
-    for 11 t lambda_max from 1e-3 to 1e7 in one call (four or five groups),
-    its error stayed within tol: at most 2.9e-13.  'columns' (2D) evolves
+    for t lambda_max from 1e-3 to 1e7 in one call, its error stayed within
+    tol: at most 2.9e-13 over 21 times (groups of up to five) and 4.7e-13
+    over 11 (a single-time row each).  'columns' (2D) evolves
     blocks of kernel columns by the operator's backend (exp_backend),
     BLOCK_BYTES of deltas but at least CPUS columns a block, so every lane
     gets columns.  boundary_margin excludes diagonal entries within that

@@ -556,8 +556,11 @@ class TestContour:
         # the call's grid within the certified bound; a column does not
         # depend on its block, and a call does not depend on its history
         block = np.random.default_rng(32).standard_normal((cut_op.size, 5))
-        ts = [0.3, 0.0, 0.01, 4.0]
+        ts = [0.3, 0.0, 0.01, 0.05, 0.1, 4.0]
         tol = evolve_mod.DEFAULT_TOL
+        # 0.01..0.3 share one row, 4.0 takes the single-time row
+        groups = evolve_mod._contour_groups(np.array(sorted(t for t in ts if t > 0)), tol)
+        assert [hi - lo for lo, hi, _, _ in groups] == [4, 1]
         out = heat_evolve(cut_op, block, ts, backend="contour").values
         assert out.shape == (len(ts), cut_op.size, 5)
         assert np.array_equal(out[1], block)
@@ -583,8 +586,8 @@ class TestContour:
         assert np.all(out[:, xs < 0].sum(axis=1) > 0.0)
 
     def test_multitime_peak_holds_one_chunk_of_solutions(self):
-        # tracemalloc sees numpy's buffers.  One time takes 13 shifts, a
-        # grid over [0.5, 1] 28 and one over [0.01, 1] 44; at most
+        # tracemalloc sees numpy's buffers.  One time takes 13 shifts, three
+        # times over [0.5, 1] 28 and four over [0.01, 1] 44; at most
         # CONTOUR_CHUNK solutions are held at a time, so the peak does not
         # grow with the shifts, where holding every solution would add
         # 16 N k bytes per shift
@@ -592,7 +595,7 @@ class TestContour:
         op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
         block = np.random.default_rng(33).standard_normal((op.size, 8))
         peaks, shifts = [], []
-        for ts in ([1.0], [0.5, 1.0], [0.01, 1.0]):
+        for ts in ([1.0], [0.5, 0.75, 1.0], np.geomspace(0.01, 1.0, 4)):
             groups = evolve_mod._contour_groups(np.array(ts), evolve_mod.DEFAULT_TOL)
             shifts.append(sum(s.size for _, _, s, _ in groups))
             tracemalloc.start()
@@ -621,20 +624,31 @@ class TestContour:
 
     def test_groups_cut_from_the_smallest_time(self):
         # a grid wider than the widest row is cut into groups from its
-        # smallest time up; each group takes the fewest shifts that cover it
+        # smallest time up; each group takes the fewest shifts that cover it,
+        # or its first time takes the single-time row when single rows for
+        # each of its times take no more shifts
         tol = evolve_mod.DEFAULT_TOL
         rows = [row for row in evolve_mod.CONTOUR_ROWS if row[5] <= tol]
         widest = max(row[0] for row in rows)
+        single = min(row[1] for row in rows if row[0] == 1.0)
         ts = np.geomspace(1e-3, 1e3, 25)
         groups = evolve_mod._contour_groups(ts, tol)
         assert groups[0][0] == 0 and groups[-1][1] == ts.size
-        for (lo, hi, s, _), nxt in zip(groups, groups[1:] + [None]):
+        for (lo, hi, s, W), nxt in zip(groups, groups[1:] + [None]):
             assert ts[hi - 1] <= widest * ts[lo]
+            assert W.shape == (2 * s.size, hi - lo)
             assert nxt is None or (nxt[0] == hi and ts[hi] > widest * ts[lo])
             fewest = min(row[1] for row in rows if row[0] * ts[lo] >= ts[hi - 1])
-            assert s.size == fewest
+            assert s.size == fewest < (hi - lo) * single
         ((*_, s, _),) = evolve_mod._contour_groups(np.array([2.0]), tol)
-        assert s.size == min(row[1] for row in rows if row[0] == 1.0)
+        assert s.size == single
+        # two times at any ratio, and t_small's [0.1, 0.5], take two single
+        # rows (26 shifts) where one row over both would take 28 or 44
+        for pair in ([0.01, 1.0], [0.1, 0.5]):
+            groups = evolve_mod._contour_groups(np.array(pair), tol)
+            assert [(lo, hi, s.size) for lo, hi, s, _ in groups] == [(0, 1, single), (1, 2, single)]
+        ((lo, hi, s, _),) = evolve_mod._contour_groups(np.array([0.5, 0.75, 1.0]), tol)
+        assert (lo, hi, s.size) == (0, 3, 28)
 
     def test_2d_rejected(self):
         op = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)),
@@ -646,15 +660,20 @@ class TestContour:
     @pytest.mark.parametrize("delta, n", [(0.0, 64), (0.75, 63), (0.5, 64)],
                              ids=["laplacian", "degenerate-cut", "degenerate"])
     def test_diagonal_matches_mpmath(self, delta, n):
-        # t lambda_max from 1e-3 to 1e7; the catalogue reaches about 3e6
+        # t lambda_max from 1e-3 to 1e7; the catalogue reaches about 3e6.
+        # Eleven times a decade apart take a single-time row each; 21 times
+        # half a decade apart share one row in groups of five
         op = assemble(power1d(delta, domain=(-4.0, 4.0)), build_mesh(1, (-4.0, 4.0), n), 0.0)
-        x_max = np.geomspace(1e-3, 1e7, 11)
+        x_max = np.geomspace(1e-3, 1e7, 21)
         ts = x_max / op.spectral_norm_bound
         tol = evolve_mod.DEFAULT_TOL
-        got = evolve_mod._contour_diag(op, ts, tol)
         ref = mp_diagonal(op, ts)
-        assert got.shape == (op.size, ts.size)
-        assert np.abs(got - ref).max() <= tol
+        for pick, widest in ((slice(None, None, 2), 1), (slice(None), 5)):
+            groups = evolve_mod._contour_groups(ts[pick], tol)
+            assert max(hi - lo for lo, hi, _, _ in groups) == widest
+            got = evolve_mod._contour_diag(op, ts[pick], tol)
+            assert got.shape == (op.size, ts[pick].size)
+            assert np.abs(got - ref[:, pick]).max() <= tol
 
     def test_diagonal_tol_below_the_rational_floor_raises(self, cut_op):
         with pytest.raises(SolverError, match="contour rule"):
@@ -663,10 +682,12 @@ class TestContour:
     @pytest.mark.parametrize("row", evolve_mod.CONTOUR_ROWS, ids=lambda row: f"{row[0]:g}-{row[1]}")
     def test_row_meets_its_bound_on_a_finer_grid(self, row):
         # the rows were fitted on 100 times a decade of tau and their bounds
-        # measured on 400; here on the midpoints of 1000 a decade
+        # measured on 400 and on 4801 points x (tools/contour_rows.py); here
+        # on the midpoints of 1000 times a decade and of those 4801 points
         lam, n, mu, alpha, hn, bound = row
         s, w = evolve_mod._hyperbola(n, mu, alpha, hn / n)
-        x = np.concatenate([[0.0], np.geomspace(1e-8, 1e16, 4801)])
+        fitted = np.geomspace(1e-8, 1e16, 4801)
+        x = np.concatenate([[0.0], np.sqrt(fitted[:-1] * fitted[1:])])
         resolvents = 1.0 / (s + x[:, None])
         steps = int(np.ceil(1000 * np.log10(lam)))
         taus = np.geomspace(1.0, lam, 2 * steps + 1)[1::2] if lam > 1 else np.ones(1)
