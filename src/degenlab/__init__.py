@@ -22,7 +22,6 @@ from .coeffs import (
     profile_from_json,
 )
 from .errors import (
-    CflError,
     DomainError,
     InconclusiveIntegralError,
     ResourceLimitError,
@@ -64,7 +63,6 @@ __all__ = [
     "Verdict",
     "classify",
     "profile_from_json",
-    "CflError",
     "DomainError",
     "InconclusiveIntegralError",
     "ResourceLimitError",

@@ -20,10 +20,6 @@ class SolverError(RuntimeError):
     """Linear solve failed to reach its residual target."""
 
 
-class CflError(RuntimeError):
-    """Leapfrog iteration became unstable (norm growth beyond guard)."""
-
-
 class InconclusiveIntegralError(RuntimeError):
     """Graded quadrature exhausted its budget without settling
     convergent-vs-divergent; the caller decides how to proceed."""

@@ -16,7 +16,10 @@ reproduces exp exactly at the spectrum endpoints in exact arithmetic; in
 particular p(A) 1 = 1 to machine precision (zero row sums), and sparse
 matrix-vector products keep decoupled blocks exactly decoupled.  The required
 degree grows like sqrt(t * lambda_max), with squaring-free substepping past
-the degree cap.
+the degree cap.  The wave propagator runs on the same recurrence, with the
+Jacobi-Anger coefficients of cos(t sqrt(x)) (_wave_coefficients; Tal-Ezer,
+Kosloff and Koren, Geophys. Prospect. 35, 1987), of degree about
+t sqrt(lambda_max) / 2 and no cap: it takes no time step, so WaveField.dt is 0.
 
 The contour writes e^{-tA} phi as sum_k Re[w_k e^{t s_k} (s_k I + A)^{-1} phi]
 over the n shifts s_k of a hyperbola (Weideman and Trefethen, Math. Comp. 76,
@@ -27,21 +30,15 @@ shifts that covers it and whose bound meets tol, or its first time alone
 takes the single-time row when that row's shifts for each of the group's
 times come to no more.  A bound is the max of |e^{-tx} - r_t(x)| over x >= 0
 and the row's times, plus the roundoff 2 eps sum |w_k e^{t s_k}|, so it
-holds for any lambda_max.  On the catalogue a single time takes 13 shifts at
-tol 1e-12 and 16 at 1e-13, and a grid of ratio 4-10 takes 28 (30), of ratio
-50 40 (42) and of ratio 100 44 (48); two times take 26 (32) whenever one
-row would take more.
-Each shifted tridiagonal matrix is factored once (LAPACK zgttrf, applied by
-zgttrs) and solves the whole block of columns once; partial pivoting never
-crosses a zero coupling, so decoupled blocks stay exactly decoupled.  Each
-solve takes one step of iterative refinement against the sparse matrix.
-Without it the factors round s_k into the diagonal s_k + d_i, and the defect
-of e^{-tA} 1 = 1 grew with t to 8e-10 at t = 50 on the 4097-point Laplacian;
-with it the defect there is the rule's own error at x = 0 (2.6e-13 at tol
-1e-12).  Every shifted solve (the contour's complex shifts and the 1D
-resolvent's I + r^2 A) calls zgttrf and zgttrs through ctypes, from the
-function pointers that scipy.linalg.cython_lapack exports; ctypes releases
-the GIL for the length of a foreign call.
+holds for any lambda_max.  Each shifted tridiagonal matrix is factored once
+(LAPACK zgttrf, applied by zgttrs) and solves the whole block of columns
+once; partial pivoting never crosses a zero coupling, so decoupled blocks
+stay exactly decoupled.  Each solve takes one step of iterative refinement
+against the sparse matrix (_contour_expm_apply).  Every shifted solve (the
+contour's complex shifts and the 1D resolvent's I + r^2 A) calls zgttrf and
+zgttrs through ctypes, from the function pointers that
+scipy.linalg.cython_lapack exports; ctypes releases the GIL for the length
+of a foreign call.
 
 The same rule gives the whole kernel diagonal of a 1D operator without a
 solve: diag e^{-tA} = sum_k Re[w_k e^{t s_k} diag((s_k I + A)^{-1})], and
@@ -49,23 +46,21 @@ the diagonal of each shifted tridiagonal inverse comes from two O(N) pivot
 sweeps, one from each end, run once per shift (_contour_diag).
 
 Independent pieces of one call run beside each other through one helper,
-_beside: the first job runs in the calling thread and every other one in a
-short-lived thread, all of them are joined, and the first exception (in job
-order) is re-raised.  It runs the column lanes of a block Chebyshev
-evolution: at most CPUS lanes of whole columns, each one recurrence.  Sparse
-block products and large ufuncs release the GIL, so the lanes use every core
-the process may run on.  The recurrence runs only on the components of the
-operator's graph (DiscreteOperator.components) that the block meets: an
-exact cut splits the graph, and the rows cut off stay exactly 0, bitwise as
-in a recurrence over every row.
+_beside.  It runs the column lanes of a block Chebyshev evolution: at most
+CPUS lanes of whole columns, each one recurrence.  Sparse block products and
+large ufuncs release the GIL, so the lanes use every core the process may
+run on.  The recurrence runs only on the components of the operator's graph
+(DiscreteOperator.components) that the block meets: an exact cut splits the
+graph, and the rows cut off stay exactly 0, bitwise as in a recurrence over
+every row.
 
-heat_evolve and sup_kernel are the batched entry points: they take a block of
-columns and a sequence of times.  The vectors T_k(M) phi do not depend on t,
-so one Chebyshev recurrence serves a whole time grid, and every (t, column)
-result is bitwise the one-vector, one-t result.  The contour shares its
-shifts among the times of a call, so there a time's value depends on the
-call's grid within the certified bound, while each column is bitwise its
-own call with the same times.  heat_gram gives the inner products
+heat_evolve, sup_kernel and wave_evolve are the batched entry points: they
+take a block of columns and a sequence of times.  The vectors T_k(M) phi do
+not depend on t, so one Chebyshev recurrence serves a whole time grid, and
+every (t, column) result is bitwise the one-vector, one-t result.  The
+contour shares its shifts among the times of a call, so there a time's value
+depends on the call's grid within the certified bound, while each column is
+bitwise its own call with the same times.  heat_gram gives the inner products
 (phi_i, e^{-tA} psi_j) of the off-diagonal and on-diagonal checks from
 evolutions of the psi_j alone on the operator's backend.  operator_eig is a
 dense reference for tests; no check calls it.
@@ -88,9 +83,9 @@ from math import comb
 
 import numpy as np
 from scipy.linalg import cython_lapack, eigh_tridiagonal
-from scipy.special import ive
+from scipy.special import gammaln, ive, jv
 
-from .errors import CflError, SolverError
+from .errors import SolverError
 from .grid import DiscreteOperator
 
 CHEB_DEGREE_CAP = 24_000
@@ -100,7 +95,6 @@ RESOLVENT_CHECK_FACTOR = 4.0  # slack of the 2D resolvent residual check over it
 # bytes of the (N, width) delta block that one 2D sup_kernel evolution takes, so
 # that a full scan never forms an N x N block; width is at least CPUS columns
 BLOCK_BYTES = 1 << 21
-CFL_SAFETY = 0.5  # leapfrog dt as a fraction of the stability limit 2 / sqrt(lambda_max)
 # Rows (Lambda, n, mu t0, alpha, h n, bound) of the 1D contour rule
 # (_hyperbola): n shifts serve every t in [t0, Lambda t0].  bound is 1.05
 # times the max over tau = t / t0 in geomspace(1, Lambda, 1 + 400 log10
@@ -150,10 +144,8 @@ class HeatField:
 @dataclass
 class WaveField:
     displacement: np.ndarray
-    previous: np.ndarray
-    time: float
-    dt: float
-    energy_drift: float = 0.0
+    time: object  # a float, or the array of a sequence of times
+    dt: float = 0.0  # the propagator takes no time steps
 
 
 def operator_eig(op: DiscreteOperator):
@@ -223,15 +215,20 @@ def _beside(jobs):
 # Chebyshev exponential action
 
 
+def _tail_start(mags, tol):
+    """The least k >= 1 with sum(mags[k:]) <= tol / 4, or len(mags) if none:
+    coefficients 2 mags[j] cut past k drop at most tol / 2 of those in mags."""
+    keep = np.nonzero(mags[::-1].cumsum()[::-1] > 0.25 * tol)[0]
+    return int(keep[-1]) + 1 if keep.size else 1
+
+
 def _cheb_coefficients(a, tol):
     """Coefficients c_k with exp(-a(1+xi)) = sum c_k T_k(xi) on [-1, 1]:
     c_0 = e^{-a} I_0(a), c_k = 2 e^{-a} (-1)^k I_k(a).  Raises SolverError
     when the degree cap would leave a tail above tol."""
     guess = int(np.sqrt(80.0 * max(a, 1.0))) + 80
     mags = ive(np.arange(guess + 2), a)
-    tails = mags[:-1][::-1].cumsum()[::-1]
-    keep = np.nonzero(tails > 0.25 * tol)[0]
-    deg = int(keep[-1]) + 1 if keep.size else 1
+    deg = _tail_start(mags[:-1], tol)
     if deg > guess:
         # I_{k+1}(a) / I_k(a) decreases in k: a geometric series from the
         # first coefficient past the cap bounds what the cap discards
@@ -240,6 +237,24 @@ def _cheb_coefficients(a, tol):
             raise SolverError(f"Chebyshev degree cap {guess} leaves a tail {tail:.3e} > {tol:.3e}")
         deg = guess
     c = mags[: deg + 1].copy()
+    c[1:] *= 2.0
+    c[1::2] *= -1.0
+    return c
+
+
+def _wave_coefficients(a, tol):
+    """Coefficients c_k with cos(a sqrt((1+xi)/2)) = sum c_k T_k(xi) on
+    [-1, 1], a > 0: c_0 = J_0(a), c_k = 2 (-1)^k J_{2k}(a), the Jacobi-Anger
+    expansion of cos(a cos p) at xi = cos 2p (Abramowitz and Stegun 9.1.45).
+    The bounds b_k = (a/2)^{2k} / (2k)! >= |J_{2k}(a)| are below (e a/4k)^{2k},
+    so some n <= max(1.36 a, log_4(8/tol)) + 1 has b_n <= tol / 8 and b halving
+    past it: sum_{k >= n} |c_k| <= 4 b_n <= tol / 2.  The terms below the
+    first such n are cut at tol / 2 (_tail_start)."""
+    nu = 2.0 * np.arange(int(max(1.36 * a, 0.5 * np.log2(8.0 / tol))) + 2)
+    log_b = nu * np.log(0.5 * a) - gammaln(nu + 1.0)
+    n = np.flatnonzero((a * a <= 2.0 * (nu + 1.0) * (nu + 2.0)) & (log_b <= np.log(0.125 * tol)))[0]
+    mags = jv(nu[:n], a)
+    c = mags[: _tail_start(np.abs(mags), tol) + 1].copy()
     c[1:] *= 2.0
     c[1::2] *= -1.0
     return c
@@ -763,32 +778,22 @@ def resolvent_power_apply(op: DiscreteOperator, r, m: int, phi) -> np.ndarray:
     return out[0] if np.ndim(r) == 0 else out
 
 
-def wave_evolve(op: DiscreteOperator, phi0, t: float) -> WaveField:
-    """cos(t A^{1/2}) phi0 by leapfrog with cosine initial condition
-    (u^{-1} = u^{1}); dt = CFL_SAFETY * 2 / sqrt(lambda_max)."""
-    if t < 0:
+def wave_evolve(op: DiscreteOperator, phi0, t) -> WaveField:
+    """cos(t A^{1/2}) phi0 for a vector or (N, k) block phi0 and a time or a
+    sequence of times (a leading time axis); t = 0 returns phi0 exactly.
+    One Chebyshev recurrence serves every time, each bitwise its own call,
+    within DEFAULT_TOL ||phi0||_2 in exact arithmetic.  A zero row of A is a
+    decoupled node, where cos(t 0) = 1: it is copied from phi0."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0):
         raise ValueError("t must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)
-    if t == 0.0:
-        return WaveField(phi0.copy(), phi0.copy(), 0.0, 0.0)
-    lmax = max(op.spectral_norm_bound, 1e-300)
-    dt_max = CFL_SAFETY * 2.0 / np.sqrt(lmax)
-    nsteps = max(int(np.ceil(t / dt_max - 1e-12)), 1)
-    dt = t / nsteps
-    A = op.matrix
-    guard = 10.0 * max(float(np.abs(phi0).max()), 1e-300)
-
-    u_prev = phi0.copy()
-    u = phi0 - 0.5 * dt * dt * (A @ phi0)
-    e0 = _leapfrog_energy(A, u, u_prev, dt)
-    for _ in range(nsteps - 1):
-        u_prev, u = u, 2.0 * u - u_prev - dt * dt * (A @ u)
-        if np.abs(u).max() > guard:
-            raise CflError("leapfrog norm grew beyond 10x the initial datum")
-    drift = abs(_leapfrog_energy(A, u, u_prev, dt) - e0) / max(abs(e0), 1e-300)
-    return WaveField(u, u_prev, t, dt, drift)
-
-
-def _leapfrog_energy(A, u, u_prev, dt):
-    v = (u - u_prev) / dt
-    return float(v @ v + u @ (A @ u_prev))
+    a = ts * np.sqrt(op.spectral_norm_bound)
+    vals = np.repeat(phi0[None], ts.size, axis=0)
+    live = np.flatnonzero(a > 0)
+    if live.size:
+        coefs = [_wave_coefficients(s, DEFAULT_TOL) for s in a[live]]
+        vals[live] = _cheb_apply(op, phi0.reshape(op.size, -1), coefs).reshape(vals[live].shape)
+        frozen = op.matrix.diagonal() == 0.0
+        vals[:, frozen] = phi0[frozen]
+    return WaveField(vals[0], float(t)) if np.ndim(t) == 0 else WaveField(vals, ts)

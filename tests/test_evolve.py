@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.special import jv
 
 import degenlab.evolve as evolve_mod
 
@@ -26,7 +27,7 @@ from degenlab import (
     sup_kernel,
     wave_evolve,
 )
-from degenlab.errors import CflError, SolverError
+from degenlab.errors import SolverError
 
 
 def power1d(delta, domain=(-8.0, 8.0)):
@@ -958,37 +959,65 @@ class TestWaveEvolve:
         w = wave_evolve(op, phi, 1.0)
         assert np.array_equal(w.displacement[:10], phi[:10])
 
-    def test_energy_drift_small(self, laplace_op):
-        xs = laplace_op.mesh.axis(0)
-        phi = np.exp(-(xs**2) * 4)
-        w = wave_evolve(laplace_op, phi, 2.0)
-        assert w.energy_drift < 0.01
+    def test_time_zero_in_a_batch(self, laplace_op):
+        phi = np.sin(np.arange(laplace_op.size) * 0.01)
+        out = wave_evolve(laplace_op, phi, [0.5, 0.0, 1.0]).displacement
+        assert np.array_equal(out[1], phi)
+        assert not np.array_equal(out[0], phi)
 
     def test_against_exact_cosine(self):
-        # eigendecomposition-exact cos(t sqrt(A)) phi on n = 512
-        mesh = build_mesh(1, (-8.0, 8.0), 512)
-        op = assemble(power1d(0.0), mesh, 0.0)
-        xs = mesh.axis(0)
-        phi = np.exp(-(xs**2) * 8)
-        lam, V = dense_eig(op)
-        t = 1.0
-        exact = V @ (np.cos(t * np.sqrt(lam)) * (V.T @ phi))
-        w = wave_evolve(op, phi, t)
-        assert np.linalg.norm(w.displacement - exact) <= 2e-2 * np.linalg.norm(phi)
-        # support expansion at most t + 4h beyond the initial support
-        thresh = 1e-8 * np.abs(phi).max()
-        r0 = np.abs(xs[np.abs(phi) > thresh]).max()
-        r1 = np.abs(xs[np.abs(exact) > thresh]).max()
-        assert r1 <= r0 + t + 4 * mesh.h
+        # eigendecomposition-exact cos(t sqrt(A)) phi at every time of one
+        # call, on the Laplacian, a delta = 0.5 operator and an exact cut
+        ts = [0.5, 1.0, 4.0]
+        for delta, n, domain in [(0.0, 512, (-8.0, 8.0)), (0.5, 255, (-4.0, 4.0)),
+                                 (0.75, 511, (-4.0, 4.0))]:
+            mesh = build_mesh(1, domain, n)
+            op = assemble(power1d(delta, domain=domain), mesh, 0.0)
+            xs = mesh.axis(0)
+            phi = np.exp(-((xs + 0.5) ** 2) * 8)
+            lam, V = dense_eig(op)
+            for t, u in zip(ts, wave_evolve(op, phi, ts).displacement):
+                exact = V @ (np.cos(t * np.sqrt(lam)) * (V.T @ phi))
+                assert np.linalg.norm(u - exact) <= 1e-10 * np.linalg.norm(phi)
+                if delta == 0.0:
+                    # support expansion at most t + 4h beyond the initial support
+                    thresh = 1e-8 * np.abs(phi).max()
+                    r0 = np.abs(xs[np.abs(phi) > thresh]).max()
+                    r1 = np.abs(xs[np.abs(exact) > thresh]).max()
+                    assert r1 <= r0 + t + 4 * mesh.h
 
-    def test_unstable_dt_detected(self):
-        # force instability by lying about the spectral bound
-        mesh = build_mesh(1, (-1.0, 1.0), 128)
-        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
-        op.spectral_norm_bound = op.spectral_norm_bound / 16.0
-        xs = mesh.axis(0)
-        with pytest.raises(CflError):
-            wave_evolve(op, np.exp(-(xs**2) * 50), 5.0)
+    def test_batch_bitwise_its_one_time_calls(self, laplace_op):
+        phi = np.random.default_rng(41).standard_normal(laplace_op.size)
+        ts = [1.0, 0.25, 3.0, 0.5]
+        w = wave_evolve(laplace_op, phi, ts)
+        assert w.displacement.shape == (len(ts), laplace_op.size)
+        assert w.dt == 0.0 and np.array_equal(w.time, ts)
+        for t, u in zip(ts, w.displacement):
+            alone = wave_evolve(laplace_op, phi, t)
+            assert alone.time == t
+            assert np.array_equal(u, alone.displacement)
+        # each column of a block is bitwise its own call
+        block = wave_evolve(laplace_op, np.column_stack([phi[::-1], phi]), ts).displacement
+        assert np.array_equal(block[:, :, 1], w.displacement)
+
+    def test_batch_across_the_exact_cut_stays_zero(self, cut_op):
+        xs = cut_op.mesh.axis(0)
+        assert np.any(cut_op.matrix.diagonal(1) == 0.0)
+        phi = np.exp(-((xs + 1.0) ** 2)) * (xs < 0)
+        out = wave_evolve(cut_op, phi, [0.5, 1.0, 2.0, 4.0]).displacement
+        assert np.all(out[:, xs > 0] == 0.0)
+        assert np.all(np.abs(out[:, xs < 0]).sum(axis=1) > 0.0)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 30.0, 300.0, 2000.0])
+    def test_coefficients_are_jacobi_anger_cut_below_tol(self, a):
+        tol = evolve_mod.DEFAULT_TOL
+        c = evolve_mod._wave_coefficients(a, tol)
+        k = np.arange(c.size)
+        assert np.array_equal(c, np.where(k > 0, 2.0 * (-1.0) ** k, 1.0) * jv(2 * k, a))
+        dropped = 2.0 * np.abs(jv(2 * np.arange(c.size, 2 * int(a) + 100), a)).sum()
+        assert dropped <= tol
+        # the degree is about a/2
+        assert c.size <= 0.5 * a + 8.0 * a ** (1 / 3) + 20
 
 
 class TestEigCache:
