@@ -21,7 +21,6 @@ quadrature and a piece-ratio divergence test.
 """
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +35,6 @@ DEGENERACY_TOL = 1e-12  # a 1D point this close to a declared degeneracy is on i
 
 # classifier budget; the divergence test runs at graded_tail's defaults
 SCAN_POINTS = 10_000  # uniform scan for zeros of c + epsilon
-GOLDEN_ITERS = 320  # golden-section steps refining an undeclared dip
 ZERO_WINDOW = 0.5  # largest offset integrated from a zero (and the 2D normal scan)
 ELLIPTIC_THRESHOLD = 1e-8  # c + epsilon above this everywhere: strongly elliptic
 MERGE_FRACTION = 1e-3  # zeros closer than this fraction of the scan are one
@@ -321,86 +319,40 @@ class Classification:
     integrability_table: list
 
 
-def _golden_min(f, a, b, iters):
-    """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a <= 0.0:
-            break
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _locate_zeros(mu, lo, hi, declared):
-    """Minimum search on a fine scan plus golden refinement; returns the
-    merged list of near-zero locations and the refined infimum estimate."""
+def _locate_zeros(mu, lo, hi, known):
+    """Zeros and infimum of mu on [lo, hi], read off SCAN_POINTS uniform
+    points and the known points: a zero is the middle of a run of points at
+    or below ELLIPTIC_THRESHOLD (zeros within MERGE_FRACTION of the interval
+    are one), the infimum the least value."""
     xs = np.linspace(lo, hi, SCAN_POINTS)
-    if declared:
-        xs = np.sort(np.concatenate([xs, np.asarray(declared, dtype=float)]))
+    if known:
+        xs = np.sort(np.concatenate([xs, np.asarray(known, dtype=float)]))
     vals = np.asarray(mu(xs), dtype=float)
-    mu_lower = float(vals.min())
-    width = hi - lo
     zeros = []
-
-    # scan points already at (numerical) zero, plateau runs compressed
-    mask = vals <= ELLIPTIC_THRESHOLD
-    if np.any(mask):
-        run_start = None
-        for i, m in enumerate(np.append(mask, False)):
-            if m and run_start is None:
-                run_start = i
-            elif not m and run_start is not None:
-                zeros.append(float(0.5 * (xs[run_start] + xs[i - 1])))
-                run_start = None
-
-    # golden refinement of promising strict local minima (undeclared dips)
-    strict = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]))[0] + 1
-    promote = 1e-3 * max(float(vals.max()), ELLIPTIC_THRESHOLD)
-    cand = [i for i in strict if vals[i] <= promote and not mask[i]]
-    imin = int(np.argmin(vals))
-    if not mask[imin]:
-        cand.append(imin)
-    for i in sorted(set(cand)):
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, len(xs) - 1)]
-        x_ref, v_ref = _golden_min(
-            lambda t: float(np.asarray(mu(np.array([t])), dtype=float)[0]),
-            a,
-            b,
-            GOLDEN_ITERS,
-        )
-        if vals[i] < v_ref:
-            x_ref, v_ref = float(xs[i]), float(vals[i])
-        mu_lower = min(mu_lower, float(v_ref))
-        if v_ref <= ELLIPTIC_THRESHOLD:
-            zeros.append(float(x_ref))
-
-    zeros.sort()
+    run_start = None
+    for i, m in enumerate(np.append(vals <= ELLIPTIC_THRESHOLD, False)):
+        if m and run_start is None:
+            run_start = i
+        elif not m and run_start is not None:
+            zeros.append(float(0.5 * (xs[run_start] + xs[i - 1])))
+            run_start = None
     merged = []
     for z in zeros:
-        if merged and z - merged[-1] < MERGE_FRACTION * width:
+        if merged and z - merged[-1] < MERGE_FRACTION * (hi - lo):
             continue
         merged.append(z)
-    return merged, mu_lower
+    return merged, float(vals.min())
 
 
 def classify(profile: CoefficientProfile) -> Classification:
     """Decide strong ellipticity, closability, or separation candidacy.
 
     Works on the 1D axis for 1D profiles and on the signed normal offset for
-    declared radial/surface degeneracies.  Quadrature of 1/(c + epsilon) is
-    run toward each located zero from both sides; a divergent side marks a
-    cut.
+    declared radial/surface degeneracies.  Every minimum of c + epsilon is a
+    point of the scan (_locate_zeros): a power center, a shell radius, the 0
+    of a normal section or a sample node, and any point of a constant.
+    Quadrature of 1/(c + epsilon) is run toward each located zero from both
+    sides; a divergent side marks a cut.
     """
     fam = profile.family
 
@@ -410,20 +362,22 @@ def classify(profile: CoefficientProfile) -> Classification:
         def mu(xs):
             return profile.scalar_values(np.asarray(xs, float).reshape(-1, 1))
 
-        declared = profile.axis_degeneracies()
+        known = profile.axis_degeneracies()
+        if isinstance(fam, Sampled):
+            known += np.linspace(lo, hi, fam.values.size).tolist()  # c is linear between them
 
     elif isinstance(fam, (RadialShell, SurfaceDegenerate)):
         # classification reduces to the normal section through the degeneracy
         mu = profile.normal_section()
         lo, hi = -ZERO_WINDOW, ZERO_WINDOW
-        declared = [0.0]
+        known = [0.0]
 
     else:
         raise ValueError(
             "classification needs a 1D profile or a declared radial/surface degeneracy"
         )
 
-    zeros, mu_lower = _locate_zeros(mu, lo, hi, declared)
+    zeros, mu_lower = _locate_zeros(mu, lo, hi, known)
 
     if mu_lower > ELLIPTIC_THRESHOLD:
         return Classification(Verdict.STRONGLY_ELLIPTIC, [], mu_lower, [])

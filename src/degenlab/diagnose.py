@@ -36,7 +36,6 @@ MODES = {  # the modes of the checks that take one
 class Status(str, Enum):
     HOLDS = "Holds"
     VIOLATED = "Violated"
-    FITTED = "Fitted"
     INCONCLUSIVE = "Inconclusive"
 
 
@@ -382,9 +381,10 @@ def separation_probe(
             raise ValueError("h must place the cut on a grid node (even n)")
         mesh = build_mesh(1, (lo, hi), n)
         xs = mesh.axis(0)
-        phi = ((xs >= bump[0]) & (xs <= bump[1])).astype(float)
+        in_bump = (xs >= bump[0]) & (xs <= bump[1])
+        phi = nonempty(in_bump, f"separation_probe: bump {bump} at h = {h}").astype(float)
         phi /= phi.sum() * mesh.cell_volume
-        right = xs > cut
+        right = nonempty(xs > cut, f"separation_probe: far side x > {cut} at h = {h}")
         for eps in epsilon_list:
             opv = assemble(profile, mesh, float(eps))
             f = heat_evolve(opv, phi, float(t), backend=exp_backend(opv))

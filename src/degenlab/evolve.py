@@ -15,11 +15,12 @@ Coefficients come from scaled modified Bessel functions, so the polynomial
 reproduces exp exactly at the spectrum endpoints in exact arithmetic; in
 particular p(A) 1 = 1 to machine precision (zero row sums), and sparse
 matrix-vector products keep decoupled blocks exactly decoupled.  The required
-degree grows like sqrt(t * lambda_max), with squaring-free substepping past
-the degree cap.  The wave propagator runs on the same recurrence, with the
-Jacobi-Anger coefficients of cos(t sqrt(x)) (_wave_coefficients; Tal-Ezer,
-Kosloff and Koren, Geophys. Prospect. 35, 1987), of degree about
-t sqrt(lambda_max) / 2 and no cap: it takes no time step, so WaveField.dt is 0.
+degree grows like sqrt(t * lambda_max) (Tal-Ezer and Kosloff, J. Chem.
+Phys. 81, 1984), so one expansion serves every time, however long.  The wave
+propagator runs on the same recurrence, with the Jacobi-Anger coefficients of
+cos(t sqrt(x)) (_wave_coefficients; Tal-Ezer, Kosloff and Koren, Geophys.
+Prospect. 35, 1987), of degree about t sqrt(lambda_max) / 2: it takes no time
+step, so WaveField.dt is 0.
 
 The contour writes e^{-tA} phi as sum_k Re[w_k e^{t s_k} (s_k I + A)^{-1} phi]
 over the n shifts s_k of a hyperbola (Weideman and Trefethen, Math. Comp. 76,
@@ -88,7 +89,6 @@ from scipy.special import gammaln, ive, jv
 from .errors import SolverError
 from .grid import DiscreteOperator
 
-CHEB_DEGREE_CAP = 24_000
 DEFAULT_TOL = 1e-12
 FINE_TOL = 1e-13  # heat_gram and 2D resolvent powers: tail-accurate values
 RESOLVENT_CHECK_FACTOR = 4.0  # slack of the 2D resolvent residual check over its bound
@@ -224,17 +224,18 @@ def _tail_start(mags, tol):
 
 def _cheb_coefficients(a, tol):
     """Coefficients c_k with exp(-a(1+xi)) = sum c_k T_k(xi) on [-1, 1]:
-    c_0 = e^{-a} I_0(a), c_k = 2 e^{-a} (-1)^k I_k(a).  Raises SolverError
-    when the degree cap would leave a tail above tol."""
+    c_0 = e^{-a} I_0(a), c_k = 2 e^{-a} (-1)^k I_k(a), up to the least
+    degree whose tail is within tol.  Raises SolverError when a tol below
+    what the first guess sqrt(80 max(a, 1)) + 80 reaches is asked for."""
     guess = int(np.sqrt(80.0 * max(a, 1.0))) + 80
     mags = ive(np.arange(guess + 2), a)
     deg = _tail_start(mags[:-1], tol)
     if deg > guess:
         # I_{k+1}(a) / I_k(a) decreases in k: a geometric series from the
-        # first coefficient past the cap bounds what the cap discards
+        # first coefficient past the guess bounds what the guess discards
         tail = 2.0 * mags[-1] / (1.0 - mags[-1] / mags[-2])
         if tail > tol:
-            raise SolverError(f"Chebyshev degree cap {guess} leaves a tail {tail:.3e} > {tol:.3e}")
+            raise SolverError(f"Chebyshev degree {guess} leaves a tail {tail:.3e} > {tol:.3e}")
         deg = guess
     c = mags[: deg + 1].copy()
     c[1:] *= 2.0
@@ -354,32 +355,15 @@ def _cheb_apply(op, cols, coefs):
 
 def _cheb_expm_apply(op, phi, ts, tol):
     """p_t(A) phi with p_t ~ exp(-t .) uniformly on [0, lambda_max] within
-    tol, stacked over t > 0 in ts.  Times without substeps share one
-    _cheb_apply; a substepped time applies its own nsub times."""
-    lmax = op.spectral_norm_bound
-    cols = phi.reshape(op.size, -1)
-    out = np.empty((len(ts),) + cols.shape)
-    shared, substepped = [], []
-    for i, t in enumerate(ts):
-        a = 0.5 * t * lmax
-        nsub = 1
-        deg_est = int(np.sqrt(80.0 * max(a, 1.0))) + 80
-        if deg_est > CHEB_DEGREE_CAP:
-            nsub = int(np.ceil(80.0 * a / CHEB_DEGREE_CAP**2)) + 1
-        if a == 0.0:
-            out[i] = cols
-        elif nsub == 1:
-            shared.append((i, _cheb_coefficients(a, tol)))
-        else:
-            substepped.append((i, nsub, _cheb_coefficients(a / nsub, tol / nsub)))
-    if shared:
-        out[[i for i, _ in shared]] = _cheb_apply(op, cols, [c for _, c in shared])
-    for i, nsub, c in substepped:
-        z = cols
-        for _ in range(nsub):
-            z = _cheb_apply(op, z, [c])[0]
-        out[i] = z
-    return out.reshape((len(ts),) + phi.shape)
+    tol, stacked over the times ts, from one _cheb_apply.  A time with
+    t lambda_max = 0 returns phi."""
+    a = 0.5 * np.asarray(ts) * op.spectral_norm_bound
+    out = np.repeat(phi[None], a.size, axis=0)
+    live = np.flatnonzero(a > 0)
+    if live.size:
+        coefs = [_cheb_coefficients(s, tol) for s in a[live]]
+        out[live] = _cheb_apply(op, phi.reshape(op.size, -1), coefs).reshape(out[live].shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +563,7 @@ def heat_evolve(
     'chebyshev' and 'contour' (1D operators only; ValueError otherwise).
     Both keep the scalar error of their approximant on the spectrum within
     tol, so in exact arithmetic the result is within tol * ||phi0||_2, and
-    raise SolverError when their degree cap or rule table cannot.  The
+    raise SolverError when their degree guess or rule table cannot.  The
     roundoff of the arithmetic is not in that bound.  With 'chebyshev' each
     (t, column) result is bitwise a call for that vector and that t alone.
     With 'contour' the times of a call share one rule per group of times,

@@ -82,6 +82,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "foo" in err and "checks[0]" in err
 
+    @pytest.mark.parametrize("where", [{"bump": [3.0, 3.5]}, {"cut": 2.0}])
+    def test_empty_probe_set_exit_1(self, small_scenario, where, tmp_path, capsys):
+        doc = json.loads(small_scenario.read_text())
+        probe = doc["checks"][-1]
+        probe["params"].update(where, h_list=[2.0**-6])
+        doc["checks"] = [probe]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "selects no mesh node" in capsys.readouterr().err
+
     def test_missing_field_named(self):
         with pytest.raises(SchemaError, match="mesh"):
             validate_scenario({"name": "x", "profile": {}, "checks": []})

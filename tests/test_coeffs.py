@@ -151,6 +151,26 @@ class TestClassify:
         assert cl.verdict is Verdict.SEPARATING
         assert len(cl.cut_points) == 2
 
+    def test_sampled_minima_read_at_nodes_off_the_scan(self):
+        # 33 nodes, -1 + k/16: the zeros at +-0.9375 and the dip at -0.25 lie
+        # between points of the uniform scan, the zeros 9.4e-5 from the
+        # nearest, where c is already 1.5e-3; c is linear between nodes, so
+        # its minima are node values
+        values = np.ones(33)
+        values[[1, 31]] = 0.0
+        values[12] = 0.3
+        nodes = np.linspace(-1.0, 1.0, 33)
+        assert not np.isin(nodes[[1, 12, 31]], np.linspace(-1.0, 1.0, 10_000)).any()
+        cl = classify(CoefficientProfile(1, Sampled(values), (-1.0, 1.0)))
+        assert cl.verdict is Verdict.SEPARATING
+        assert cl.cut_points == [-0.9375, 0.9375]
+        assert {row["zero"] for row in cl.integrability_table} == {-0.9375, 0.9375}
+        assert cl.mu_lower == values.min() + 0.0
+        positive = np.where(values == 0.0, 0.5, values)
+        cl = classify(CoefficientProfile(1, Sampled(positive), (-1.0, 1.0), epsilon=1e-3))
+        assert cl.verdict is Verdict.STRONGLY_ELLIPTIC
+        assert cl.mu_lower == positive.min() + 1e-3
+
     def test_radial_normal_section(self):
         p = CoefficientProfile(2, RadialShell(0.75, 1.0), (-2.0, 2.0))
         assert classify(p).verdict is Verdict.SEPARATING

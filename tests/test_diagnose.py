@@ -251,6 +251,16 @@ class TestSeparationProbe:
         assert min(r["leakage"] for r in eps_rows) > 1e-3
 
 
+    @pytest.mark.parametrize(
+        "where, what", [({"bump": (3.0, 3.5)}, "bump"), ({"cut": 2.0}, "far side")]
+    )
+    def test_empty_set_raises(self, where, what):
+        # a bump outside the box, or a cut at its right end, selects no node
+        p = power1d(0.75, domain=(-2.0, 2.0))
+        with pytest.raises(ValueError, match=f"separation_probe: {what} .* at h = 0.015625"):
+            separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6], [0.0], **where)
+
+
 class TestInvarianceAndForm:
     def test_exact_cut_invariant(self, cut_setup):
         _, mesh, op = cut_setup

@@ -251,7 +251,7 @@ class TestHeatEvolve:
 
 
 def cheb_reference(op, phi, t, tol=1e-12):
-    """The one-vector, one-t Chebyshev recurrence (no substeps)."""
+    """The one-t Chebyshev recurrence on a vector or a block of columns."""
     lmax = op.spectral_norm_bound
     c = evolve_mod._cheb_coefficients(0.5 * t * lmax, tol)
     A, scale = op.matrix, 2.0 / lmax
@@ -354,23 +354,30 @@ class TestBatchedEvolve:
         monkeypatch.setattr(evolve_mod.os, "cpu_count", lambda: None)
         assert evolve_mod._usable_cpus() == 1
 
-    def test_substepped_time_joins_block(self, monkeypatch):
-        # past the degree cap a time is split into substeps; a low cap makes
-        # t = 1 substepped while t = 0.05 still shares the recurrence
-        monkeypatch.setattr(evolve_mod, "CHEB_DEGREE_CAP", 200)
-        mesh = build_mesh(1, (-8.0, 8.0), 256)
+    def test_long_time_joins_block(self, monkeypatch):
+        # t lambda_max / 2 = 8e6 needs degree 20,438: the long time shares
+        # the one recurrence with t = 0.05
+        calls = []
+        real = evolve_mod._cheb_apply
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(evolve_mod, "_cheb_apply", counting)
+        mesh = build_mesh(1, (-8.0, 8.0), 64)
         op = assemble(power1d(0.0), mesh, 0.0)
         lam, V = dense_eig(op)
-        rng = np.random.default_rng(22)
-        block = rng.standard_normal((op.size, 3))
-        ts = [1.0, 0.05]
+        block = np.random.default_rng(22).standard_normal((op.size, 3))
+        ts = [2.5e5, 0.05]
         out = heat_evolve(op, block, ts).values
-        for j in range(3):
-            for i, t in enumerate(ts):
-                assert np.array_equal(out[i, :, j], heat_evolve(op, block[:, j], t).values)
+        assert len(calls) == 1
+        for i, t in enumerate(ts):
+            ref = cheb_reference(op, block, t)  # a block product is columnwise bitwise
+            for j in range(3):
+                assert np.array_equal(out[i, :, j], ref[:, j])
                 exact = V @ (np.exp(-t * lam) * (V.T @ block[:, j]))
-                assert np.abs(out[i, :, j] - exact).max() < 1e-10
-        assert np.array_equal(out[1, :, 0], cheb_reference(op, block[:, 0], 0.05))
+                assert np.abs(out[i, :, j] - exact).max() < 1e-9
 
     @pytest.mark.parametrize("margin", [0.0, 1.0])
     def test_sup_kernel_multitime_matches_einsum(self, margin):

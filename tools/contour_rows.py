@@ -8,7 +8,8 @@ geomspace(1e-8, 1e16, 4801) of |e^{-tau x} - r_tau(x)| plus the roundoff
 2 eps sum_k |w_k e^{tau s_k}|, times 1.05, rounded up to two digits.
 
     python tools/contour_rows.py check
-        re-measures the bound of every row of the table
+        re-measures the bound of every row of the table and exits 1 when
+        a row's worst error, before the 1.05 margin, exceeds its bound
     python tools/contour_rows.py fit LAMBDA N [MU_T0]
         fits (mu t0, alpha, h n) for n shifts over [1, LAMBDA] by
         Nelder-Mead on the log of the bound at 100 values of tau a decade
@@ -47,8 +48,13 @@ def worst(n, mu, alpha, hn, tau, x):
     return out
 
 
+def measured(lam, n, mu, alpha, hn):
+    """The worst error of a row over the certification grid."""
+    return worst(n, mu, alpha, hn, taus(lam, 400), X_CERT)
+
+
 def certified(lam, n, mu, alpha, hn):
-    b = 1.05 * worst(n, mu, alpha, hn, taus(lam, 400), X_CERT)
+    b = 1.05 * measured(lam, n, mu, alpha, hn)
     digit = 10.0 ** (np.floor(np.log10(b)) - 1)
     return float(np.ceil(b / digit) * digit)
 
@@ -77,8 +83,12 @@ def fit(lam, n, mu_fixed=None):
 
 def main(argv):
     if argv[:1] == ["check"]:
+        failed = 0
         for row in CONTOUR_ROWS:
-            print(row, f"re-measured {certified(*row[:5]):.2g}")
+            err = measured(*row[:5])
+            failed += err > row[5]
+            print(row, f"worst error {err:.3g}", "ok" if err <= row[5] else "EXCEEDS BOUND")
+        sys.exit(1 if failed else 0)
     elif argv[:1] == ["fit"] and len(argv) in (3, 4):
         row = fit(float(argv[1]), int(argv[2]), float(argv[3]) if len(argv) == 4 else None)
         print(row + (float(f"{certified(*row):.2g}"),))
