@@ -22,6 +22,16 @@ cos(t sqrt(x)) (_wave_coefficients; Tal-Ezer, Kosloff and Koren, Geophys.
 Prospect. 35, 1987), of degree about t sqrt(lambda_max) / 2: it takes no time
 step, so WaveField.dt is 0.
 
+Every Chebyshev sum runs one recurrence on B = 2 M = (4 / lambda_max) A - 2 I,
+built once per call with the sparsity pattern of A: T_1 = 0.5 (B y), an exact
+halving, and T_{k+1} = B T_k - T_{k-1}.  A step negates the buffer of T_{k-1}
+in place and adds B T_k onto it with scipy's CSR kernels (csr_matvec for one
+column, csr_matvecs for more), so two buffers alternate and no step
+allocates.  The kernels come from the private scipy.sparse._sparsetools,
+because the public B @ w allocates and zero-fills a block at every step; that
+the module and its signatures are there at the declared scipy 1.10 floor is
+checked only by the oldest-supported CI job.
+
 The contour writes e^{-tA} phi as sum_k Re[w_k e^{t s_k} (s_k I + A)^{-1} phi]
 over the n shifts s_k of a hyperbola (Weideman and Trefethen, Math. Comp. 76,
 2007, section 4).  The resolvent does not depend on t, so one rule serves
@@ -84,7 +94,11 @@ from math import comb
 
 import numpy as np
 from scipy.linalg import cython_lapack, eigh_tridiagonal
-from scipy.special import gammaln, ive, jv
+# scipy's CSR product kernels, from its private module: they add B w onto a
+# buffer in place, where the public B @ w allocates and zero-fills a block at
+# every step of the Chebyshev recurrence
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+from scipy.special import ive, jv
 
 from .errors import SolverError
 from .grid import DiscreteOperator
@@ -247,39 +261,55 @@ def _wave_coefficients(a, tol):
     """Coefficients c_k with cos(a sqrt((1+xi)/2)) = sum c_k T_k(xi) on
     [-1, 1], a > 0: c_0 = J_0(a), c_k = 2 (-1)^k J_{2k}(a), the Jacobi-Anger
     expansion of cos(a cos p) at xi = cos 2p (Abramowitz and Stegun 9.1.45).
-    The bounds b_k = (a/2)^{2k} / (2k)! >= |J_{2k}(a)| are below (e a/4k)^{2k},
-    so some n <= max(1.36 a, log_4(8/tol)) + 1 has b_n <= tol / 8 and b halving
-    past it: sum_{k >= n} |c_k| <= 4 b_n <= tol / 2.  The terms below the
-    first such n are cut at tol / 2 (_tail_start)."""
-    nu = 2.0 * np.arange(int(max(1.36 * a, 0.5 * np.log2(8.0 / tol))) + 2)
-    log_b = nu * np.log(0.5 * a) - gammaln(nu + 1.0)
-    n = np.flatnonzero((a * a <= 2.0 * (nu + 1.0) * (nu + 2.0)) & (log_b <= np.log(0.125 * tol)))[0]
-    mags = jv(nu[:n], a)
+    For nu > a, Kapteyn's inequality (DLMF 10.14.5) bounds |J_nu(a)| by K_nu =
+    (z e^s / (1 + s))^nu, z = a / nu, s = sqrt(1 - z^2).  log K_nu falls with
+    slope -arcsech(z), itself falling, so past nu = 2n the bounds of the even
+    orders shrink by at least q = (z / (1 + s))^2 a term and sum_{k >= n}
+    |c_k| <= 2 K_{2n} / (1 - q).  The orders stop at the first n where that
+    is within tol / 2; the last order tried, past 2.72 a and log_2(8/tol),
+    always meets it (there z < 0.37, so K < 2^{-nu} < tol / 8).  The terms
+    below it are cut at tol / 2 (_tail_start), and at least two are kept: the
+    recurrence starts from T_1."""
+    nu = 2.0 * np.arange(int(0.5 * a) + 1, int(max(1.36 * a, 0.5 * np.log2(8.0 / tol))) + 2)
+    z = a / nu
+    s = np.sqrt(1.0 - z * z)
+    log_tail = np.log(2.0) + nu * (np.log(z) + s - np.log1p(s)) - np.log1p(-((z / (1.0 + s)) ** 2))
+    n = int(nu[np.flatnonzero(log_tail <= np.log(0.5 * tol))[0]]) // 2
+    mags = jv(2.0 * np.arange(max(n, 2)), a)
     c = mags[: _tail_start(np.abs(mags), tol) + 1].copy()
     c[1:] *= 2.0
     c[1::2] *= -1.0
     return c
 
 
-def _cheb_sums(A, scale, y, coefs):
-    """sum_k c[k] T_k(M) y with M = scale * A - I for every coefficient
-    vector in coefs (longest first) and the (N, k) block y, from one
-    three-term recurrence up to the largest degree.  Each sum sees the same
-    operations, in the same order, as a recurrence run for it alone."""
+def _cheb_sums(B, y, coefs):
+    """sum_k c[k] T_k(B / 2) y for every coefficient vector in coefs (longest
+    first) and the (N, k) block y, from one three-term recurrence up to the
+    largest degree: T_1 = 0.5 (B y), an exact halving, and T_{k+1} = B T_k -
+    T_{k-1}.  Each step negates the buffer of T_{k-1} and adds B T_k onto it
+    in place, so two buffers alternate and no step allocates; y is only read,
+    and the first step negates it into the second buffer.  Each sum sees the
+    same operations, in the same order, as a recurrence run for it alone."""
     C = np.zeros((len(coefs), len(coefs[0]), 1, 1))
     for i, c in enumerate(coefs):
         C[i, : len(c), 0, 0] = c
+    n, width = y.shape
+    # one column takes csr_matvec, as B @ y does: csr_matvecs gives the same
+    # bits for one vector but takes about three times as long
+    if width == 1:
+        add_product = partial(csr_matvec, n, n, B.indptr, B.indices, B.data)
+    else:
+        add_product = partial(csr_matvecs, n, n, width, B.indptr, B.indices, B.data)
+    w = np.zeros(y.shape)
+    add_product(y.ravel(), w.ravel())
+    w *= 0.5  # T_1
+    acc = C[:, 0] * y + C[:, 1] * w
+    tmp = np.empty_like(acc)  # C[i, k] * w
     w_prev = y
-    w = scale * (A @ y) - y  # T_1(M) y
-    acc = C[:, 0] * w_prev + C[:, 1] * w
-    tmp = np.empty_like(acc)  # C[i, k] * w, and 2.0 * w in its first slot
     live = len(coefs)
     for k in range(2, len(coefs[0])):
-        # T_{k+1} = 2 M T_k - T_{k-1}
-        w_next = A @ w
-        w_next *= 2.0 * scale
-        w_next -= np.multiply(2.0, w, out=tmp[0])
-        w_next -= w_prev
+        w_next = np.negative(w_prev, out=None if w_prev is y else w_prev)
+        add_product(w.ravel(), w_next.ravel())
         w_prev, w = w, w_next
         while len(coefs[live - 1]) <= k:
             live -= 1
@@ -323,9 +353,10 @@ def _cheb_apply(op, cols, coefs):
     A[idx][:, idx] with the full lambda_max; every other row is an exact 0.
     That is bitwise the full recurrence: a dropped term is an explicit zero
     coupling (-0.0) times a zero row (+0.0), and row slicing keeps each row's
-    summation order.  The columns are split into at most CPUS lanes of whole
-    columns, which run beside each other; every column sees the same
-    operations in any lane."""
+    summation order.  The recurrence runs on B = 2 M, built once here with
+    the pattern of A; every lane reads it.  The columns are split into at
+    most CPUS lanes of whole columns, which run beside each other; every
+    column sees the same operations in any lane."""
     order = sorted(range(len(coefs)), key=lambda i: -len(coefs[i]))
     longest_first = [coefs[i] for i in order]
     count, labels = op.components()
@@ -336,12 +367,15 @@ def _cheb_apply(op, cols, coefs):
     full = touched.all()
     idx = slice(None) if full else np.flatnonzero(touched[labels])
     A = op.matrix if full else op.matrix[idx][:, idx]
+    B = (4.0 / op.spectral_norm_bound) * A  # 2 M = 2 (2 A / lambda_max - I)
+    B.setdiag(B.diagonal() - 2.0)
     ncols = cols.shape[1]
     sub = np.empty((len(coefs), A.shape[0], ncols))
 
     def lane(lo, hi):
+        # the caller's own array when one lane covers every component
         y = np.ascontiguousarray(cols[idx, lo:hi])
-        sub[order, :, lo:hi] = _cheb_sums(A, 2.0 / op.spectral_norm_bound, y, longest_first)
+        sub[order, :, lo:hi] = _cheb_sums(B, y, longest_first)
 
     lanes = min(CPUS, ncols)
     bounds = [ncols * n // lanes for n in range(lanes + 1)]

@@ -251,14 +251,28 @@ class TestHeatEvolve:
 
 
 def cheb_reference(op, phi, t, tol=1e-12):
-    """The one-t Chebyshev recurrence on a vector or a block of columns."""
+    """The one-t Chebyshev recurrence on a vector or a block of columns of a
+    tridiagonal operator, in numpy slices: B = (4 / lambda_max) A - 2 I,
+    T_1 = 0.5 (B phi) and T_{k+1} = B T_k - T_{k-1}, each row of B T_k summed
+    in CSR column order onto its start (0, or -T_{k-1})."""
     lmax = op.spectral_norm_bound
     c = evolve_mod._cheb_coefficients(0.5 * t * lmax, tol)
-    A, scale = op.matrix, 2.0 / lmax
-    w_prev, w = phi, scale * (A @ phi) - phi
+    A, s = op.matrix, 2.0 * (2.0 / lmax)
+    cols = (-1,) + (1,) * (phi.ndim - 1)
+    lower = (s * A.diagonal(-1)).reshape(cols)
+    diag = (s * A.diagonal() - 2.0).reshape(cols)
+    upper = (s * A.diagonal(1)).reshape(cols)
+
+    def add_product(w, out):
+        out[1:] += lower * w[:-1]
+        out += diag * w
+        out[:-1] += upper * w[1:]
+        return out
+
+    w_prev, w = phi, 0.5 * add_product(phi, np.zeros(phi.shape))
     acc = c[0] * w_prev + c[1] * w
     for ck in c[2:]:
-        w_prev, w = w, 2.0 * scale * (A @ w) - 2.0 * w - w_prev
+        w_prev, w = w, add_product(w, -w_prev)
         acc = acc + ck * w
     return acc
 
@@ -408,15 +422,15 @@ def shell_op(n=32):
 
 
 def record_matrices(monkeypatch):
-    """The matrix of every recurrence that _cheb_apply runs, on one lane, so
-    one recurrence per call."""
+    """The matrix B of every recurrence that _cheb_apply runs, on one lane,
+    so one recurrence per call."""
     monkeypatch.setattr(evolve_mod, "CPUS", 1)
     seen = []
     real = evolve_mod._cheb_sums
 
-    def recording(A, *args):
-        seen.append(A)
-        return real(A, *args)
+    def recording(B, *args):
+        seen.append(B)
+        return real(B, *args)
 
     monkeypatch.setattr(evolve_mod, "_cheb_sums", recording)
     return seen
@@ -441,7 +455,7 @@ class TestComponents:
         out = heat_evolve(op, block, ts).values
         full = heat_evolve(op, np.column_stack([block, np.ones(op.size)]), ts).values
         assert [A.shape[0] for A in mats] == [np.isin(labels, labels[inside]).sum(), op.size]
-        assert mats[0].shape[0] < op.size and mats[1] is op.matrix
+        assert mats[0].shape[0] < op.size and mats[1].shape == op.matrix.shape
         assert same_bits(out, full[:, :, :5])
         outside = ~np.isin(labels, labels[inside])
         assert outside.any() and same_bits(out[:, outside], np.zeros_like(out[:, outside]))
@@ -457,7 +471,7 @@ class TestComponents:
         # labels of one component: the recurrence over every row
         monkeypatch.setattr(op, "components", lambda: (1, np.zeros(op.size, dtype=np.intp)))
         full = resolvent_power_apply(op, radii, 2, delta)
-        assert mats[0].shape[0] < op.size and mats[1] is op.matrix
+        assert mats[0].shape[0] < op.size and mats[1].shape == op.matrix.shape
         assert same_bits(us, full)
         outside = labels != labels[delta != 0][0]
         assert same_bits(us[:, outside], np.zeros_like(us[:, outside]))
@@ -518,16 +532,71 @@ class TestComponents:
         assert swapped.components()[0] == op.components()[0]
         assert len(calls) == 2
 
+    def test_two_lanes_match_one_column_calls(self, monkeypatch):
+        # lanes of one column (csr_matvec) and of two (csr_matvecs) against
+        # one-column calls, which take csr_matvec on their own components
+        monkeypatch.setattr(evolve_mod, "CPUS", 2)
+        jobs = record_lanes(monkeypatch)
+        op = shell_op()
+        _, labels = op.components()
+        inside = np.linalg.norm(op.mesh.points(), axis=1) < 1.0
+        outside = ~np.isin(labels, labels[inside])
+        rng = np.random.default_rng(29)
+        block = rng.standard_normal((op.size, 3))
+        block[outside, 0] = 0.0
+        block[~outside, 2] = 0.0
+        ts = [0.05, 0.5]
+        out = heat_evolve(op, block, ts).values
+        assert jobs == [2]
+        for j in range(3):
+            assert same_bits(out[:, :, j], heat_evolve(op, block[:, j], ts).values)
+        assert np.all(out[:, outside, 0] == 0.0) and np.all(out[:, ~outside, 2] == 0.0)
+        delta = np.zeros(op.size)
+        delta[op.mesh.nearest_index((0.0, 0.0))] = 1.0
+        radii = [0.05, 0.1, 0.2, 0.4]
+        us = resolvent_power_apply(op, radii, 2, delta)
+        for radius, u in zip(radii, us):
+            assert same_bits(u, resolvent_power_apply(op, radius, 2, delta))
+        assert np.all(us[:, outside] == 0.0)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_callers_input_is_never_written(self, lanes, laplace_op, monkeypatch):
+        # with one lane, a block that meets every component reaches the
+        # recurrence as the caller's own array
+        monkeypatch.setattr(evolve_mod, "CPUS", lanes)
+        rng = np.random.default_rng(30)
+        for op in (shell_op(), laplace_op):
+            block = rng.standard_normal((op.size, 3))
+            for phi in (block, block[:, 1].copy()):
+                kept = phi.copy()
+                heat_evolve(op, phi, [0.05, 0.5], backend="chebyshev")
+                wave_evolve(op, phi, [0.5, 1.0])
+                assert same_bits(phi, kept)
+        op = shell_op()
+        phi = rng.standard_normal(op.size)
+        kept = phi.copy()
+        resolvent_power_apply(op, [0.1, 0.3], 2, phi)
+        assert same_bits(phi, kept)
+
     def test_one_component_builds_no_submatrix(self, monkeypatch):
         mesh = build_mesh(2, (-1.0, 1.0), 16)
         op = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)), mesh, 0.0)
         assert op.components()[0] == 1
         mats = record_matrices(monkeypatch)
+        indexed = []
+        real_getitem = type(op.matrix).__getitem__
+
+        def indexing(matrix, key):
+            indexed.append(key)
+            return real_getitem(matrix, key)
+
+        monkeypatch.setattr(type(op.matrix), "__getitem__", indexing)
         phi = np.zeros(op.size)
         phi[mesh.nearest_index((0.5, 0.5))] = 1.0
         heat_evolve(op, phi, [0.01, 0.1])
         resolvent_power_apply(op, [0.1, 0.2], 1, phi)
-        assert len(mats) == 2 and all(A is op.matrix for A in mats)
+        assert len(mats) == 2 and all(B.shape == op.matrix.shape for B in mats)
+        assert indexed == []
 
 
 class TestContour:
@@ -983,7 +1052,9 @@ class TestWaveEvolve:
             xs = mesh.axis(0)
             phi = np.exp(-((xs + 0.5) ** 2) * 8)
             lam, V = dense_eig(op)
-            for t, u in zip(ts, wave_evolve(op, phi, ts).displacement):
+            # t = 1e-9 alone: its expansion needs one term, the recurrence two
+            tiny = wave_evolve(op, phi, 1e-9).displacement
+            for t, u in [*zip(ts, wave_evolve(op, phi, ts).displacement), (1e-9, tiny)]:
                 exact = V @ (np.cos(t * np.sqrt(lam)) * (V.T @ phi))
                 assert np.linalg.norm(u - exact) <= 1e-10 * np.linalg.norm(phi)
                 if delta == 0.0:
