@@ -222,14 +222,13 @@ def _run_wave_speed(
 
 
 def _run_separation_probe(
-    ctx, seed, *, h_list, box=None, t=1.0, epsilons=(0.0,), cut=0.0, cut_interval=None, bump=None
+    ctx, seed, *, h_list, box=None, t=1.0, cut=0.0, cut_interval=None, bump=None
 ):
     return diagnose.separation_probe(
         ctx.profile,
         [b for ax in ctx.mesh.box for b in ax][:2] if box is None else box,
         float(t),
         [float(h) for h in h_list],
-        [float(e) for e in epsilons],
         cut=float(cut),
         cut_interval=cut_interval,
         bump=bump,
@@ -396,6 +395,11 @@ CHECKS = {
 # taken at import, so a wrapper installed over a CHECKS entry later (such as
 # the perfbench tracer's (*args, **kwargs)) does not hide the schema
 _SIGNATURES = {name: inspect.signature(fn) for name, fn in CHECKS.items()}
+# checks that read a 1D profile: they fail validation on a 2D scenario
+ONE_D_CHECKS = ("separation_probe", "holder")
+# the fewest entries a list parameter needs for its check to test anything:
+# one time or center, two sets for a pairwise bound, two levels for a trend
+LEAST_ITEMS = {"t_grid": 1, "t_list": 1, "centers": 1, "balls": 2, "boxes": 2, "n_list": 2}
 
 
 def _scenario_document(
@@ -422,13 +426,25 @@ def _named_grid(doc, name):
     return [float(t) for t in doc[key]]
 
 
+def _check_items(doc, key, value, least):
+    """SchemaError unless list parameter `key` (a named time grid resolved)
+    has at least `least` entries."""
+    named = key == "t_grid" and isinstance(value, str)
+    items = _named_grid(doc, value) if named else value
+    if not isinstance(items, list) or len(items) < least:
+        shown = f"{value!r} = {items!r}" if named else repr(value)
+        raise SchemaError(f"needs a list of at least {least} entries, not {shown}")
+
+
 def validate_scenario(doc):
     """Schema validation with field-naming errors; returns the document.
 
     The document, its mesh and each check entry bind against keyword-only
     schemas, and each check's params against its glue signature, so unknown,
-    missing or misplaced fields fail here, before any compute; so does a
-    t_grid that names a grid the scenario lacks."""
+    missing or misplaced fields fail here, before any compute; so do a 1D
+    check on a 2D mesh, a t_grid that names a grid the scenario lacks, and a
+    list parameter shorter than its LEAST_ITEMS (no check holds on an empty
+    grid or a lone set)."""
     parts = [("scenario", _scenario_document, (), doc)]
     if isinstance(doc, dict):
         parts.append(("mesh", _mesh_document, (), doc.get("mesh", {})))
@@ -448,27 +464,23 @@ def validate_scenario(doc):
             raise SchemaError(f"checks[{i}].params: {exc}") from None
         bound.apply_defaults()
         args = bound.arguments
+        if name in ONE_D_CHECKS and int(mesh["dimension"]) != 1:
+            raise SchemaError(f"checks[{i}] ({name}): a 1D check, on a {mesh['dimension']}D mesh")
         for key, param in _SIGNATURES[name].parameters.items():
-            kind, value = param.annotation, args[key]
-            if kind in (Balls, Boxes):
-                specs = [(f"{key}[{j}]", v) for j, v in enumerate(value)]
-            elif kind is Box or (kind is Region and value is not None):
-                specs = [(key, value)]
-            else:
-                continue
-            for field, spec in specs:
-                try:
+            kind, value, field = param.annotation, args[key], key
+            many = kind in (Balls, Boxes)
+            one = kind is Box or (kind is Region and value is not None)
+            try:
+                if key in LEAST_ITEMS:
+                    _check_items(doc, key, value, LEAST_ITEMS[key])
+                for j, spec in enumerate(value if many else [value] if one else []):
+                    field = f"{key}[{j}]" if many else key
                     if kind in (Box, Boxes):
                         _check_box(spec, int(mesh["dimension"]))
                     else:
                         _region_fields(spec, "euclidean_ball" if kind is Balls else None)
-                except SchemaError as exc:
-                    raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
-        if isinstance(args.get("t_grid"), str):
-            try:
-                _named_grid(doc, args["t_grid"])
             except SchemaError as exc:
-                raise SchemaError(f"checks[{i}].params.t_grid ({name}): {exc}") from None
+                raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
         if name == "smalltime_decay" and not isinstance(args["t_grid"], str):
             if max(float(t) for t in args["t_grid"]) > 0.1:
                 raise SchemaError(f"checks[{i}].params.t_grid: smalltime grid must stay <= 0.1")
@@ -618,7 +630,6 @@ def builtin_scenarios():
                             "box": [-2.0, 2.0],
                             "t": 1.0,
                             "h_list": [2.0 ** (-k) for k in range(6, 13)],
-                            "epsilons": [0.0, 1e-2],
                             "cut": 0.0,
                             "cut_interval": [-0.5, 0.5],
                         },

@@ -31,7 +31,6 @@ def small_scenario(tmp_path):
                 "box": [-2.0, 2.0],
                 "t": 1.0,
                 "h_list": [2.0**-k for k in range(6, 10)],
-                "epsilons": [0.0],
                 "cut_interval": [-0.5, 0.5],
             },
         },
@@ -412,6 +411,112 @@ class TestRegionSpecs:
         assert np.array_equal(ball, np.linalg.norm(pts, axis=1) < 1.0)
         right = ctx.omega_mask({"kind": "halfline", "x": 0.0, "side": "right"})
         assert np.array_equal(right, pts[:, 0] > 0.0)
+
+
+class TestListParams:
+    """A list parameter needs LEAST_ITEMS entries, a 1D check a 1D mesh, and
+    the probe has no epsilon list: each fails validation, before any check
+    runs, naming the check and the field."""
+
+    def empty_small_grid(doc):
+        doc["t_small"] = []
+        doc["checks"][1] = {"check": "conservation", "params": {"t_grid": "small"}}
+
+    def set_check(check):
+        def edit(doc):
+            doc["checks"][1] = check
+        return edit
+
+    ball = {"center": [-1.0], "radius": 0.4}
+    omega = {"kind": "halfline", "x": 0.0, "side": "left"}
+
+    @pytest.mark.parametrize(
+        "scenario, edit, match",
+        [
+            ("degenerate1d-d075-cut",
+             set_check({"check": "conservation", "params": {"t_grid": []}}),
+             r"checks\[1\]\.params\.t_grid \(conservation\): needs a list of at least 1 "),
+            ("degenerate1d-d075-cut", empty_small_grid,
+             r"checks\[1\]\.params\.t_grid \(conservation\): .* 'small' = \[\]"),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "wave_speed", "params": {"support": [-1.5, -0.75], "t_list": []}}),
+             r"checks\[1\]\.params\.t_list \(wave_speed\): needs a list of at least 1 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "offdiagonal_gaussian", "params": {"balls": [ball]}}),
+             r"checks\[1\]\.params\.balls \(offdiagonal_gaussian\): needs a list of at least 2 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "offdiagonal_gaussian",
+                        "params": {"balls": [ball, ball], "t_grid": []}}),
+             r"checks\[1\]\.params\.t_grid \(offdiagonal_gaussian\): needs a list of at least 1 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "euclidean_offdiagonal", "params": {"boxes": [[-3.0, -1.0]]}}),
+             r"checks\[1\]\.params\.boxes \(euclidean_offdiagonal\): needs a list of at least 2 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "invariance_refinement",
+                        "params": {"omega": omega, "n_list": [64]}}),
+             r"checks\[1\]\.params\.n_list \(invariance_refinement\): needs a list of at least 2 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "invariance_refinement",
+                        "params": {"omega": omega, "n_list": []}}),
+             r"checks\[1\]\.params\.n_list \(invariance_refinement\): needs a list of at least 2 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "largetime_floor", "params": {"mode": "elliptic", "t_grid": []}}),
+             r"checks\[1\]\.params\.t_grid \(largetime_floor\): needs a list of at least 1 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "ondiagonal_lower", "params": {"diameter": 0.5, "centers": []}}),
+             r"checks\[1\]\.params\.centers \(ondiagonal_lower\): needs a list of at least 1 "),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "smalltime_decay", "params": {"gamma": 0.25, "t_grid": []}}),
+             r"checks\[1\]\.params\.t_grid \(smalltime_decay\): needs a list of at least 1 "),
+            ("radial-shell-2d",
+             set_check({"check": "separation_probe", "params": {"h_list": [2.0**-6, 2.0**-7]}}),
+             r"checks\[1\] \(separation_probe\): a 1D check, on a 2D mesh"),
+            ("radial-shell-2d",
+             set_check({"check": "holder", "params": {"range": [1e-3, 1e-1]}}),
+             r"checks\[1\] \(holder\): a 1D check, on a 2D mesh"),
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe",
+                        "params": {"h_list": [2.0**-6, 2.0**-7], "epsilons": [0.0, 1e-2]}}),
+             r"checks\[1\]\.params: unknown field\(s\) 'epsilons'"),
+        ],
+        ids=["conservation-empty-grid", "conservation-empty-named-grid", "wave-empty-times",
+             "offdiagonal-one-ball", "offdiagonal-empty-grid", "euclidean-one-box",
+             "refinement-one-level", "refinement-no-level", "largetime-empty-grid",
+             "ondiagonal-no-center", "smalltime-empty-grid", "probe-on-2d", "holder-on-2d",
+             "probe-epsilons"],
+    )
+    def test_fails_before_any_check(self, scenario, edit, match, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        doc = builtin_by_name(scenario)
+        doc["checks"] = [{"check": "structure"}, {}]
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=match):
+            cli.run(str(path), out_dir=str(tmp_path / "out"))
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_probe_epsilons_override_exits_1(self, tmp_path, capsys):
+        # the viscosity column is gone: a scenario that still asks for it
+        # fails, naming the field
+        index = [c["check"] for c in builtin_by_name("degenerate1d-d05")["checks"]].index(
+            "separation_probe"
+        )
+        override = f"checks.{index}.params.epsilons=[0.0,0.01]"
+        argv = ["run", "degenerate1d-d05", "--out", str(tmp_path / "out"), "--override", override]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and f"checks[{index}].params" in err
+        assert "'epsilons'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBoxSpecs:

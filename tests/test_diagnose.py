@@ -6,6 +6,7 @@ from degenlab import (
     PowerDegenerate,
     assemble,
     build_mesh,
+    cut_conductance,
     distance_field,
     heat_evolve,
     sup_kernel,
@@ -26,6 +27,7 @@ from degenlab.diagnose import (
     structure_check,
     wave_speed_check,
 )
+from degenlab.evolve import exp_backend
 
 
 def power1d(delta, centers=((0.0,),), domain=(-4.0, 4.0)):
@@ -205,21 +207,33 @@ class TestWaveSpeed:
 
 
 class TestSeparationProbe:
+    @staticmethod
+    def leakage(p, h, eps):
+        """Cut conductance over [-0.5, 0.5] and leakage right of 0 at t = 1
+        of the unit bump on [-1.5, -0.5], evolved directly on the box
+        [-2, 2]: the probe's defaults for that box."""
+        mesh = build_mesh(1, (-2.0, 2.0), int(round(4.0 / h)))
+        xs, vol = mesh.axis(0), mesh.cell_volume
+        phi = ((xs >= -1.5) & (xs <= -0.5)).astype(float)
+        phi /= phi.sum() * vol
+        op = assemble(p, mesh, eps)
+        f = heat_evolve(op, phi, 1.0, backend=exp_backend(op))
+        cond = cut_conductance(p, mesh, (-0.5, 0.5), eps)
+        return cond, float(f.values[xs > 0.0].sum() * vol)
+
     def test_supercritical_separates(self):
         p = power1d(0.75, domain=(-2.0, 2.0))
         rec = separation_probe(
-            p, (-2.0, 2.0), 1.0, [2.0**-k for k in range(6, 11)], [0.0],
-            cut_interval=(-0.5, 0.5),
+            p, (-2.0, 2.0), 1.0, [2.0**-k for k in range(6, 11)], cut_interval=(-0.5, 0.5)
         )
         assert rec.fitted["verdict"] == "Separating"
-        leaks = [r["leakage"] for r in rec.table if r["epsilon"] == 0.0]
+        leaks = [r["leakage"] for r in rec.table]
         assert all(b < a for a, b in zip(leaks, leaks[1:]))
 
     def test_subcritical_stabilizes(self):
         p = power1d(0.25, domain=(-2.0, 2.0))
         rec = separation_probe(
-            p, (-2.0, 2.0), 1.0, [2.0**-k for k in range(6, 11)], [0.0],
-            cut_interval=(-0.5, 0.5),
+            p, (-2.0, 2.0), 1.0, [2.0**-k for k in range(6, 11)], cut_interval=(-0.5, 0.5)
         )
         assert rec.fitted["verdict"] == "NonSeparating"
 
@@ -227,29 +241,38 @@ class TestSeparationProbe:
         # the probe measures e^{-tA}: a dense eigh evolution gives the same
         # leakage within the contour's tol (1e-12 ||phi||_2 on each vector)
         p = power1d(0.75, domain=(-2.0, 2.0))
-        rec = separation_probe(
-            p, (-2.0, 2.0), 1.0, [2.0**-6], [0.0, 1e-2], cut_interval=(-0.5, 0.5)
-        )
+        rec = separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6], cut_interval=(-0.5, 0.5))
         mesh = build_mesh(1, (-2.0, 2.0), 256)
         xs, vol = mesh.axis(0), mesh.cell_volume
         phi = ((xs >= -1.5) & (xs <= -0.5)).astype(float)
         phi /= phi.sum() * vol
         right = xs > 0.0
         bound = np.sqrt(right.sum()) * 1e-12 * np.linalg.norm(phi) * vol
-        for row in rec.table:
-            lam, V = np.linalg.eigh(assemble(p, mesh, row["epsilon"]).matrix.toarray())
-            ref = float((V @ (np.exp(-lam) * (V.T @ phi)))[right].sum() * vol)
-            assert abs(row["leakage"] - ref) <= bound
+        lam, V = np.linalg.eigh(assemble(p, mesh, 0.0).matrix.toarray())
+        ref = float((V @ (np.exp(-lam) * (V.T @ phi)))[right].sum() * vol)
+        [row] = rec.table
+        assert abs(row["leakage"] - ref) <= bound
+
+    def test_rows_are_the_degenerate_evaluation(self):
+        # one row per level, bitwise the eps = 0 operator's leakage and cut
+        # conductance evaluated directly
+        p = power1d(0.5, domain=(-2.0, 2.0))
+        hs = [2.0**-6, 2.0**-7]
+        rec = separation_probe(p, (-2.0, 2.0), 1.0, hs, cut_interval=(-0.5, 0.5))
+        direct = []
+        for h in hs:
+            cond, leak = self.leakage(p, h, 0.0)
+            direct.append({"h": h, "leakage": leak, "conductance": cond})
+        assert rec.table == direct
+        assert rec.margin == direct[-1]["leakage"]
 
     def test_viscous_approximant_never_separates(self):
+        # with eps > 0 the operator is uniformly elliptic: mass crosses the
+        # degeneracy at every level
         p = power1d(0.75, domain=(-2.0, 2.0))
-        rec = separation_probe(
-            p, (-2.0, 2.0), 1.0, [2.0**-k for k in range(6, 10)], [0.0, 1e-2],
-            cut_interval=(-0.5, 0.5),
-        )
-        eps_rows = [r for r in rec.table if r["epsilon"] == 1e-2]
-        assert min(r["leakage"] for r in eps_rows) > 1e-3
-
+        for k in range(6, 10):
+            _, leak = self.leakage(p, 2.0**-k, 1e-2)
+            assert leak > 1e-3, (k, leak)
 
     @pytest.mark.parametrize(
         "where, what", [({"bump": (3.0, 3.5)}, "bump"), ({"cut": 2.0}, "far side")]
@@ -258,7 +281,7 @@ class TestSeparationProbe:
         # a bump outside the box, or a cut at its right end, selects no node
         p = power1d(0.75, domain=(-2.0, 2.0))
         with pytest.raises(ValueError, match=f"separation_probe: {what} .* at h = 0.015625"):
-            separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6], [0.0], **where)
+            separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6], **where)
 
 
 class TestInvarianceAndForm:
