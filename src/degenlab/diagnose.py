@@ -98,6 +98,18 @@ def nonempty(mask, what):
     return mask
 
 
+def _components_met(op, masks):
+    """(met, labels): met[k, c] is True where node mask k meets component c
+    of the operator's graph (DiscreteOperator.components), and labels gives
+    each node's component.  e^{-tA} keeps a function on one component on
+    that component, so sets in different components exchange no heat."""
+    count, labels = op.components()
+    met = np.zeros((len(masks), count), dtype=bool)
+    for row, mask in zip(met, masks):
+        row[labels[np.asarray(mask) != 0]] = True
+    return met, labels
+
+
 # ---------------------------------------------------------------------------
 # conservation and structure
 
@@ -164,14 +176,23 @@ def _pairwise_bound(name, anchor, op, masks, dist, dist_col, c_norm, t_grid):
     """|(1_i, S_t 1_j)| <= exp(-d_ij^2/(4 c_norm t)) ||1_i||_2 ||1_j||_2 over
     the pairs i < j of node masks, at every t; dist[i][j] is the pair
     distance, reported in column dist_col.  All pairs at all times come
-    from one heat_gram call, which evolves masks 1..k-1 and dots them with
-    masks 0..k-2: gram[i, j - 1] = (1_i, S_t 1_j)."""
+    from one heat_gram call: gram[i, j - 1] = (1_i, S_t 1_j).  Column j is
+    mask j on the components it shares with masks 0..j-1 (_components_met);
+    elsewhere every mask i < j is 0, so each entry read is bitwise the whole
+    mask's.  A column left empty, whose pairs all cross a cut, is not
+    evolved, and its entries are exactly 0."""
     vol = op.mesh.cell_volume
+    met, labels = _components_met(op, masks)
+    earlier = np.logical_or.accumulate(met, axis=0)
     masks = [m.astype(float) for m in masks]
     norms = [_w_norm2(m, vol) for m in masks]
     ts = [float(t) for t in t_grid]
-    block = np.column_stack(masks)
-    grams = heat_gram(op, block[:, :-1], block[:, 1:], ts)
+    columns = [masks[j] * (met[j] & earlier[j - 1])[labels] for j in range(1, len(masks))]
+    live = [j for j, col in enumerate(columns) if col.any()]
+    grams = np.zeros((len(ts), len(masks) - 1, len(masks) - 1))
+    if live:
+        right = np.column_stack([columns[j] for j in live])
+        grams[:, :, live] = heat_gram(op, np.column_stack(masks[:-1]), right, ts)
     table = []
     worst_margin = np.inf
     violations = []
@@ -346,6 +367,24 @@ def wave_speed_check(
 # separation probes
 
 
+def probe_mesh(box, h):
+    """separation_probe's mesh of the 1D box (lo, hi) at spacing h.  A
+    ValueError names h unless h is positive and puts an even number of cells
+    on the box, so that its midpoint (where the builtins cut) is a grid
+    node; build_mesh raises on a count it cannot mesh."""
+    lo, hi = box
+    cells = (hi - lo) / h if h > 0 else np.nan
+    if not 0.0 < cells < np.inf:
+        raise ValueError(f"a spacing is a positive number, not {h!r}")
+    n = int(round(cells))
+    if n % 2 == 1:
+        raise ValueError(
+            f"h = {h} puts {n} cells on the probe box [{lo}, {hi}], not an even count"
+            " (a node at its midpoint)"
+        )
+    return build_mesh(1, (lo, hi), n)
+
+
 def separation_probe(profile, box, t, h_list, cut=0.0, cut_interval=None, bump=None):
     """Leakage-under-refinement probe of the separation dichotomy.
 
@@ -365,10 +404,7 @@ def separation_probe(profile, box, t, h_list, cut=0.0, cut_interval=None, bump=N
         bump = (lo + 0.25 * (cut - lo), cut - 0.25 * (cut - lo))
     table = []
     for h in h_list:
-        n = int(round((hi - lo) / h))
-        if n % 2 == 1:
-            raise ValueError("h must place the cut on a grid node (even n)")
-        mesh = build_mesh(1, (lo, hi), n)
+        mesh = probe_mesh(box, h)
         xs = mesh.axis(0)
         in_bump = (xs >= bump[0]) & (xs <= bump[1])
         phi = nonempty(in_bump, f"separation_probe: bump {bump} at h = {h}").astype(float)
@@ -413,16 +449,27 @@ def separation_probe(profile, box, t, h_list, cut=0.0, cut_interval=None, bump=N
 
 def invariance_defect(op, omega_mask, t, seed=0, tol=1e-8) -> CheckRecord:
     """|| 1_{Omega^c} e^{-tA} (phi 1_Omega) ||_2 maximized over seeded random
-    phi, unit-normalized on Omega; ~0 certifies S_t L_2(Omega) c L_2(Omega)."""
+    phi, unit-normalized on Omega; ~0 certifies S_t L_2(Omega) c L_2(Omega).
+
+    Only the components that meet both Omega and its complement are evolved
+    (_components_met): the others add exact zeros to the read-out.  The
+    probes are drawn and normalized on all of Omega before they are zeroed
+    off those components, so the defect is bitwise that of the whole probes.
+    When no component crosses, Omega is a union of components and invariant
+    (Ouhabaz, Analysis of Heat Equations on Domains, 2005, Thm 2.2): no
+    probe is drawn or evolved, and the defect is exactly 0."""
     rng = np.random.default_rng(seed)
     vol = op.mesh.cell_volume
     omega = np.asarray(omega_mask, dtype=bool)
+    (inside, outside), labels = _components_met(op, [omega, ~omega])
+    crossing = (inside & outside)[labels]
     probes = []
-    for _ in range(PROBES):
-        phi = rng.standard_normal(op.size) * omega
-        nrm = _w_norm2(phi, vol)
-        if nrm != 0:
-            probes.append(phi / nrm)
+    if crossing.any():
+        for _ in range(PROBES):
+            phi = rng.standard_normal(op.size) * omega
+            nrm = _w_norm2(phi, vol)
+            if nrm != 0:
+                probes.append(phi / nrm * crossing)
     worst = 0.0
     if probes:
         out = heat_evolve(op, np.column_stack(probes), float(t), backend=exp_backend(op)).values

@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnose
 from .coeffs import classify, profile_from_json
 from .diagnose import CheckRecord, Status
-from .errors import SchemaError, bind, bind_documents
+from .errors import ResourceLimitError, SchemaError, bind, bind_documents
 from .grid import assemble, build_mesh
 from .metric import distance_field, holder_fit, metric_graph
 
@@ -222,17 +222,24 @@ def _run_wave_speed(
 
 
 def _run_separation_probe(
-    ctx, seed, *, h_list, box=None, t=1.0, cut=0.0, cut_interval=None, bump=None
+    ctx, seed, *, h_list, box: Box = None, t=1.0, cut=0.0, cut_interval=None, bump=None
 ):
     return diagnose.separation_probe(
         ctx.profile,
-        [b for ax in ctx.mesh.box for b in ax][:2] if box is None else box,
+        _probe_box(box, ctx.mesh.box),
         float(t),
         [float(h) for h in h_list],
         cut=float(cut),
         cut_interval=cut_interval,
         bump=bump,
     )
+
+
+def _probe_box(box, mesh_box):
+    """(lo, hi) of the probe's 1D box: box, bare or as [[lo, hi]], or by
+    default the mesh's axis-0 box."""
+    lo, hi = np.atleast_2d(np.asarray(mesh_box if box is None else box, dtype=float))[0]
+    return float(lo), float(hi)
 
 
 def _split_mask(ctx, spec, mesh=None):
@@ -255,7 +262,8 @@ def _run_invariance_refinement(ctx, seed, *, omega: Region, n_list, t=0.5, epsil
     rows = []
     for n in n_list:
         mesh = build_mesh(ctx.mesh.dimension, ctx.mesh.box, int(n))
-        op = assemble(ctx.profile, mesh, epsilon)
+        # the scenario's own level shares its operator and its components
+        op = ctx.operator(epsilon) if mesh == ctx.mesh else assemble(ctx.profile, mesh, epsilon)
         rec = diagnose.invariance_defect(
             op, _split_mask(ctx, omega, mesh), float(t), seed=seed, tol=np.inf
         )
@@ -442,9 +450,10 @@ def validate_scenario(doc):
     The document, its mesh and each check entry bind against keyword-only
     schemas, and each check's params against its glue signature, so unknown,
     missing or misplaced fields fail here, before any compute; so do a 1D
-    check on a 2D mesh, a t_grid that names a grid the scenario lacks, and a
+    check on a 2D mesh, a t_grid that names a grid the scenario lacks, a
     list parameter shorter than its LEAST_ITEMS (no check holds on an empty
-    grid or a lone set)."""
+    grid or a lone set), and a probe spacing that diagnose.probe_mesh refuses
+    on the probe box (by default the mesh's axis-0 box)."""
     parts = [("scenario", _scenario_document, (), doc)]
     if isinstance(doc, dict):
         parts.append(("mesh", _mesh_document, (), doc.get("mesh", {})))
@@ -469,7 +478,8 @@ def validate_scenario(doc):
         for key, param in _SIGNATURES[name].parameters.items():
             kind, value, field = param.annotation, args[key], key
             many = kind in (Balls, Boxes)
-            one = kind is Box or (kind is Region and value is not None)
+            # a set parameter is checked unless it is left at a default of None
+            one = kind in (Box, Region) and (value is not None or param.default is not None)
             try:
                 if key in LEAST_ITEMS:
                     _check_items(doc, key, value, LEAST_ITEMS[key])
@@ -481,6 +491,14 @@ def validate_scenario(doc):
                         _region_fields(spec, "euclidean_ball" if kind is Balls else None)
             except SchemaError as exc:
                 raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
+        if name == "separation_probe":
+            box = _probe_box(args["box"], mesh["box"])
+            spacings = args["h_list"] if isinstance(args["h_list"], list) else []
+            for j, h in enumerate(spacings):
+                try:
+                    diagnose.probe_mesh(box, float(h))
+                except (TypeError, ValueError, ResourceLimitError) as exc:
+                    raise SchemaError(f"checks[{i}].params.h_list[{j}] ({name}): {exc}") from None
         if name == "smalltime_decay" and not isinstance(args["t_grid"], str):
             if max(float(t) for t in args["t_grid"]) > 0.1:
                 raise SchemaError(f"checks[{i}].params.t_grid: smalltime grid must stay <= 0.1")

@@ -354,10 +354,15 @@ class TestRegionSpecs:
                  "params": {"support": [-0.2, 0.2], "t_list": [0.5], "cut": {"kind": "halfplane"}}},
                 r"checks\[1\]\.params\.cut \(wave_speed\): unknown region kind 'halfplane'",
             ),
+            (
+                # a required region may not be null; only a default of None is skipped
+                {"check": "invariance", "params": {"omega": None}},
+                r"checks\[1\]\.params\.omega \(invariance\): a region spec is an object",
+            ),
         ],
         ids=[
             "misspelled-side", "missing-side", "bad-side", "missing-lo", "missing-radius",
-            "unknown-kind",
+            "unknown-kind", "null-omega",
         ],
     )
     def test_bad_region_fails_before_any_check(self, check, match, tmp_path, monkeypatch):
@@ -478,12 +483,35 @@ class TestListParams:
              set_check({"check": "separation_probe",
                         "params": {"h_list": [2.0**-6, 2.0**-7], "epsilons": [0.0, 1e-2]}}),
              r"checks\[1\]\.params: unknown field\(s\) 'epsilons'"),
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe",
+                        "params": {"h_list": [0.25, 0.3], "box": [-2.0, 2.0]}}),
+             r"checks\[1\]\.params\.h_list\[1\] \(separation_probe\): h = 0\.3 puts 13 cells"
+             r" on the probe box \[-2\.0, 2\.0\]"),
+            # without a box the probe takes the mesh's, [-4, 4]: 25 cells
+            # there, 12 on [-2, 2]
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe", "params": {"h_list": [0.32, 0.25]}}),
+             r"checks\[1\]\.params\.h_list\[0\] \(separation_probe\): h = 0\.32 puts 25 cells"
+             r" on the probe box \[-4\.0, 4\.0\]"),
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe", "params": {"h_list": [0.25, "x"]}}),
+             r"checks\[1\]\.params\.h_list\[1\] \(separation_probe\): could not convert"
+             r" string to float: 'x'"),
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe", "params": {"h_list": [0.0, 0.25]}}),
+             r"checks\[1\]\.params\.h_list\[0\] \(separation_probe\): a spacing is a positive"
+             r" number, not 0\.0"),
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe", "params": {"h_list": [0.25, 2.0]}}),
+             r"checks\[1\]\.params\.h_list\[1\] \(separation_probe\): n must be >= 8"),
         ],
         ids=["conservation-empty-grid", "conservation-empty-named-grid", "wave-empty-times",
              "offdiagonal-one-ball", "offdiagonal-empty-grid", "euclidean-one-box",
              "refinement-one-level", "refinement-no-level", "largetime-empty-grid",
              "ondiagonal-no-center", "smalltime-empty-grid", "probe-on-2d", "holder-on-2d",
-             "probe-epsilons"],
+             "probe-epsilons", "probe-odd-cells", "probe-odd-cells-on-mesh-box",
+             "probe-spacing-not-a-number", "probe-zero-spacing", "probe-too-few-cells"],
     )
     def test_fails_before_any_check(self, scenario, edit, match, tmp_path, monkeypatch):
         calls = []
@@ -516,6 +544,21 @@ class TestListParams:
         err = capsys.readouterr().err
         assert err.startswith("schema error: ") and f"checks[{index}].params" in err
         assert "'epsilons'" in err
+        assert not (tmp_path / "out").exists()
+
+
+    def test_probe_odd_cell_count_override_exits_1(self, tmp_path, capsys):
+        # h = 0.3 puts 13 cells on the probe's [-2, 2]: the run stops in
+        # validation, before the checks ahead of the probe compute
+        index = [c["check"] for c in builtin_by_name("degenerate1d-d05")["checks"]].index(
+            "separation_probe"
+        )
+        override = f"checks.{index}.params.h_list=[0.3,0.15]"
+        argv = ["run", "degenerate1d-d05", "--out", str(tmp_path / "out"), "--override", override]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ")
+        assert f"checks[{index}].params.h_list[0] (separation_probe): h = 0.3 puts 13 cells" in err
         assert not (tmp_path / "out").exists()
 
 
@@ -560,9 +603,20 @@ class TestBoxSpecs:
                  "params": {"boxes": [[[-1.0, 0.0], [-1.0, 0.0]], [[0.5, 1.0], [1.0, 0.5]]]}},
                 r"checks\[1\]\.params\.boxes\[1\] \(euclidean_offdiagonal\): a box is 2 ",
             ),
+            (
+                "degenerate1d-d05",
+                {"check": "separation_probe",
+                 "params": {"h_list": [0.25, 0.125], "box": [2.0, -2.0]}},
+                r"checks\[1\]\.params\.box \(separation_probe\): a box is 1 ",
+            ),
+            (
+                "degenerate1d-d075-cut",
+                {"check": "wave_speed", "params": {"support": None, "t_list": [0.5]}},
+                r"checks\[1\]\.params\.support \(wave_speed\): a box is 1 .*, not None",
+            ),
         ],
         ids=["inverted", "inverted-in-list", "wrong-axes", "non-finite", "bare-in-2d",
-             "inverted-2d-axis"],
+             "inverted-2d-axis", "inverted-probe-box", "null-support"],
     )
     def test_bad_box_fails_before_any_check(self, scenario, check, match, tmp_path, monkeypatch):
         calls = []
@@ -581,6 +635,51 @@ class TestBoxSpecs:
             cli.run(str(path), out_dir=str(tmp_path / "out"))
         assert calls == []
         assert not (tmp_path / "out").exists()
+
+    def test_probe_box_may_name_its_one_axis(self):
+        # a 1D box is [lo, hi] or [[lo, hi]]: validation and the probe read both
+        doc = builtin_by_name("degenerate1d-d05")
+        probe = {"check": "separation_probe", "params": {"h_list": [0.3], "box": [[-2.0, 2.0]]}}
+        doc["checks"] = [probe]
+        with pytest.raises(SchemaError, match=r"h = 0\.3 puts 13 cells on the probe box \[-2\.0, 2"):
+            validate_scenario(doc)
+        ctx = ScenarioContext(doc)
+        rows = [
+            scenarios.CHECKS["separation_probe"](ctx, 0, h_list=[2.0**-6, 2.0**-7], box=box).table
+            for box in ([[-2.0, 2.0]], [-2.0, 2.0])
+        ]
+        assert rows[0] == rows[1]
+
+
+class TestRefinementLevels:
+    def test_scenario_level_is_the_context_operator(self, monkeypatch):
+        # the level at the scenario's n evolves the operator the other
+        # checks share, with the defect of a level assembled afresh
+        doc = builtin_by_name("surface-2d")
+        doc["mesh"]["n"] = 48
+        params = {"omega": {"kind": "under_surface"}, "t": 0.25, "n_list": [24, 48]}
+        doc["checks"] = [{"check": "conservation"},
+                         {"check": "invariance_refinement", "params": params}]
+        ctx = ScenarioContext(validate_scenario(doc))
+        assembled = []
+        real = scenarios.assemble
+        monkeypatch.setattr(
+            scenarios, "assemble",
+            lambda profile, mesh, eps: assembled.append(mesh.n) or real(profile, mesh, eps),
+        )
+        records = scenarios.run_checks(ctx)
+        assert sorted(assembled) == [24, 48]
+        seed = ctx.seed_for(1, "invariance_refinement")
+        defects = []
+        for n in params["n_list"]:
+            mesh = scenarios.build_mesh(2, ctx.mesh.box, n)
+            op = real(ctx.profile, mesh, 0.0)
+            rec = diagnose.invariance_defect(
+                op, ctx.omega_mask(params["omega"], mesh), 0.25, seed=seed, tol=np.inf
+            )
+            defects.append(rec.margin)
+        got = np.array([row["defect"] for row in records[1].table])
+        assert np.array_equal(got.view(np.uint64), np.array(defects).view(np.uint64))
 
 
 class TestCheckModes:

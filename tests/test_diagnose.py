@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import degenlab.diagnose as diagnose_mod
+import degenlab.evolve as evolve_mod
 from degenlab import (
     CoefficientProfile,
     PowerDegenerate,
+    RadialShell,
     assemble,
     build_mesh,
     cut_conductance,
@@ -274,6 +277,12 @@ class TestSeparationProbe:
             _, leak = self.leakage(p, 2.0**-k, 1e-2)
             assert leak > 1e-3, (k, leak)
 
+    def test_odd_cell_count_raises_naming_h(self):
+        p = power1d(0.75, domain=(-2.0, 2.0))
+        match = r"h = 0\.3 puts 13 cells on the probe box \[-2\.0, 2\.0\]"
+        with pytest.raises(ValueError, match=match):
+            separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6, 0.3])
+
     @pytest.mark.parametrize(
         "where, what", [({"bump": (3.0, 3.5)}, "bump"), ({"cut": 2.0}, "far side")]
     )
@@ -331,6 +340,133 @@ class TestInvarianceAndForm:
         split = (phi * omega) @ A @ (phi * omega) + (phi * ~omega) @ A @ (phi * ~omega)
         cross = 2.0 * (phi * omega) @ A @ (phi * ~omega)
         assert full - split == pytest.approx(cross, rel=1e-12)
+
+
+def shell_op(n=32):
+    """The radial-shell-2d builtin's profile at n: the disc inside the shell,
+    the outer region and singletons on the shell are its components."""
+    p = CoefficientProfile(2, RadialShell(0.75, 1.0, width=0.125), (-2.0, 2.0))
+    return assemble(p, build_mesh(2, (-2.0, 2.0), n), 0.0)
+
+
+def double_zero_op():
+    """Zeros at -1 and 1 on face midpoints (n = 4 (2p + 1)): three
+    components, left of -1, between, and right of 1."""
+    p = power1d(0.75, centers=((-1.0,), (1.0,)))
+    return assemble(p, build_mesh(1, (-4.0, 4.0), 4 * 63), 0.0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def record_calls(monkeypatch, module, name):
+    """The positional arguments of every call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def as_one_component(monkeypatch, op):
+    """Label every node of op as one component, as if no cut split its graph:
+    the checks then evolve every row of every set, and so does the
+    recurrence (bitwise the same, TestComponents in test_evolve.py)."""
+    monkeypatch.setattr(op, "components", lambda: (1, np.zeros(op.size, dtype=np.intp)))
+
+
+class TestCrossingComponents:
+    """invariance_defect and the pairwise bounds evolve only the components
+    of the operator's graph that their read-out can see, with the numbers
+    of the whole evolution, bit for bit."""
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_exact_cut_invariance_evolves_nothing(self, dimension, cut_setup, monkeypatch):
+        if dimension == 1:
+            op = cut_setup[2]
+            omega = op.mesh.axis(0) < 0.0
+        else:
+            op = shell_op()
+            omega = np.linalg.norm(op.mesh.points(), axis=1) < 1.0
+
+        def never(*args, **kwargs):
+            raise AssertionError("heat_evolve ran")
+
+        monkeypatch.setattr(diagnose_mod, "heat_evolve", never)
+        rec = invariance_defect(op, omega, 0.5, seed=3, tol=1e-10)
+        assert rec.status is Status.HOLDS
+        assert same_bits(rec.margin, 0.0) and same_bits(rec.table[0]["defect"], 0.0)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_invariance_evolves_only_the_crossing_component(self, dimension, monkeypatch):
+        # Omega holds one whole component (the disc; the middle interval)
+        # and part of another (the outer region; the right half-line)
+        if dimension == 1:
+            op = double_zero_op()
+            x = op.mesh.axis(0)
+            contained, partial = np.abs(x) < 1.0, x > 2.0
+        else:
+            op = shell_op()
+            pts = op.mesh.points()
+            contained, partial = np.linalg.norm(pts, axis=1) < 1.0, pts[:, 0] > 1.5
+        omega = contained | partial
+        _, labels = op.components()
+        crossing = np.isin(labels, labels[partial])
+        assert crossing.any() and not np.any(crossing & contained)
+        evolved = record_calls(monkeypatch, diagnose_mod, "heat_evolve")
+        matrices = []
+        real = evolve_mod._cheb_sums
+        monkeypatch.setattr(evolve_mod, "CPUS", 1)
+        monkeypatch.setattr(
+            evolve_mod, "_cheb_sums", lambda B, *args: matrices.append(B) or real(B, *args)
+        )
+        rec = invariance_defect(op, omega, 0.5, seed=5, tol=1e-10)
+        (block,) = [args[1] for args in evolved]
+        assert np.array_equal(np.any(block != 0.0, axis=1), crossing & omega)
+        if dimension == 2:
+            assert [B.shape[0] for B in matrices] == [crossing.sum()]
+        as_one_component(monkeypatch, op)
+        whole = invariance_defect(op, omega, 0.5, seed=5, tol=1e-10)
+        assert np.array_equal(np.any(evolved[1][1] != 0.0, axis=1), omega)
+        assert rec.status is Status.VIOLATED and rec.margin > 1e-3
+        assert same_bits(rec.margin, whole.margin)
+
+    @pytest.mark.parametrize(
+        "dimension, boxes, evolved",
+        [
+            # the second box shares no component with the first: its
+            # column drops, and the third still pairs with it
+            (1, [[-3.0, -2.0], [1.0, 2.0], [2.5, 3.0]], [1]),
+            # each pair crosses the cut: no evolution
+            (1, [[-2.0, -0.5], [0.5, 2.0]], []),
+            # the disc, then three boxes of the outer region
+            (2, [[[-0.3, 0.3], [-0.3, 0.3]], [[1.4, 1.8], [-0.2, 0.2]],
+                 [[-1.8, -1.4], [-0.2, 0.2]], [[-0.2, 0.2], [1.4, 1.8]]], [2]),
+        ],
+        ids=["1d-three-boxes", "1d-two-boxes", "2d-four-boxes"],
+    )
+    def test_cut_crossing_column_is_not_evolved(
+        self, dimension, boxes, evolved, cut_setup, monkeypatch
+    ):
+        op = cut_setup[2] if dimension == 1 else shell_op()
+        ts = [0.05, 0.5]
+        grams = record_calls(monkeypatch, diagnose_mod, "heat_gram")
+        rec = euclidean_offdiagonal_check(op, op.mesh, boxes, ts, c_norm=1.0)
+        assert [args[2].shape[1] for args in grams] == evolved
+        as_one_component(monkeypatch, op)
+        whole = euclidean_offdiagonal_check(op, op.mesh, boxes, ts, c_norm=1.0)
+        assert grams[-1][2].shape[1] == len(boxes) - 1
+        assert [row["pair"] for row in rec.table] == [row["pair"] for row in whole.table]
+        for key in ("lhs", "log_margin"):
+            assert same_bits([row[key] for row in rec.table], [row[key] for row in whole.table])
+        assert rec.table == whole.table
+        assert any(row["lhs"] > 0.0 for row in rec.table) == bool(evolved)
 
 
 class TestDecayAndFloors:
