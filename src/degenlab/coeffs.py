@@ -24,6 +24,7 @@ import csv
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -38,6 +39,12 @@ SCAN_POINTS = 10_000  # uniform scan for zeros of c + epsilon
 ZERO_WINDOW = 0.5  # largest offset integrated from a zero (and the 2D normal scan)
 ELLIPTIC_THRESHOLD = 1e-8  # c + epsilon above this everywhere: strongly elliptic
 MERGE_FRACTION = 1e-3  # zeros closer than this fraction of the scan are one
+
+
+def row_norm(v):
+    """np.linalg.norm(v, axis=1) of an (M, d) array, bitwise, in whole-column
+    ops: numpy pays a loop per row to reduce a short axis."""
+    return np.sqrt(reduce(np.add, (v * v).T))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +209,15 @@ class CoefficientProfile:
         if isinstance(fam, PowerDegenerate):
             d = np.full(pts.shape[0], np.inf)
             for c in fam.centers:
-                d = np.minimum(d, np.linalg.norm(pts - np.asarray(c), axis=1))
+                d = np.minimum(d, row_norm(pts - np.asarray(c)))
         elif isinstance(fam, RadialShell):
-            r = np.linalg.norm(pts, axis=1) if self.dimension == 2 else np.abs(pts[:, 0])
+            r = row_norm(pts) if self.dimension == 2 else np.abs(pts[:, 0])
             d = np.maximum(np.abs(r - fam.radius) - 0.5 * fam.width, 0.0)
         elif isinstance(fam, SurfaceDegenerate):
             d = np.abs(pts[:, 1] - fam.phi(pts[:, 0]))
         else:
             raise ValueError("rho is defined only for degenerate scalar families")
-        snap = 1e-13 * (1.0 + np.abs(pts).max(axis=1))
+        snap = 1e-13 * (1.0 + reduce(np.maximum, np.abs(pts).T))
         return np.where(d <= snap, 0.0, d)
 
     def shape_scalar(self, rho):

@@ -19,7 +19,7 @@ from .grid import assemble, build_mesh, cut_conductance, markov_check
 from .metric import ball_volume, distance_field, fit_loglog
 
 ROW_SUM_TOL = 1e-13  # structure: worst row sum, relative to ||A||_inf
-PSD_TOL = 1e-10  # structure: least Rayleigh quotient, relative to lambda_max
+PSD_TOL = 1e-10  # structure: Gershgorin bound on lambda_min, relative to lambda_max
 REL_TOL = 1e-6  # off-diagonal rows hold when lhs <= bound (1 + REL_TOL) + ABS_TOL
 ABS_TOL = 1e-12
 EXCITATION = 1e-8  # wave_speed: excited where |u| > EXCITATION * max |phi0|
@@ -141,24 +141,25 @@ def conservation_defect(op, t_grid, tol=1e-9) -> CheckRecord:
     )
 
 
-def structure_check(op, seed=0) -> CheckRecord:
+def structure_check(op) -> CheckRecord:
     """Markov-generator invariants: exact symmetry, nonpositive off-diagonal
-    entries, zero row sums, positive semidefiniteness on random probes."""
+    entries, zero row sums, and A >= 0 certified by the Gershgorin lower bound
+    on lambda_min (markov_check), at least -PSD_TOL lambda_max."""
     A = op.matrix
     sym = float(np.abs(A - A.T).max()) if A.nnz else 0.0
-    rep = markov_check(op, seed=seed)
+    rep = markov_check(op)
     norm_inf = max(rep["norm_inf"], 1e-300)
     ok = (
         sym == 0.0
         and rep["max_positive_offdiag"] == 0.0
         and rep["max_row_sum"] <= ROW_SUM_TOL * norm_inf
-        and rep["min_rayleigh"] >= -PSD_TOL * op.spectral_norm_bound
+        and rep["gershgorin_lower"] >= -PSD_TOL * op.spectral_norm_bound
     )
     table = [
         {"metric": "symmetry_defect", "value": sym},
         {"metric": "max_row_sum", "value": rep["max_row_sum"]},
         {"metric": "max_positive_offdiag", "value": rep["max_positive_offdiag"]},
-        {"metric": "min_rayleigh", "value": rep["min_rayleigh"]},
+        {"metric": "gershgorin_lower", "value": rep["gershgorin_lower"]},
     ]
     return CheckRecord(
         "structure",
@@ -355,11 +356,13 @@ def wave_speed_check(op, graph, support_box, t_list, speed_cap=1.05, cut_mask=No
 
 def probe_mesh(box, h, cut):
     """separation_probe's mesh of the 1D box (lo, hi) at spacing h, with a
-    node on the cut.  A ValueError names h unless h is positive and both
-    (hi - lo) / h and (cut - lo) / h are whole numbers to WHOLE_TOL, so that
-    the mesh's spacing is h and the cut is a grid node; build_mesh raises on
-    a count it cannot mesh."""
+    node on the cut.  A ValueError names the cut and the box unless lo < cut
+    < hi, then h unless h is positive and both (hi - lo) / h and (cut - lo) /
+    h are whole numbers to WHOLE_TOL, so that the spacing is h and the cut a
+    node with a node on each side; build_mesh raises on counts it cannot mesh."""
     lo, hi = box
+    if not lo < cut < hi:
+        raise ValueError(f"the cut {cut} is not strictly inside the probe box [{lo}, {hi}]")
     cells = (hi - lo) / h if h > 0 else np.nan
     if not 0.0 < cells < np.inf:
         raise ValueError(f"a spacing is a positive number, not {h!r}")
@@ -396,17 +399,14 @@ def separation_probe(profile, box, t, h_list, cut=0.0, cut_interval=None, bump=N
     table = []
     for h in h_list:
         mesh = probe_mesh(box, h, cut)
-        xs = mesh.axis(0)
-        in_bump = mesh.box_mask(bump)
-        phi = nonempty(in_bump, f"separation_probe: bump {bump} at h = {h}").astype(float)
+        phi = nonempty(mesh.box_mask(bump), f"separation_probe: bump {bump} at h = {h}").astype(float)
         phi /= phi.sum() * mesh.cell_volume
-        right = nonempty(xs > cut, f"separation_probe: far side x > {cut} at h = {h}")
         op = assemble(profile, mesh, 0.0)
         f = heat_evolve(op, phi, float(t), backend=exp_backend(op))
         table.append(
             {
                 "h": float(h),
-                "leakage": float(f[right].sum() * mesh.cell_volume),
+                "leakage": float(f[mesh.axis(0) > cut].sum() * mesh.cell_volume),
                 "conductance": cut_conductance(profile, mesh, cut_interval, 0.0),
             }
         )

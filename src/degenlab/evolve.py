@@ -89,7 +89,7 @@ import ctypes
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from math import comb
 
 import numpy as np
@@ -274,30 +274,34 @@ def _cheb_sums(B, y, coefs):
     """sum_k c[k] T_k(B / 2) y for every coefficient vector in coefs (longest
     first) and the (N, k) block y, from one three-term recurrence up to the
     largest degree: T_1 = 0.5 (B y), an exact halving, and T_{k+1} = B T_k -
-    T_{k-1}.  Each step negates the buffer of T_{k-1} and adds B T_k onto it
-    in place, so two buffers alternate and no step allocates; y is only read,
-    and the first step negates it into the second buffer.  Each sum sees the
-    same operations, in the same order, as a recurrence run for it alone."""
+    T_{k-1}, carried as U_k = s_k T_k, s_k = +, +, -, -, ...  Each step adds
+    (s_{k+1} s_k B) U_k onto the buffer of U_{k-1} in place, reading B.data or
+    its one negated copy: two buffers alternate, no step allocates or negates,
+    and y is only read.  Negation is exact, so (s_k c[k]) U_k is the term
+    c[k] T_k bit for bit (a zero's sign aside), and each sum sees the same
+    operations, in the same order, as a recurrence run for it alone."""
     C = np.zeros((len(coefs), len(coefs[0]), 1, 1))
     for i, c in enumerate(coefs):
         C[i, : len(c), 0, 0] = c
+    C *= np.where(np.arange(C.shape[1]) % 4 < 2, 1.0, -1.0)[:, None, None]  # s_k
     n, width = y.shape
     # one column takes csr_matvec, as B @ y does: csr_matvecs gives the same
     # bits for one vector but takes about three times as long
     if width == 1:
-        add_product = partial(csr_matvec, n, n, B.indptr, B.indices, B.data)
+        product = partial(csr_matvec, n, n, B.indptr, B.indices)
     else:
-        add_product = partial(csr_matvecs, n, n, width, B.indptr, B.indices, B.data)
+        product = partial(csr_matvecs, n, n, width, B.indptr, B.indices)
+    signed = (np.negative(B.data), B.data)  # s_k s_{k-1} B: -B for even k, B for odd
     w = np.zeros(y.shape)
-    add_product(y.ravel(), w.ravel())
-    w *= 0.5  # T_1
+    product(B.data, y.ravel(), w.ravel())
+    w *= 0.5  # U_1 = T_1
     acc = C[:, 0] * y + C[:, 1] * w
     tmp = np.empty_like(acc)  # C[i, k] * w
     w_prev = y
     live = len(coefs)
     for k in range(2, len(coefs[0])):
-        w_next = np.negative(w_prev, out=None if w_prev is y else w_prev)
-        add_product(w.ravel(), w_next.ravel())
+        w_next = w_prev.copy() if w_prev is y else w_prev
+        product(signed[k % 2], w.ravel(), w_next.ravel())
         w_prev, w = w, w_next
         while len(coefs[live - 1]) <= k:
             live -= 1
@@ -349,7 +353,7 @@ def _cheb_apply(op, cols, coefs):
     longest_first = [coefs[i] for i in order]
     count, labels = op.components()
     touched = np.zeros(count, dtype=bool)
-    touched[labels[np.any(cols != 0, axis=1)]] = True
+    touched[labels[reduce(np.logical_or, (cols != 0).T, np.zeros(len(cols), bool))]] = True
     if not touched.any():
         return np.zeros((len(coefs),) + cols.shape)
     full = touched.all()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coeffs import CoefficientProfile
+from .coeffs import CoefficientProfile, row_norm
 from .quadrature import graded_tail
 
 # 8-point Gauss-Legendre on [0, 1] for near-degenerate edge weights
@@ -136,7 +136,7 @@ def _edge_graph(profile, mesh, epsilon):
     a = pts[heads]
     b = pts[tails]
     mids = 0.5 * (a + b)
-    lengths = np.linalg.norm(b - a, axis=1)
+    lengths = row_norm(b - a)
     c_mid = profile.scalar_values(mids) + epsilon
     with np.errstate(divide="ignore"):
         weights = lengths / np.sqrt(c_mid)
@@ -163,7 +163,7 @@ def _edge_weight_quadrature(profile, a, b, epsilon):
     seg = a[:, None, :] + _G8_X[:, None] * (b - a)[:, None, :]  # (E, 8, d) nodes
     vals = profile.scalar_values(seg.reshape(-1, d)).reshape(E, 8) + epsilon
     with np.errstate(divide="ignore"):
-        weights = np.linalg.norm(b - a, axis=1) * ((1.0 / np.sqrt(vals)) @ _G8_W)
+        weights = row_norm(b - a) * ((1.0 / np.sqrt(vals)) @ _G8_W)
     if d == 1:
         x0, x1 = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
         # reversed, so that an edge touching two centers keeps the first

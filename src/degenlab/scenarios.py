@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import diagnose
-from .coeffs import classify, profile_from_json
+from .coeffs import classify, profile_from_json, row_norm
 from .diagnose import CheckRecord, Status
 from .errors import ResourceLimitError, SchemaError, bind, bind_documents
 from .grid import assemble, build_mesh
@@ -120,7 +120,7 @@ def _interval(pts, profile, *, lo, hi):
 
 
 def _euclidean_ball(pts, profile, *, center, radius):
-    return np.linalg.norm(pts - np.asarray(center, dtype=float), axis=1) < float(radius)
+    return row_norm(pts - np.asarray(center, dtype=float)) < float(radius)
 
 
 def _under_surface(pts, profile):
@@ -176,7 +176,7 @@ def _region_fields(spec, kind=None):
 
 
 def _run_structure(ctx, seed, *, epsilon=None):
-    return diagnose.structure_check(ctx.operator(epsilon), seed=seed)
+    return diagnose.structure_check(ctx.operator(epsilon))
 
 
 def _run_conservation(ctx, seed, *, t_grid="small", tol=1e-9, epsilon=None):
@@ -378,11 +378,12 @@ _SIGNATURES = {name: inspect.signature(fn) for name, fn in CHECKS.items()}
 ONE_D_CHECKS = ("separation_probe", "holder")
 # the fewest entries a list parameter needs for its check to test anything:
 # one time or center, two sets for a pairwise bound, two levels for a trend,
-# three radii for a slope, and the two ends of a range or band
+# three radii for a slope, and the two ends of a range or band (PAIRS: exactly)
 LEAST_ITEMS = {
     "t_grid": 1, "t_list": 1, "centers": 1, "balls": 2, "boxes": 2, "n_list": 2,
     "h_list": 2, "r_grid": 3, "range": 2, "band": 2,
 }
+PAIRS = ("range", "band")
 
 
 def _scenario_document(
@@ -411,13 +412,15 @@ def _named_grid(doc, name):
 
 def _check_items(doc, name, key, value, least):
     """SchemaError unless list parameter `key` of check `name` (a named time
-    grid resolved) has at least `least` entries, and a smalltime_decay grid
-    stays in the window t <= 0.1."""
+    grid resolved) has at least `least` entries (a pair in PAIRS: exactly),
+    and a smalltime_decay grid stays in the window t <= 0.1."""
     named = key == "t_grid" and isinstance(value, str)
     items = _named_grid(doc, value) if named else value
     shown = f"{value!r} = {items!r}" if named else repr(value)
-    if not isinstance(items, (list, tuple)) or len(items) < least:
-        raise SchemaError(f"needs a list of at least {least} entries, not {shown}")
+    exact = key in PAIRS
+    if not isinstance(items, (list, tuple)) or len(items) < least or exact and len(items) > least:
+        many = "exactly" if exact else "at least"
+        raise SchemaError(f"needs a list of {many} {least} entries, not {shown}")
     if name == "smalltime_decay" and key == "t_grid" and max(float(t) for t in items) > 0.1:
         raise SchemaError(f"smalltime grid must stay <= 0.1, not {shown}")
 
@@ -472,15 +475,14 @@ def validate_scenario(doc):
                 raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
         if name == "separation_probe":
             box = _probe_box(args["box"], mesh["box"])
+            field = "cut"
             try:
                 cut = float(args["cut"])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"checks[{i}].params.cut ({name}): {exc}") from None
-            for j, h in enumerate(args["h_list"]):
-                try:
+                for j, h in enumerate(args["h_list"]):
+                    field = f"h_list[{j}]" if box[0] < cut < box[1] else "cut"
                     diagnose.probe_mesh(box, float(h), cut)
-                except (TypeError, ValueError, ResourceLimitError) as exc:
-                    raise SchemaError(f"checks[{i}].params.h_list[{j}] ({name}): {exc}") from None
+            except (TypeError, ValueError, ResourceLimitError) as exc:
+                raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
         if name == "resolvent_volume" and 4 * int(args["m"]) <= int(mesh["dimension"]):
             raise SchemaError(f"checks[{i}].params.m: need 4m > d")
         if name in diagnose.MODES and args["mode"] not in diagnose.MODES[name]:

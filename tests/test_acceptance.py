@@ -357,7 +357,7 @@ def test_criterion_9_structural_suite(contexts):
 
     # M-matrix invariants on every builtin operator
     for name, ctx in contexts.items():
-        rec = structure_check(ctx.operator(0.0), seed=ctx.seed_for(0, "structure"))
+        rec = structure_check(ctx.operator(0.0))
         if rec.status is not Status.HOLDS:
             failures.append(f"structure[{name}]")
 
@@ -400,14 +400,14 @@ def test_criterion_9_structural_suite(contexts):
     bad_row.matrix = A.tocsr()
     if conservation_defect(bad_row, [0.1]).status is not Status.VIOLATED:
         failures.append("sabotage-row-sum-undetected")
-    if structure_check(bad_row, seed=1).status is not Status.VIOLATED:
+    if structure_check(bad_row).status is not Status.VIOLATED:
         failures.append("sabotage-row-structure-undetected")
     bad_off = copy.copy(op)
     A2 = op.matrix.tolil(copy=True)
     A2[5, 6] = 1e-4
     A2[6, 5] = 1e-4
     bad_off.matrix = A2.tocsr()
-    if structure_check(bad_off, seed=1).status is not Status.VIOLATED:
+    if structure_check(bad_off).status is not Status.VIOLATED:
         failures.append("sabotage-offdiag-undetected")
 
     ok = not failures

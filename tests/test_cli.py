@@ -84,6 +84,8 @@ class TestRun:
 
     @pytest.mark.parametrize("where", [{"bump": [3.0, 3.5]}, {"cut": 2.0}])
     def test_empty_probe_set_exit_1(self, small_scenario, where, tmp_path, capsys):
+        # a bump outside the box selects no node when the probe runs; a cut
+        # at the box's end, with no node past it, fails validation
         doc = json.loads(small_scenario.read_text())
         probe = doc["checks"][-1]
         probe["params"].update(where, h_list=[2.0**-6, 2.0**-7])
@@ -91,7 +93,11 @@ class TestRun:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "selects no mesh node" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if "cut" in where:
+            assert "schema error: checks[0].params.cut (separation_probe): the cut 2.0" in err
+        else:
+            assert "selects no mesh node" in err
 
     def test_missing_field_named(self):
         with pytest.raises(SchemaError, match="mesh"):
@@ -537,7 +543,7 @@ class TestListParams:
              r"checks\[1\]\.params\.r_grid \(resolvent_volume\): needs a list of at least 3 "),
             ("degenerate1d-d025",
              set_check({"check": "holder", "params": {"range": "13"}}),
-             r"checks\[1\]\.params\.range \(holder\): needs a list of at least 2 entries,"
+             r"checks\[1\]\.params\.range \(holder\): needs a list of exactly 2 entries,"
              r" not '13'"),
             ("degenerate1d-d025",
              set_check({"check": "separation_probe", "params": {"h_list": "0.25"}}),
@@ -548,8 +554,28 @@ class TestListParams:
              r"checks\[1\]\.params\.h_list \(separation_probe\): needs a list of at least 2 "),
             ("laplacian1d-largetime",
              set_check({"check": "largetime_floor", "params": {"mode": "elliptic", "band": "12"}}),
-             r"checks\[1\]\.params\.band \(largetime_floor\): needs a list of at least 2"
+             r"checks\[1\]\.params\.band \(largetime_floor\): needs a list of exactly 2"
              r" entries, not '12'"),
+            # a range or a band is a pair: a third entry would go unread
+            ("degenerate1d-d025",
+             set_check({"check": "holder", "params": {"range": [1e-3, 1e-1, 5.0]}}),
+             r"checks\[1\]\.params\.range \(holder\): needs a list of exactly 2 entries,"
+             r" not \[0\.001, 0\.1, 5\.0\]"),
+            ("laplacian1d-largetime",
+             set_check({"check": "largetime_floor",
+                        "params": {"mode": "elliptic", "band": [0.8, 1.2, 1.5]}}),
+             r"checks\[1\]\.params\.band \(largetime_floor\): needs a list of exactly 2"
+             r" entries, not \[0\.8, 1\.2, 1\.5\]"),
+            # a cut on or past the box's end has no node beyond it
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe",
+                        "params": {"h_list": [2.0**-6, 2.0**-7], "box": [-2.0, 2.0], "cut": 2.0}}),
+             r"checks\[1\]\.params\.cut \(separation_probe\): the cut 2\.0 is not strictly"
+             r" inside the probe box \[-2\.0, 2\.0\]"),
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe", "params": {"h_list": [0.25, 0.3], "cut": -5.0}}),
+             r"checks\[1\]\.params\.cut \(separation_probe\): the cut -5\.0 is not strictly"
+             r" inside the probe box \[-4\.0, 4\.0\]"),
             # the smalltime window ends at t = 0.1, on a named grid too
             ("laplacian1d",
              set_check({"check": "smalltime_decay", "params": {"gamma": 1.0, "t_grid": "small"}}),
@@ -578,6 +604,8 @@ class TestListParams:
              "probe-cut-not-a-number",
              "resolvent-radii-string", "resolvent-two-radii", "holder-range-string",
              "probe-spacings-string", "probe-one-level", "largetime-band-string",
+             "holder-range-three", "largetime-band-three", "probe-cut-at-the-box-end",
+             "probe-cut-past-the-box",
              "smalltime-named-grid-past-window", "smalltime-grid-past-window",
              "resolvent-m-too-small", "largetime-separated-no-floor"],
     )
@@ -629,6 +657,25 @@ class TestListParams:
         assert err.startswith("schema error: ")
         assert (f"checks[{index}].params.h_list[0] (separation_probe): h = {4.0 / 13!r} puts the"
                 " cut 0.0 6.5 cells from the probe box's low end -2.0") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("check, override, message", [
+        ("separation_probe", "cut=2.0",
+         "the cut 2.0 is not strictly inside the probe box [-2.0, 2.0]"),
+        ("holder", "range=[1e-3,1e-1,5.0]",
+         "needs a list of exactly 2 entries, not [0.001, 0.1, 5.0]"),
+    ], ids=["probe-cut-at-the-box-end", "holder-range-three"])
+    def test_override_exits_1_naming_the_field(self, check, override, message, tmp_path, capsys):
+        # at the box's end the probe's far side holds no node, and a third
+        # entry of a range would go unread: validation stops the run before
+        # the checks ahead of this one compute
+        index = [c["check"] for c in builtin_by_name("degenerate1d-d05")["checks"]].index(check)
+        field = override.split("=")[0]
+        argv = ["run", "degenerate1d-d05", "--out", str(tmp_path / "out"),
+                "--override", f"checks.{index}.params.{override}"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: checks[{index}].params.{field} ({check}): {message}")
         assert not (tmp_path / "out").exists()
 
 

@@ -105,17 +105,27 @@ class TestConservation:
 class TestStructure:
     def test_holds_on_assembled(self, laplace_small):
         _, _, op = laplace_small
-        assert structure_check(op, seed=1).status is Status.HOLDS
+        assert structure_check(op).status is Status.HOLDS
 
     def test_positive_offdiagonal_detected(self, laplace_small):
         _, _, op = laplace_small
-        rec = structure_check(sabotage_offdiag(op), seed=1)
+        rec = structure_check(sabotage_offdiag(op))
         assert rec.status is Status.VIOLATED
 
     def test_row_sum_sabotage_detected(self, laplace_small):
         _, _, op = laplace_small
-        rec = structure_check(sabotage_row(op), seed=1)
+        rec = structure_check(sabotage_row(op))
         assert rec.status is Status.VIOLATED
+
+    def test_lowered_diagonal_fails_the_psd_bound(self, laplace_small):
+        # a negative row sum: the Gershgorin bound reads it, and cannot
+        # certify A >= 0
+        _, _, op = laplace_small
+        rec = structure_check(sabotage_row(op, amount=-1e-3))
+        assert rec.status is Status.VIOLATED
+        rows = {r["metric"]: r["value"] for r in rec.table}
+        assert rows["gershgorin_lower"] == pytest.approx(-1e-3, rel=1e-6)
+        assert rows["gershgorin_lower"] < -1e-10 * op.spectral_norm_bound
 
 
 class TestOffdiagonalGaussian:
@@ -323,14 +333,24 @@ class TestSeparationProbe:
             separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6, 2.0**-7], cut=0.3,
                              cut_interval=(-0.5, 0.5))
 
-    @pytest.mark.parametrize(
-        "where, what", [({"bump": (3.0, 3.5)}, "bump"), ({"cut": 2.0}, "far side")]
-    )
+    @pytest.mark.parametrize("where, what", [({"bump": (3.0, 3.5)}, "bump")])
     def test_empty_set_raises(self, where, what):
-        # a bump outside the box, or a cut at its right end, selects no node
+        # a bump outside the box selects no node
         p = power1d(0.75, domain=(-2.0, 2.0))
         with pytest.raises(ValueError, match=f"separation_probe: {what} .* at h = 0.015625"):
             separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6], **where)
+
+    @pytest.mark.parametrize("cut", [-2.0, 2.0, 2.5], ids=["low-end", "high-end", "past"])
+    def test_probe_mesh_refuses_a_cut_not_inside_the_box(self, cut):
+        # a cut on the box's end is a node with no far side: both sides of
+        # the cut must hold a node, whatever h is
+        match = rf"the cut {cut} is not strictly inside the probe box \[-2\.0, 2\.0\]"
+        for h in (2.0**-6, 0.3):
+            with pytest.raises(ValueError, match=match):
+                diagnose_mod.probe_mesh((-2.0, 2.0), h, cut)
+        p = power1d(0.75, domain=(-2.0, 2.0))
+        with pytest.raises(ValueError, match=match):
+            separation_probe(p, (-2.0, 2.0), 1.0, [2.0**-6, 2.0**-7], cut=cut)
 
 
 class TestInvarianceAndForm:

@@ -485,6 +485,8 @@ class TestComponents:
         monkeypatch.setattr(evolve_mod, "_cheb_sums", never)
         out = heat_evolve(op, np.zeros((op.size, 3)), [0.1, 0.5])
         assert same_bits(out, np.zeros((2, op.size, 3)))
+        # a block without columns meets no component either
+        assert same_bits(heat_evolve(op, np.zeros((op.size, 0)), [0.1]), np.zeros((1, op.size, 0)))
         u = resolvent_power_apply(op, [0.1, 0.3], 1, np.zeros(op.size))
         assert same_bits(u, np.zeros((2, op.size)))
 

@@ -3,9 +3,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
+import degenlab.coeffs as coeffs_mod
 from degenlab import (
     CoefficientProfile,
     PowerDegenerate,
+    RadialShell,
     Sampled,
     assemble,
     build_mesh,
@@ -13,6 +15,7 @@ from degenlab import (
     markov_check,
     sup_kernel,
 )
+from degenlab import metric, scenarios
 from degenlab.errors import ResourceLimitError
 
 
@@ -205,10 +208,102 @@ class TestMarkovCheck:
         rep = markov_check(assemble(p, mesh, 0.0))
         assert rep["max_row_sum"] <= 1e-13 * rep["norm_inf"]
 
-    def test_rayleigh_against_dense_eig(self):
-        mesh = build_mesh(1, (-1.0, 1.0), 64)
-        op = assemble(power1d(0.0, domain=(-1.0, 1.0)), mesh, 0.0)
+    @pytest.mark.parametrize("profile, mesh", [
+        (power1d(0.0, domain=(-1.0, 1.0)), build_mesh(1, (-1.0, 1.0), 64)),
+        (power1d(0.5, domain=(-2.0, 2.0)), build_mesh(1, (-2.0, 2.0), 63)),
+        (CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-2.0, 2.0)),
+         build_mesh(2, (-2.0, 2.0), 16)),
+    ], ids=["laplacian-1d", "degenerate-1d", "degenerate-2d"])
+    def test_gershgorin_bound_below_dense_eig(self, profile, mesh):
+        op = assemble(profile, mesh, 0.0)
         lam = eigh(op.matrix.toarray(), eigvals_only=True)
         assert lam.min() >= -1e-10 * op.spectral_norm_bound
         rep = markov_check(op)
-        assert rep["min_rayleigh"] >= lam.min() - 1e-10
+        assert rep["gershgorin_lower"] <= lam.min() + 1e-10
+        assert rep["gershgorin_lower"] >= -1e-10 * op.spectral_norm_bound
+
+
+def numpy_norm(v):
+    return np.linalg.norm(v, axis=1)
+
+
+def rho_reference(profile, pts):
+    """rho_values in numpy's row reductions: np.linalg.norm and max(axis=1)."""
+    fam = profile.family
+    if isinstance(fam, PowerDegenerate):
+        d = np.min([numpy_norm(pts - np.asarray(c)) for c in fam.centers], axis=0)
+    else:
+        r = numpy_norm(pts) if profile.dimension == 2 else np.abs(pts[:, 0])
+        d = np.maximum(np.abs(r - fam.radius) - 0.5 * fam.width, 0.0)
+    snap = 1e-13 * (1.0 + np.abs(pts).max(axis=1))
+    return np.where(d <= snap, 0.0, d)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+GEOMETRY_PROFILES = [
+    CoefficientProfile(1, PowerDegenerate(0.5, ((0.0,), (1.25,))), (-2.0, 2.0)),
+    CoefficientProfile(1, RadialShell(0.75, 1.0), (-2.0, 2.0)),
+    CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0), (0.5, -1.0))), (-2.0, 2.0)),
+    CoefficientProfile(2, RadialShell(0.75, 1.0, width=0.125), (-2.0, 2.0)),
+]
+GEOMETRY_IDS = ["power-1d", "shell-1d", "power-2d", "shell-2d"]
+
+
+class TestPerAxisGeometry:
+    """The point geometry works one axis at a time; every value is bitwise
+    numpy's row reduction (np.linalg.norm, max and all over axis 1)."""
+
+    @pytest.mark.parametrize("profile", GEOMETRY_PROFILES, ids=GEOMETRY_IDS)
+    def test_rho_values(self, profile):
+        rng = np.random.default_rng(7)
+        d, fam = profile.dimension, profile.family
+        # random points, face midpoints, and points within a few 1e-13 of the
+        # degeneracy set, where the snap to 0 decides
+        mesh = build_mesh(d, (-2.0, 2.0), 48)
+        if isinstance(fam, PowerDegenerate):
+            near = np.repeat(np.asarray(fam.centers), 500, axis=0)
+        else:
+            edge = fam.radius + 0.5 * fam.width * rng.choice([-1.0, 1.0], 1000)
+            angle = rng.uniform(0.0, 2.0 * np.pi, 1000)
+            unit = np.stack([np.cos(angle), np.sin(angle)], axis=1) if d == 2 else np.ones((1000, 1))
+            near = edge[:, None] * unit
+        near = near + rng.uniform(-4e-13, 4e-13, near.shape)
+        pts = np.vstack([rng.uniform(-2.0, 2.0, (5000, d)), mesh.points() + 0.5 * mesh.h, near])
+        rho = profile.rho_values(pts)
+        assert same_bits(rho, rho_reference(profile, pts))
+        assert 0 < np.count_nonzero(rho[-near.shape[0]:] == 0.0) < near.shape[0]
+
+    @pytest.mark.parametrize("profile", GEOMETRY_PROFILES, ids=GEOMETRY_IDS)
+    def test_metric_graph_weights(self, profile, monkeypatch):
+        mesh = build_mesh(profile.dimension, (-2.0, 2.0), 40)
+        got = metric.metric_graph(profile, mesh, 1e-3)
+        monkeypatch.setattr(metric, "row_norm", numpy_norm)
+        monkeypatch.setattr(coeffs_mod, "row_norm", numpy_norm)
+        want = metric.metric_graph(profile, mesh, 1e-3)
+        assert same_bits(got.indptr, want.indptr) and same_bits(got.indices, want.indices)
+        assert same_bits(got.data, want.data)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_box_mask(self, d):
+        rng = np.random.default_rng(11)
+        mesh = build_mesh(d, (-2.0, 2.0), 37)
+        pts = mesh.points()
+        for _ in range(20):
+            b = np.sort(rng.uniform(-2.5, 2.5, (d, 2)), axis=1)
+            want = np.all((pts >= b[:, 0]) & (pts <= b[:, 1]), axis=1)
+            assert same_bits(mesh.box_mask(b), want)
+        # a node on the box's edge is inside
+        assert same_bits(mesh.box_mask(mesh.box), np.ones(mesh.size, dtype=bool))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_euclidean_ball(self, d):
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(-2.0, 2.0, (5000, d))
+        for _ in range(20):
+            center, radius = rng.uniform(-1.0, 1.0, d), rng.uniform(0.1, 2.0)
+            want = numpy_norm(pts - center) < radius
+            got = scenarios._euclidean_ball(pts, None, center=list(center), radius=radius)
+            assert same_bits(got, want)
