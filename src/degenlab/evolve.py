@@ -24,13 +24,14 @@ step, so WaveField.dt is 0.
 
 Every Chebyshev sum runs one recurrence on B = 2 M = (4 / lambda_max) A - 2 I,
 built once per call with the sparsity pattern of A: T_1 = 0.5 (B y), an exact
-halving, and T_{k+1} = B T_k - T_{k-1}.  A step negates the buffer of T_{k-1}
-in place and adds B T_k onto it with scipy's CSR kernels (csr_matvec for one
-column, csr_matvecs for more), so two buffers alternate and no step
-allocates.  The kernels come from the private scipy.sparse._sparsetools,
-because the public B @ w allocates and zero-fills a block at every step; that
-the module and its signatures are there at the declared scipy 1.10 floor is
-checked only by the oldest-supported CI job.
+halving, and T_{k+1} = B T_k - T_{k-1}.  A step adds +-B T_k onto the
+buffer of T_{k-1} in place with scipy's CSR kernels (csr_matvec for one
+column, csr_matvecs for more), reading B's values or the call's one negated
+copy of them, so two buffers alternate and no step allocates.  The kernels
+come from the private scipy.sparse._sparsetools, because the public B @ w
+allocates and zero-fills a block at every step; that the module and its
+signatures are there at the declared scipy 1.10 floor is checked only by the
+oldest-supported CI job.
 
 The contour writes e^{-tA} phi as sum_k Re[w_k e^{t s_k} (s_k I + A)^{-1} phi]
 over the n shifts s_k of a hyperbola (Weideman and Trefethen, Math. Comp. 76,
@@ -54,7 +55,11 @@ of a foreign call.
 The same rule gives the whole kernel diagonal of a 1D operator without a
 solve: diag e^{-tA} = sum_k Re[w_k e^{t s_k} diag((s_k I + A)^{-1})], and
 the diagonal of each shifted tridiagonal inverse comes from two O(N) pivot
-sweeps, one from each end, run once per shift (_contour_diag).
+sweeps, one from each end, run once per shift (_contour_diag).  A 1D call
+holds little beyond what it returns: the diagonal sweep one (N, 2, shifts)
+complex buffer of tails, which also takes each group's weighting operand,
+and an action CONTOUR_CHUNK shift solutions.  heat_evolve returns the
+backend's array itself when every time is > 0.
 
 Independent pieces of one call run beside each other through one helper,
 _beside.  It runs the column lanes of a block Chebyshev evolution: at most
@@ -131,6 +136,7 @@ CONTOUR_ROWS = (
     (100.0, 48, 0.145, 0.8975, 6.2246, 3.3e-14),
 )
 CONTOUR_CHUNK = 8  # shift solutions that one 1D action holds at a time
+DIAG_ROWS = 512  # rows of shifted row sums that one 1D kernel-diagonal sweep holds at a time
 
 
 def _usable_cpus():
@@ -270,16 +276,17 @@ def _wave_coefficients(a, tol):
     return c
 
 
-def _cheb_sums(B, y, coefs):
+def _cheb_sums(B, negated, y, coefs):
     """sum_k c[k] T_k(B / 2) y for every coefficient vector in coefs (longest
     first) and the (N, k) block y, from one three-term recurrence up to the
     largest degree: T_1 = 0.5 (B y), an exact halving, and T_{k+1} = B T_k -
     T_{k-1}, carried as U_k = s_k T_k, s_k = +, +, -, -, ...  Each step adds
     (s_{k+1} s_k B) U_k onto the buffer of U_{k-1} in place, reading B.data or
-    its one negated copy: two buffers alternate, no step allocates or negates,
-    and y is only read.  Negation is exact, so (s_k c[k]) U_k is the term
-    c[k] T_k bit for bit (a zero's sign aside), and each sum sees the same
-    operations, in the same order, as a recurrence run for it alone."""
+    negated, the caller's one copy of -B.data: two buffers alternate, no step
+    allocates or negates, and y is only read.  Negation is exact, so
+    (s_k c[k]) U_k is the term c[k] T_k bit for bit (a zero's sign aside), and
+    each sum sees the same operations, in the same order, as a recurrence run
+    for it alone."""
     C = np.zeros((len(coefs), len(coefs[0]), 1, 1))
     for i, c in enumerate(coefs):
         C[i, : len(c), 0, 0] = c
@@ -291,7 +298,7 @@ def _cheb_sums(B, y, coefs):
         product = partial(csr_matvec, n, n, B.indptr, B.indices)
     else:
         product = partial(csr_matvecs, n, n, width, B.indptr, B.indices)
-    signed = (np.negative(B.data), B.data)  # s_k s_{k-1} B: -B for even k, B for odd
+    signed = (negated, B.data)  # s_k s_{k-1} B: -B for even k, B for odd
     w = np.zeros(y.shape)
     product(B.data, y.ravel(), w.ravel())
     w *= 0.5  # U_1 = T_1
@@ -346,9 +353,10 @@ def _cheb_apply(op, cols, coefs):
     That is bitwise the full recurrence: a dropped term is an explicit zero
     coupling (-0.0) times a zero row (+0.0), and row slicing keeps each row's
     summation order.  The recurrence runs on B = 2 M, built once here with
-    the pattern of A; every lane reads it.  The columns are split into at
-    most CPUS lanes of whole columns, which run beside each other; every
-    column sees the same operations in any lane."""
+    the pattern of A, and on one negated copy of its values; every lane
+    reads both.  The columns are split into at most CPUS lanes of whole
+    columns, which run beside each other; every column sees the same
+    operations in any lane."""
     order = sorted(range(len(coefs)), key=lambda i: -len(coefs[i]))
     longest_first = [coefs[i] for i in order]
     count, labels = op.components()
@@ -361,13 +369,14 @@ def _cheb_apply(op, cols, coefs):
     A = op.matrix if full else op.matrix[idx][:, idx]
     B = (4.0 / op.spectral_norm_bound) * A  # 2 M = 2 (2 A / lambda_max - I)
     B.setdiag(B.diagonal() - 2.0)
+    negated = np.negative(B.data)
     ncols = cols.shape[1]
     sub = np.empty((len(coefs), A.shape[0], ncols))
 
     def lane(lo, hi):
         # the caller's own array when one lane covers every component
         y = np.ascontiguousarray(cols[idx, lo:hi])
-        sub[order, :, lo:hi] = _cheb_sums(B, y, longest_first)
+        sub[order, :, lo:hi] = _cheb_sums(B, negated, y, longest_first)
 
     lanes = min(CPUS, ncols)
     bounds = [ncols * n // lanes for n in range(lanes + 1)]
@@ -536,7 +545,13 @@ def _contour_diag(op, ts, tol):
     and a zero coupling gives a zero tail: the sweeps decouple exactly.
     Both sweeps run as one loop over the rows, vectorised over every shift
     of the call, once per shift; one product per group weights the
-    diagonals for every time of the group."""
+    diagonals for every time of the group.
+
+    The call holds one (N, 2, S) complex buffer, the tails of the S shifts,
+    and little else: the shifted row sums u + r_i are formed DIAG_ROWS rows
+    at a time, the diagonals are summed into the forward half of the
+    buffer, and each group's real and imaginary parts are copied into the
+    backward half, dead by then, as the real operand of its product."""
     A = op.matrix
     c = -A.diagonal(1)
     r = A @ np.ones(op.size)
@@ -547,23 +562,33 @@ def _contour_diag(op, ts, tol):
     cc = np.stack([c, c[::-1]], axis=1)[:, :, None]
     rr = np.stack([r, r[::-1]], axis=1)[:, :, None]
     tail = np.zeros((op.size, 2, u.size), dtype=complex)
-    shifted = u + rr
+    block = np.empty((min(DIAG_ROWS, op.size), 2, u.size), dtype=complex)
     num, total = np.empty((2, 2, u.size), dtype=complex)  # per-row buffers of the sweeps
-    for c_i, g, p_i, p_next in zip(cc, shifted, tail, tail[1:]):
-        g += p_i
-        np.multiply(c_i, g, out=num)
-        np.add(c_i, g, out=total)
-        np.divide(num, total, out=p_next)
-    den = tail[:, 0]  # summed in place, in the largest buffer here
+    for b0 in range(0, op.size, DIAG_ROWS):
+        shifted = np.add(u, rr[b0 : b0 + DIAG_ROWS], out=block[: op.size - b0])
+        for c_i, g, p_i, p_next in zip(cc[b0:], shifted, tail[b0:], tail[b0 + 1 :]):
+            g += p_i
+            np.multiply(c_i, g, out=num)
+            np.add(c_i, g, out=total)
+            np.divide(num, total, out=p_next)
+    den = tail[:, 0]  # summed in place
     den += tail[::-1, 1]
     den += r[:, None]
     den += u
     np.divide(1.0, den, out=den)
+    spare = tail[:, 1].view(np.float64)  # (N, 2S): the backward tails are dead
     out = np.empty((op.size, tu.size))
     at = 0
     for lo, hi, s, W in groups:
         part = den[:, at : at + s.size]
-        out[:, lo:hi] = np.concatenate([part.real, part.imag], axis=1) @ W
+        parts = spare[:, : 2 * s.size]
+        # copyto takes a temporary copy of a source that shares the
+        # destination's buffer: DIAG_ROWS rows at a time keep it small
+        for b0 in range(0, op.size, DIAG_ROWS):
+            rows = slice(b0, b0 + DIAG_ROWS)
+            np.copyto(parts[rows, : s.size], part[rows].real)
+            np.copyto(parts[rows, s.size :], part[rows].imag)
+        np.matmul(parts, W, out=out[:, lo:hi])
         at += s.size
     return out[:, inv]
 
@@ -616,11 +641,14 @@ def heat_evolve(
         evolve = lambda s: _contour_expm_apply(op, phi0, s, tol)
     else:
         raise ValueError(f"unknown backend '{backend}'")
-    vals = np.empty((ts.size,) + phi0.shape)
     live = ts > 0
-    vals[~live] = phi0
-    if live.any():
-        vals[live] = evolve(ts[live])
+    if live.all():
+        vals = evolve(ts)  # the backend's own array, not a copy
+    else:
+        vals = np.empty((ts.size,) + phi0.shape)
+        vals[~live] = phi0
+        if live.any():
+            vals[live] = evolve(ts[live])
     return vals[0] if np.ndim(t) == 0 else vals
 
 

@@ -384,6 +384,10 @@ LEAST_ITEMS = {
     "h_list": 2, "r_grid": 3, "range": 2, "band": 2,
 }
 PAIRS = ("range", "band")
+# parameters that a check reads as times or radii, each (or each entry) a
+# finite number > 0: a time of 0 or less has no Gaussian bound to test, and
+# an exact cut would skip the evolution that rejects it
+POSITIVE = {"t": "time", "t_list": "time", "t_grid": "time", "r_grid": "radius"}
 
 
 def _scenario_document(
@@ -410,10 +414,10 @@ def _named_grid(doc, name):
     return [float(t) for t in doc[key]]
 
 
-def _check_items(doc, name, key, value, least):
-    """SchemaError unless list parameter `key` of check `name` (a named time
-    grid resolved) has at least `least` entries (a pair in PAIRS: exactly),
-    and a smalltime_decay grid stays in the window t <= 0.1."""
+def _check_items(doc, key, value, least):
+    """The entries of list parameter `key` (a named time grid resolved) and
+    how to show them; SchemaError unless there are at least `least` (a pair
+    in PAIRS: exactly)."""
     named = key == "t_grid" and isinstance(value, str)
     items = _named_grid(doc, value) if named else value
     shown = f"{value!r} = {items!r}" if named else repr(value)
@@ -421,8 +425,17 @@ def _check_items(doc, name, key, value, least):
     if not isinstance(items, (list, tuple)) or len(items) < least or exact and len(items) > least:
         many = "exactly" if exact else "at least"
         raise SchemaError(f"needs a list of {many} {least} entries, not {shown}")
-    if name == "smalltime_decay" and key == "t_grid" and max(float(t) for t in items) > 0.1:
-        raise SchemaError(f"smalltime grid must stay <= 0.1, not {shown}")
+    return items, shown
+
+
+def _check_positive(value, what, among=""):
+    """SchemaError unless value is a finite number > 0."""
+    try:
+        ok = 0.0 < float(value) < np.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise SchemaError(f"a {what} is a finite number > 0, not {value!r}{among}")
 
 
 def validate_scenario(doc):
@@ -433,9 +446,10 @@ def validate_scenario(doc):
     missing or misplaced fields fail here, before any compute; so do a 1D
     check on a 2D mesh, a t_grid that names a grid the scenario lacks, a
     list parameter shorter than its LEAST_ITEMS (no check holds on an empty
-    grid or a lone set), a smalltime_decay grid past t = 0.1, and a probe
-    spacing that diagnose.probe_mesh refuses on the probe box (by default the
-    mesh's axis-0 box) and cut."""
+    grid or a lone set), a time or radius (POSITIVE, each entry of a list and
+    of a named grid) that is not a finite number > 0, a smalltime_decay grid
+    past t = 0.1, and a probe spacing that diagnose.probe_mesh refuses on the
+    probe box (by default the mesh's axis-0 box) and cut."""
     parts = [("scenario", _scenario_document, (), doc)]
     if isinstance(doc, dict):
         parts.append(("mesh", _mesh_document, (), doc.get("mesh", {})))
@@ -464,7 +478,16 @@ def validate_scenario(doc):
             one = kind in (Box, Region) and (value is not None or param.default is not None)
             try:
                 if key in LEAST_ITEMS:
-                    _check_items(doc, name, key, value, LEAST_ITEMS[key])
+                    items, shown = _check_items(doc, key, value, LEAST_ITEMS[key])
+                    for j, item in enumerate(items if key in POSITIVE else ()):
+                        field = f"{key}[{j}]"
+                        _check_positive(item, POSITIVE[key], f", in {shown}")
+                    field = key
+                    smalltime = name == "smalltime_decay" and key == "t_grid"
+                    if smalltime and max(map(float, items)) > 0.1:
+                        raise SchemaError(f"smalltime grid must stay <= 0.1, not {shown}")
+                elif key in POSITIVE:
+                    _check_positive(value, POSITIVE[key])
                 for j, spec in enumerate(value if many else [value] if one else []):
                     field = f"{key}[{j}]" if many else key
                     if kind in (Box, Boxes):

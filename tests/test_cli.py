@@ -218,7 +218,8 @@ class TestCheckParams:
         doc = builtin_by_name("degenerate1d-d025")
         doc["mesh"]["n"] = 64
         omega = {"kind": "halfline", "x": 0.0, "side": "left"}
-        doc["checks"] = [{"check": "invariance", "params": {"omega": omega, "t": [1]}}]
+        # validation does not read tol; `worst < tol` raises TypeError in compute
+        doc["checks"] = [{"check": "invariance", "params": {"omega": omega, "tol": [1]}}]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -428,14 +429,19 @@ class TestRegionSpecs:
 
 class TestListParams:
     """A list parameter needs LEAST_ITEMS entries (a string is not a list), a
-    1D check a 1D mesh, and the probe has no epsilon list; the probe's
-    spacings, the smalltime window, the resolvent's m and a separated floor
-    have their rules too.  Each fails validation, before any check runs,
-    naming the field."""
+    1D check a 1D mesh, and the probe has no epsilon list; every time and
+    radius is finite and > 0, and the probe's spacings, the smalltime window,
+    the resolvent's m and a separated floor have their rules too.  Each fails
+    validation, before any check runs, naming the field."""
 
     def empty_small_grid(doc):
         doc["t_small"] = []
         doc["checks"][1] = {"check": "conservation", "params": {"t_grid": "small"}}
+
+    def small_grid_from_zero(doc):
+        doc["t_small"] = [0.0, 0.5, 1.0]
+        doc["checks"][1] = {"check": "offdiagonal_gaussian",
+                            "params": {"balls": [TestListParams.ball] * 2}}
 
     def set_check(check):
         def edit(doc):
@@ -593,6 +599,42 @@ class TestListParams:
             ("double-zero",
              set_check({"check": "largetime_floor", "params": {"mode": "separated"}}),
              r"checks\[1\]\.params\.floor: separated mode needs a floor"),
+            # every time and radius a check reads is finite and > 0, named
+            # grids and a time that an exact cut would never evolve included
+            ("degenerate1d-d075-cut",
+             set_check({"check": "invariance", "params": {"omega": omega, "t": -1.0}}),
+             r"checks\[1\]\.params\.t \(invariance\): a time is a finite number > 0, not -1\.0$"),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "kernel_cut",
+                        "params": {"source": [-1.0], "across": omega, "t": 0.0}}),
+             r"checks\[1\]\.params\.t \(kernel_cut\): a time is a finite number > 0, not 0\.0$"),
+            ("degenerate1d-d075-cut", small_grid_from_zero,
+             r"checks\[1\]\.params\.t_grid\[0\] \(offdiagonal_gaussian\): a time is a finite"
+             r" number > 0, not 0\.0, in 'small' = \[0\.0, 0\.5, 1\.0\]"),
+            ("degenerate1d-d075-cut",
+             set_check({"check": "wave_speed",
+                        "params": {"support": [-1.5, -0.75], "t_list": [0.5, float("nan")]}}),
+             r"checks\[1\]\.params\.t_list\[1\] \(wave_speed\): a time is a finite number > 0,"
+             r" not nan, in \[0\.5, nan\]"),
+            ("laplacian1d",
+             set_check({"check": "smalltime_decay",
+                        "params": {"gamma": 1.0, "t_grid": [0.01, -0.05]}}),
+             r"checks\[1\]\.params\.t_grid\[1\] \(smalltime_decay\): a time is a finite number"
+             r" > 0, not -0\.05"),
+            ("laplacian1d-largetime",
+             set_check({"check": "largetime_floor", "params": {"mode": "elliptic",
+                                                              "t_grid": [1.0, "x"]}}),
+             r"checks\[1\]\.params\.t_grid\[1\] \(largetime_floor\): a time is a finite number"
+             r" > 0, not 'x'"),
+            ("degenerate1d-d025",
+             set_check({"check": "separation_probe", "params": {"h_list": [0.25, 0.125], "t": 0}}),
+             r"checks\[1\]\.params\.t \(separation_probe\): a time is a finite number > 0,"
+             r" not 0$"),
+            ("resolvent-volume",
+             set_check({"check": "resolvent_volume",
+                        "params": {"origin": [0.0], "r_grid": [-0.1, 0.2, 0.3]}}),
+             r"checks\[1\]\.params\.r_grid\[0\] \(resolvent_volume\): a radius is a finite"
+             r" number > 0, not -0\.1, in \[-0\.1, 0\.2, 0\.3\]"),
         ],
         ids=["conservation-empty-grid", "conservation-empty-named-grid", "wave-empty-times",
              "offdiagonal-one-ball", "offdiagonal-empty-grid", "euclidean-one-box",
@@ -607,7 +649,10 @@ class TestListParams:
              "holder-range-three", "largetime-band-three", "probe-cut-at-the-box-end",
              "probe-cut-past-the-box",
              "smalltime-named-grid-past-window", "smalltime-grid-past-window",
-             "resolvent-m-too-small", "largetime-separated-no-floor"],
+             "resolvent-m-too-small", "largetime-separated-no-floor",
+             "invariance-negative-time", "kernel-cut-zero-time", "named-grid-zero-time",
+             "wave-nan-time", "smalltime-negative-time", "largetime-time-not-a-number",
+             "probe-zero-time", "resolvent-negative-radius"],
     )
     def test_fails_before_any_check(self, scenario, edit, match, tmp_path, monkeypatch):
         calls = []
@@ -676,6 +721,36 @@ class TestListParams:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"schema error: checks[{index}].params.{field} ({check}): {message}")
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("scenario, override, field, message", [
+        ("degenerate1d-d075-cut", "checks.4.params.t=-1.0", "checks[4].params.t (invariance)",
+         "a time is a finite number > 0, not -1.0"),
+        ("degenerate1d-d075-cut", "t_small=[0.0, 0.5, 1.0]",
+         "checks[1].params.t_grid[0] (conservation)",
+         "a time is a finite number > 0, not 0.0, in 'small' = [0.0, 0.5, 1.0]"),
+        ("degenerate1d-d075-cut", "checks.3.params.t=0.0", "checks[3].params.t (kernel_cut)",
+         "a time is a finite number > 0, not 0.0"),
+        ("resolvent-volume", "checks.1.params.r_grid=[-0.1, 0.2, 0.3]",
+         "checks[1].params.r_grid[0] (resolvent_volume)",
+         "a radius is a finite number > 0, not -0.1, in [-0.1, 0.2, 0.3]"),
+    ], ids=["invariance-negative-time", "named-grid-zero-time", "kernel-cut-zero-time",
+            "resolvent-negative-radius"])
+    def test_nonpositive_time_or_radius_exits_1(self, scenario, override, field, message,
+                                                tmp_path, capsys, monkeypatch):
+        # a time the exact cut never evolves held with defect 0, and a zero
+        # time in a named grid raised ZeroDivisionError after other checks
+        # computed: both now stop the run before any check
+        def spy(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        argv = ["run", scenario, "--out", str(tmp_path / "out"), "--override", override]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"schema error: {field}: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

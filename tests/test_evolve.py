@@ -123,6 +123,52 @@ def mp_diagonal(op, ts, dps=40):
     return out
 
 
+def diag_reference(op, ts, tol):
+    """evolve._contour_diag as one pass over every row: the shifted row sums
+    u + r_i of every row and shift formed up front, and each group's real
+    and imaginary parts concatenated into a new array for its product.  It
+    holds about 2.5 (N, 2, S) complex buffers for the S shifts of the call."""
+    A = op.matrix
+    c = -A.diagonal(1)
+    r = A @ np.ones(op.size)
+    tu, inv = np.unique(ts, return_inverse=True)
+    groups = evolve_mod._contour_groups(tu, tol)
+    u = np.concatenate([s for _, _, s, _ in groups])
+    cc = np.stack([c, c[::-1]], axis=1)[:, :, None]
+    rr = np.stack([r, r[::-1]], axis=1)[:, :, None]
+    tail = np.zeros((op.size, 2, u.size), dtype=complex)
+    shifted = u + rr
+    num, total = np.empty((2, 2, u.size), dtype=complex)
+    for c_i, g, p_i, p_next in zip(cc, shifted, tail, tail[1:]):
+        g += p_i
+        np.multiply(c_i, g, out=num)
+        np.add(c_i, g, out=total)
+        np.divide(num, total, out=p_next)
+    den = tail[:, 0]
+    den += tail[::-1, 1]
+    den += r[:, None]
+    den += u
+    np.divide(1.0, den, out=den)
+    out = np.empty((op.size, tu.size))
+    at = 0
+    for lo, hi, s, W in groups:
+        part = den[:, at : at + s.size]
+        out[:, lo:hi] = np.concatenate([part.real, part.imag], axis=1) @ W
+        at += s.size
+    return out[:, inv]
+
+
+def traced_peak(call):
+    """Peak of the memory that tracemalloc traces (numpy's buffers among it)
+    while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def record_backends(monkeypatch):
     """The backend of every heat_evolve call made inside the evolve module."""
     seen = []
@@ -286,12 +332,14 @@ class TestBatchedEvolve:
         op = request.getfixturevalue(which)
         monkeypatch.setattr(evolve_mod, "CPUS", 2)  # two lanes on any machine: 3 | 4 columns
         jobs = record_lanes(monkeypatch)
-        lanes = set()
+        lanes, copies = set(), []
         real = evolve_mod._cheb_sums
 
-        def recording(*args):
+        def recording(B, negated, *args):
             lanes.add(threading.get_ident())
-            return real(*args)
+            copies.append(negated)
+            assert np.array_equal(negated, -B.data)
+            return real(B, negated, *args)
 
         monkeypatch.setattr(evolve_mod, "_cheb_sums", recording)
         rng = np.random.default_rng(21)
@@ -299,6 +347,8 @@ class TestBatchedEvolve:
         ts = [0.3, 0.0, 0.01, 1.0]
         out = heat_evolve(op, block, ts)
         assert len(lanes) == 2 and jobs == [2]
+        # one negated copy of B's values per call, read by both lanes
+        assert len(copies) == 2 and copies[0] is copies[1]
         assert out.shape == (len(ts), op.size, 7)
         for i, t in enumerate(ts):
             for j in range(block.shape[1]):
@@ -677,12 +727,7 @@ class TestContour:
         for ts in ([1.0], [0.5, 0.75, 1.0], np.geomspace(0.01, 1.0, 4)):
             groups = evolve_mod._contour_groups(np.array(ts), evolve_mod.DEFAULT_TOL)
             shifts.append(sum(s.size for _, _, s, _ in groups))
-            tracemalloc.start()
-            try:
-                heat_evolve(op, block, ts, backend="contour")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: heat_evolve(op, block, ts, backend="contour")))
         assert shifts == [13, 28, 44]
         solution = 16 * block.size
         assert peaks[2] - peaks[0] < 0.25 * (shifts[2] - shifts[0]) * solution
@@ -753,6 +798,66 @@ class TestContour:
             got = evolve_mod._contour_diag(op, ts[pick], tol)
             assert got.shape == (op.size, ts[pick].size)
             assert np.abs(got - ref[:, pick]).max() <= tol
+
+    def test_diagonal_is_the_single_pass_sweep_bitwise(self):
+        # the sweep forms its shifted row sums DIAG_ROWS rows at a time and
+        # weights each group from the dead backward tails: the bits of one
+        # pass over every row, with exact zero couplings on a block boundary
+        # of each sweep and inside a block, several groups of times, and
+        # times repeated and out of order
+        rows = evolve_mod.DIAG_ROWS
+        N = 3 * rows + 200
+        rng = np.random.default_rng(41)
+        c, r = rng.uniform(0.5, 2.0, N - 1), rng.uniform(0.0, 1e-3, N)
+        c[rows - 1] = 0.0  # the forward sweep's first block boundary
+        c[N - 1 - rows] = 0.0  # the backward sweep's first block boundary
+        c[rows + 100] = 0.0  # inside a block of either sweep
+        op = operator_from(c, r)
+        tol = evolve_mod.DEFAULT_TOL
+        grid = np.array([1e-2, 1.0, 30.0, 300.0, 3e3]) / op.spectral_norm_bound
+        assert len(evolve_mod._contour_groups(grid, tol)) > 1
+        for ts in (grid, grid[[3, 0, 3, 4, 1]]):
+            got = evolve_mod._contour_diag(op, ts, tol)
+            assert same_bits(got, diag_reference(op, ts, tol))
+        # each exact zero coupling splits the operator: the first block
+        # alone has the same diagonal, bit for bit
+        alone = operator_from(c[: rows - 1], r[:rows])
+        assert same_bits(evolve_mod._contour_diag(op, grid, tol)[:rows],
+                         evolve_mod._contour_diag(alone, grid, tol))
+
+    def test_diagonal_peak_is_one_tail_buffer(self):
+        # tracemalloc sees numpy's buffers.  Beside the (N, 2, S) complex
+        # tails of the S shifts, the sweep holds a DIAG_ROWS-row block and
+        # the (N, T) result and its gather; one pass over every row holds
+        # about 2.5 tails
+        mesh = build_mesh(1, (-4.0, 4.0), 4096)
+        op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
+        assert op.size > 3 * evolve_mod.DIAG_ROWS
+        ts = np.geomspace(1e-3, 1.0, 8)
+        tol = evolve_mod.DEFAULT_TOL
+        shifts = sum(s.size for _, _, s, _ in evolve_mod._contour_groups(ts, tol))
+        tails = 16 * op.size * 2 * shifts
+        assert traced_peak(lambda: evolve_mod._contour_diag(op, ts, tol)) < 1.3 * tails
+        assert traced_peak(lambda: diag_reference(op, ts, tol)) > 2.0 * tails
+
+    @pytest.mark.parametrize("backend", EXP_BACKENDS_1D)
+    def test_positive_times_return_the_backend_array(self, cut_op, backend, monkeypatch):
+        # with every time > 0 a call holds one result array: the backend's
+        # own, not a copy of it.  Zero, repeated and unsorted times still
+        # take phi and the rows of their own times
+        name = {"chebyshev": "_cheb_expm_apply", "contour": "_contour_expm_apply"}[backend]
+        real = getattr(evolve_mod, name)
+        made = []
+        monkeypatch.setattr(evolve_mod, name, lambda *args: made.append(real(*args)) or made[-1])
+        block = np.random.default_rng(34).standard_normal((cut_op.size, 3))
+        ts = [0.01, 0.1, 1.0]
+        out = heat_evolve(cut_op, block, ts, backend=backend)
+        assert out.shape == (3, cut_op.size, 3) and np.shares_memory(out, made[-1])
+        vec = heat_evolve(cut_op, block[:, 0], 0.1, backend=backend)
+        assert vec.shape == (cut_op.size,) and np.shares_memory(vec, made[-1])
+        mixed = heat_evolve(cut_op, block, [1.0, 0.0, 0.01, 1.0], backend=backend)
+        pair = heat_evolve(cut_op, block, [0.01, 1.0], backend=backend)
+        assert same_bits(mixed, np.stack([pair[1], block, pair[0], pair[1]]))
 
     def test_diagonal_tol_below_the_rational_floor_raises(self, cut_op):
         with pytest.raises(SolverError, match="contour rule"):
@@ -1170,21 +1275,16 @@ class TestEigBasis:
 
     def test_no_dense_matrix_on_the_1d_path(self):
         # tracemalloc sees numpy's buffers.  The Gram forms evolve three
-        # columns and the diagonal sweeps hold one (N, 2, nodes x times)
-        # complex buffer, about a fifth of one dense N x N matrix here
+        # columns and the diagonal sweep holds one (N, 2, S) complex buffer
+        # for the S = 72 shifts of its two groups of times, about a seventh
+        # of one dense N x N matrix here
         mesh = build_mesh(1, (-4.0, 4.0), 2048)
         op = assemble(power1d(0.5, domain=(-4.0, 4.0)), mesh, 0.0)
         dense = 8 * op.size * op.size
         xs = mesh.axis(0)
         phi = np.column_stack([(np.abs(xs - c) < 0.5).astype(float) for c in (-2.0, 0.0, 1.5)])
         ts = np.geomspace(1e-3, 1.0, 8)
-        tracemalloc.start()
-        try:
-            heat_gram(op, phi, phi, ts)
-            sup_kernel(op, ts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: (heat_gram(op, phi, phi, ts), sup_kernel(op, ts)))
         assert peak < 0.5 * dense
 
 

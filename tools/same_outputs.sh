@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# Run every builtin scenario and the benchmark scenario three ways and fail
+# unless all three write the same files, run_meta.json (timings) aside:
+#   threads-1  one check thread
+#   threads-2  two check threads
+#   one-core   two check threads pinned to one core (taskset -c 0), where
+#              every 2D block evolution runs in one Chebyshev lane
+# BLAS runs on one thread, since radial-shell-2d-metric's report.json differs
+# between threaded BLAS runs.  An exit code of 0, 2 or 3 is a verdict (the
+# benchmark scenario reads Violated); 1, an error, fails the script.
+#
+#     tools/same_outputs.sh OUT_DIR
+#
+# writes OUT_DIR/{threads-1,threads-2,one-core}/<scenario>/.  It runs
+# `python -m degenlab.cli`: the installed package, or PYTHONPATH=src in a
+# checkout.
+set -euo pipefail
+
+out=${1:?usage: tools/same_outputs.sh OUT_DIR}
+root=$(cd "$(dirname "$0")/.." && pwd)
+degenlab=(python -m degenlab.cli)
+export OPENBLAS_NUM_THREADS=1
+
+for run in threads-1 threads-2 one-core; do
+  case "$run" in
+    threads-1) pin=(); threads=1 ;;
+    threads-2) pin=(); threads=2 ;;
+    one-core) pin=(taskset -c 0); threads=2 ;;
+  esac
+  for scenario in $("${degenlab[@]}" list | grep -v '^ ') "$root/perfbench/scenarios/radial-shell-2d-metric.json"; do
+    rc=0
+    "${pin[@]}" "${degenlab[@]}" run "$scenario" --threads "$threads" \
+      --out "$out/$run/$(basename "$scenario" .json)" > /dev/null || rc=$?
+    if [ "$rc" -eq 1 ]; then
+      echo "error: $run $scenario exited 1" >&2
+      exit 1
+    fi
+  done
+done
+diff -r -x run_meta.json "$out/threads-1" "$out/threads-2"
+diff -r -x run_meta.json "$out/threads-1" "$out/one-core"
+echo "same files on threads-1, threads-2 and one-core"
