@@ -454,16 +454,18 @@ def invariance_defect(op, omega_mask, t, seed=0, tol=1e-8) -> CheckRecord:
     omega = np.asarray(omega_mask, dtype=bool)
     (inside, outside), labels = _components_met(op, [omega, ~omega])
     crossing = (inside & outside)[labels]
-    probes = []
+    probes = np.empty((op.size, PROBES))  # column j: the j-th kept probe
+    kept = 0
     if crossing.any():
         for _ in range(PROBES):
             phi = rng.standard_normal(op.size) * omega
             nrm = _w_norm2(phi, vol)
             if nrm != 0:
-                probes.append(phi / nrm * crossing)
+                np.multiply(phi / nrm, crossing, out=probes[:, kept])
+                kept += 1
     worst = 0.0
-    if probes:
-        out = heat_evolve(op, np.column_stack(probes), float(t), backend=exp_backend(op))
+    if kept:
+        out = heat_evolve(op, probes[:, :kept], float(t), backend=exp_backend(op))
         worst = max(_w_norm2(col * (~omega), vol) for col in out.T)
     return CheckRecord(
         "invariance",

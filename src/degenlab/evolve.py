@@ -70,6 +70,13 @@ run on.  The recurrence runs only on the components of the operator's graph
 graph, and the rows cut off stay exactly 0, bitwise as in a recurrence over
 every row.
 
+A 2D call holds its result and little else: each lane's coefficient sums
+and one product buffer as large, built in place (_cheb_sums), B and the one
+negated copy of its values, and the lane's two recurrence buffers.  Each
+lane copies its sums straight into the result, on the component-restricted
+path too, and heat_evolve, wave_evolve and resolvent_power_apply return
+that array itself (_cheb_stack) when every time or radius is > 0.
+
 heat_evolve, sup_kernel and wave_evolve are the batched entry points: they
 take a block of columns and a sequence of times.  The vectors T_k(M) phi do
 not depend on t, so one Chebyshev recurrence serves a whole time grid, and
@@ -302,8 +309,9 @@ def _cheb_sums(B, negated, y, coefs):
     w = np.zeros(y.shape)
     product(B.data, y.ravel(), w.ravel())
     w *= 0.5  # U_1 = T_1
-    acc = C[:, 0] * y + C[:, 1] * w
+    acc = np.multiply(C[:, 0], y)
     tmp = np.empty_like(acc)  # C[i, k] * w
+    acc += np.multiply(C[:, 1], w, out=tmp)
     w_prev = y
     live = len(coefs)
     for k in range(2, len(coefs[0])):
@@ -371,34 +379,43 @@ def _cheb_apply(op, cols, coefs):
     B.setdiag(B.diagonal() - 2.0)
     negated = np.negative(B.data)
     ncols = cols.shape[1]
-    sub = np.empty((len(coefs), A.shape[0], ncols))
+    shape = (len(coefs),) + cols.shape
+    out = np.empty(shape) if full else np.zeros(shape)  # rows off the components stay 0
 
     def lane(lo, hi):
         # the caller's own array when one lane covers every component
         y = np.ascontiguousarray(cols[idx, lo:hi])
-        sub[order, :, lo:hi] = _cheb_sums(B, negated, y, longest_first)
+        sums = _cheb_sums(B, negated, y, longest_first)
+        for i, k in enumerate(order):
+            out[k, idx, lo:hi] = sums[i]
 
     lanes = min(CPUS, ncols)
     bounds = [ncols * n // lanes for n in range(lanes + 1)]
     _beside([partial(lane, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
-    if full:
-        return sub
-    out = np.zeros((len(coefs),) + cols.shape)
-    out[:, idx] = sub
+    return out
+
+
+def _cheb_stack(op, phi, a, coefficients):
+    """sum_k c[k] T_k(M) phi with c = coefficients(s), stacked over the
+    values s in a, from one _cheb_apply; phi itself where s = 0.  When every
+    s > 0 the result is _cheb_apply's own array, not a copy of it."""
+    cols = phi.reshape(op.size, -1)
+    live = np.flatnonzero(a > 0)
+    if live.size and live.size == a.size:
+        return _cheb_apply(op, cols, [coefficients(s) for s in a]).reshape(a.shape + phi.shape)
+    out = np.repeat(phi[None], a.size, axis=0)
+    if live.size:
+        coefs = [coefficients(s) for s in a[live]]
+        out[live] = _cheb_apply(op, cols, coefs).reshape(out[live].shape)
     return out
 
 
 def _cheb_expm_apply(op, phi, ts, tol):
     """p_t(A) phi with p_t ~ exp(-t .) uniformly on [0, lambda_max] within
-    tol, stacked over the times ts, from one _cheb_apply.  A time with
+    tol, stacked over the times ts (_cheb_stack).  A time with
     t lambda_max = 0 returns phi."""
     a = 0.5 * np.asarray(ts) * op.spectral_norm_bound
-    out = np.repeat(phi[None], a.size, axis=0)
-    live = np.flatnonzero(a > 0)
-    if live.size:
-        coefs = [_cheb_coefficients(s, tol) for s in a[live]]
-        out[live] = _cheb_apply(op, phi.reshape(op.size, -1), coefs).reshape(out[live].shape)
-    return out
+    return _cheb_stack(op, phi, a, lambda s: _cheb_coefficients(s, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -773,12 +790,12 @@ def resolvent_power_apply(op: DiscreteOperator, r, m: int, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     A = op.matrix
     lmax = op.spectral_norm_bound
-    out = np.empty((rs.size,) + phi.shape)
     if op.mesh.dimension != 1:
-        out[:] = phi  # the identity when lambda_max = 0
         if lmax > 0.0 and rs.size:
             coefs = [_resolvent_coefficients(0.5 * s * s * lmax, m, FINE_TOL) for s in rs]
-            out[:] = _cheb_apply(op, phi.reshape(op.size, -1), coefs).reshape(out.shape)
+            out = _cheb_apply(op, phi.reshape(op.size, -1), coefs).reshape(rs.shape + phi.shape)
+        else:
+            out = np.repeat(phi[None], rs.size, axis=0)  # the identity when lambda_max = 0
         for radius, u in zip(rs, out):
             v = u
             for _ in range(m):
@@ -788,6 +805,7 @@ def resolvent_power_apply(op: DiscreteOperator, r, m: int, phi) -> np.ndarray:
             if res > bound * np.linalg.norm(phi):
                 raise SolverError(f"resolvent power residual {res:.3e} at r={radius:g}, m={m}")
         return out[0] if np.ndim(r) == 0 else out
+    out = np.empty((rs.size,) + phi.shape)
     for i, radius in enumerate(rs):
         coef = radius * radius
         factored = _shifted_tridiagonal_solver(1.0, coef * A.diagonal(), coef * A.diagonal(1))
@@ -818,11 +836,8 @@ def wave_evolve(op: DiscreteOperator, phi0, t) -> WaveField:
         raise ValueError("t must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)
     a = ts * np.sqrt(op.spectral_norm_bound)
-    vals = np.repeat(phi0[None], ts.size, axis=0)
-    live = np.flatnonzero(a > 0)
-    if live.size:
-        coefs = [_wave_coefficients(s, DEFAULT_TOL) for s in a[live]]
-        vals[live] = _cheb_apply(op, phi0.reshape(op.size, -1), coefs).reshape(vals[live].shape)
+    vals = _cheb_stack(op, phi0, a, lambda s: _wave_coefficients(s, DEFAULT_TOL))
+    if np.any(a > 0):
         frozen = op.matrix.diagonal() == 0.0
         vals[:, frozen] = phi0[frozen]
     return WaveField(vals[0], float(t)) if np.ndim(t) == 0 else WaveField(vals, ts)

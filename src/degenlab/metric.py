@@ -25,6 +25,8 @@ _G8_X = 0.5 * (_G8_X + 1.0)
 _G8_W = 0.5 * _G8_W
 # edges whose midpoint c + eps is below EDGE_FLOOR^2 get the sub-quadrature too
 EDGE_FLOOR = 1e-6
+# edge midpoints, or Gauss nodes, whose coefficient one step of _edge_graph evaluates
+EDGE_BLOCK = 4096
 HOLDER_SAMPLES = 12  # geometric sample radii of holder_fit
 
 
@@ -117,34 +119,51 @@ def distance_field(graph, mesh, sources) -> DistanceField:
 
 
 def _edge_graph(profile, mesh, epsilon):
-    """Edge list (heads, tails, weights) of the 2-/8-neighbor grid graph."""
+    """Edge list (heads, tails, weights) of the 2-/8-neighbor grid graph.
+
+    The edges are walked in blocks of EDGE_BLOCK: a block's end points,
+    midpoints, lengths and midpoint coefficients give its weights, written
+    into the one weights array, and the indices of its near-degenerate
+    edges.  Those edges then take the sub-quadrature together
+    (_edge_weight_quadrature), so the call holds the edge list, one block
+    and the refined edges' node values.  The weights are bitwise those of
+    one pass over the whole list."""
     pts = mesh.points()
+    heads, tails = _grid_edges(mesh)
+    weights = np.empty(heads.size)
+    refined = []
+    for lo in range(0, heads.size, EDGE_BLOCK):
+        rows = slice(lo, lo + EDGE_BLOCK)
+        a = pts[heads[rows]]
+        b = pts[tails[rows]]
+        mids = 0.5 * (a + b)
+        c_mid = profile.scalar_values(mids) + epsilon
+        with np.errstate(divide="ignore"):
+            np.divide(row_norm(b - a), np.sqrt(c_mid), out=weights[rows])
+        refine = (c_mid < EDGE_FLOOR**2) | _near_degenerate_edges(profile, mids, mesh.h)
+        refined.append(lo + np.flatnonzero(refine))
+    refined = np.concatenate(refined)
+    if refined.size:
+        weights[refined] = _edge_weight_quadrature(
+            profile, pts[heads[refined]], pts[tails[refined]], epsilon
+        )
+    return heads, tails, weights
+
+
+def _grid_edges(mesh):
+    """(heads, tails) of the 2-neighbor (1D) or 8-neighbor (2D) grid graph."""
     N = mesh.size
     if mesh.dimension == 1:
-        pairs = [(np.arange(N - 1), np.arange(1, N))]
-    else:
-        npa = mesh.points_per_axis
-        grid = np.arange(N).reshape(npa, npa)
-        pairs = [
-            (grid[:-1, :].ravel(), grid[1:, :].ravel()),  # +x
-            (grid[:, :-1].ravel(), grid[:, 1:].ravel()),  # +y
-            (grid[:-1, :-1].ravel(), grid[1:, 1:].ravel()),  # diagonal
-            (grid[1:, :-1].ravel(), grid[:-1, 1:].ravel()),  # anti-diagonal
-        ]
-    heads = np.concatenate([p[0] for p in pairs])
-    tails = np.concatenate([p[1] for p in pairs])
-    a = pts[heads]
-    b = pts[tails]
-    mids = 0.5 * (a + b)
-    lengths = row_norm(b - a)
-    c_mid = profile.scalar_values(mids) + epsilon
-    with np.errstate(divide="ignore"):
-        weights = lengths / np.sqrt(c_mid)
-
-    refine = (c_mid < EDGE_FLOOR**2) | _near_degenerate_edges(profile, mids, mesh.h)
-    if refine.any():
-        weights[refine] = _edge_weight_quadrature(profile, a[refine], b[refine], epsilon)
-    return heads, tails, weights
+        return np.arange(N - 1), np.arange(1, N)
+    npa = mesh.points_per_axis
+    grid = np.arange(N).reshape(npa, npa)
+    pairs = [
+        (grid[:-1, :].ravel(), grid[1:, :].ravel()),  # +x
+        (grid[:, :-1].ravel(), grid[:, 1:].ravel()),  # +y
+        (grid[:-1, :-1].ravel(), grid[1:, 1:].ravel()),  # diagonal
+        (grid[1:, :-1].ravel(), grid[:-1, 1:].ravel()),  # anti-diagonal
+    ]
+    return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
 
 
 def _near_degenerate_edges(profile, mids, h):
@@ -156,14 +175,23 @@ def _near_degenerate_edges(profile, mids, h):
 
 
 def _edge_weight_quadrature(profile, a, b, epsilon):
-    """Metric lengths of the edges a[e]-b[e] by 8-point Gauss sub-quadrature,
-    all edges in one coefficient evaluation; 1D edges that touch a declared
-    center take the exact graded integral instead."""
+    """Metric lengths of the edges a[e]-b[e] by 8-point Gauss sub-quadrature:
+    (c + eps)^(-1/2) at EDGE_BLOCK nodes at a time, then one product with
+    the Gauss weights over every edge.  That product is not split: BLAS
+    rounds the last rows of a block its own way, so its bits depend on how
+    many rows it is given.  1D edges that touch a declared center take the
+    exact graded integral instead."""
     E, d = a.shape
-    seg = a[:, None, :] + _G8_X[:, None] * (b - a)[:, None, :]  # (E, 8, d) nodes
-    vals = profile.scalar_values(seg.reshape(-1, d)).reshape(E, 8) + epsilon
-    with np.errstate(divide="ignore"):
-        weights = row_norm(b - a) * ((1.0 / np.sqrt(vals)) @ _G8_W)
+    inv_sqrt = np.empty((E, 8))  # (c + eps)^(-1/2) at each edge's nodes
+    step = max(EDGE_BLOCK // 8, 1)  # edges whose nodes are EDGE_BLOCK points
+    for lo in range(0, E, step):
+        rows = slice(lo, lo + step)
+        start = a[rows]
+        seg = start[:, None, :] + _G8_X[:, None] * (b[rows] - start)[:, None, :]  # (., 8, d) nodes
+        vals = profile.scalar_values(seg.reshape(-1, d)).reshape(-1, 8) + epsilon
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, np.sqrt(vals), out=inv_sqrt[rows])
+    weights = row_norm(b - a) * (inv_sqrt @ _G8_W)
     if d == 1:
         x0, x1 = np.minimum(a[:, 0], b[:, 0]), np.maximum(a[:, 0], b[:, 0])
         # reversed, so that an edge touching two centers keeps the first

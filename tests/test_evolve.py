@@ -650,6 +650,36 @@ class TestComponents:
         assert len(mats) == 2 and all(B.shape == op.matrix.shape for B in mats)
         assert indexed == []
 
+    def test_2d_results_are_the_recurrence_array(self, monkeypatch):
+        # with every time (or radius) > 0 a 2D call holds one result array:
+        # _cheb_apply's own, on the full and on the component-restricted path
+        made = []
+        real = evolve_mod._cheb_apply
+        monkeypatch.setattr(evolve_mod, "_cheb_apply", lambda *args: made.append(real(*args)) or made[-1])
+        op = shell_op()
+        inside = np.linalg.norm(op.mesh.points(), axis=1) < 1.0
+        block = np.random.default_rng(31).standard_normal((op.size, 3))
+        for phi in (block, block * inside[:, None], block[:, 0] * inside):
+            out = heat_evolve(op, phi, [0.05, 0.2, 0.5])
+            assert out.shape == (3,) + phi.shape and np.shares_memory(out, made[-1])
+            assert np.shares_memory(wave_evolve(op, phi, [0.5, 1.0]).displacement, made[-1])
+        us = resolvent_power_apply(op, [0.1, 0.2], 1, block[:, 0] * inside)
+        assert us.shape == (2, op.size) and np.shares_memory(us, made[-1])
+
+    def test_2d_multitime_peak_holds_one_result(self):
+        # tracemalloc sees numpy's buffers.  Beside the result, the lanes
+        # hold their sums and one product buffer as large, and the call its
+        # B and one negated copy of its values: about 4.1 results here.  The
+        # result filled with copies of phi and then overwritten, and the
+        # sums built from two temporaries, came to about 5.1
+        mesh = build_mesh(2, (-1.0, 1.0), 64)
+        op = assemble(CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0)), mesh, 0.0)
+        block = np.random.default_rng(32).standard_normal((op.size, 4))
+        ts = np.geomspace(0.01, 0.5, 6)
+        heat_evolve(op, block, ts)  # labels the components and bounds lambda_max once
+        result = 8 * ts.size * block.size
+        assert traced_peak(lambda: heat_evolve(op, block, ts)) < 4.5 * result
+
 
 class TestContour:
     """The hyperbolic contour backend of 1D operators."""
@@ -1044,7 +1074,7 @@ class TestResolvent:
         assert np.abs(x.imag).max() == 0.0
         assert np.linalg.norm(T @ x.real - v) <= 1e-13 * np.linalg.norm(v)
 
-    def test_2d_cg_path(self):
+    def test_2d_chebyshev_resolvent_inverts_back(self):
         mesh = build_mesh(2, (-1.0, 1.0), 24)
         p = CoefficientProfile(2, PowerDegenerate(0.5, ((0.0, 0.0),)), (-1.0, 1.0))
         op = assemble(p, mesh, 1e-3)

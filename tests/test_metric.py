@@ -1,10 +1,12 @@
 import json
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from degenlab import (
@@ -306,6 +308,132 @@ class TestGraphEngine:
         others = np.arange(mesh.n) != mid
         ref = per_edge_gauss(p, a[others], b[others], 0.0)
         assert np.all(np.abs(got[others] - ref) <= 4 * np.spacing(ref))
+
+
+def edge_graph_reference(profile, mesh, epsilon):
+    """metric._edge_graph as one pass over the whole edge list: the end
+    points, midpoints, lengths and coefficient values of every edge at once,
+    and the Gauss nodes of every refined edge in one evaluation."""
+    pts = mesh.points()
+    N = mesh.size
+    if mesh.dimension == 1:
+        pairs = [(np.arange(N - 1), np.arange(1, N))]
+    else:
+        grid = np.arange(N).reshape(mesh.points_per_axis, mesh.points_per_axis)
+        pairs = [
+            (grid[:-1, :].ravel(), grid[1:, :].ravel()),
+            (grid[:, :-1].ravel(), grid[:, 1:].ravel()),
+            (grid[:-1, :-1].ravel(), grid[1:, 1:].ravel()),
+            (grid[1:, :-1].ravel(), grid[:-1, 1:].ravel()),
+        ]
+    heads = np.concatenate([p[0] for p in pairs])
+    tails = np.concatenate([p[1] for p in pairs])
+    a = pts[heads]
+    b = pts[tails]
+    mids = 0.5 * (a + b)
+    lengths = metric.row_norm(b - a)
+    c_mid = profile.scalar_values(mids) + epsilon
+    with np.errstate(divide="ignore"):
+        weights = lengths / np.sqrt(c_mid)
+    refine = (c_mid < metric.EDGE_FLOOR**2) | metric._near_degenerate_edges(profile, mids, mesh.h)
+    if refine.any():
+        weights[refine] = metric._edge_weight_quadrature(profile, a[refine], b[refine], epsilon)
+    return heads, tails, weights
+
+
+def graph_from_edges(mesh, heads, tails, weights):
+    """The CSR matrix that metric_graph makes of an edge list."""
+    finite = np.isfinite(weights)
+    return sp.csr_matrix(
+        (weights[finite], (heads[finite], tails[finite])), shape=(mesh.size, mesh.size)
+    )
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_graph(got, want):
+    return all(same_bits(getattr(got, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
+
+
+def traced_peak(call):
+    """Peak of the memory that tracemalloc traces (numpy's buffers among it)
+    while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def scenario_geometry(doc):
+    ctx = scenarios.ScenarioContext(doc)
+    return ctx.profile, ctx.mesh, ctx.epsilons
+
+
+def bench_scenario():
+    return json.loads((BENCH_SCENARIOS / "radial-shell-2d-metric.json").read_text())
+
+
+class TestEdgeBlocks:
+    """_edge_graph evaluates its weights EDGE_BLOCK edges at a time, bitwise
+    as the one pass over every edge (edge_graph_reference)."""
+
+    def assert_same_as_reference(self, profile, mesh, epsilon):
+        got = metric._edge_graph(profile, mesh, epsilon)
+        want = edge_graph_reference(profile, mesh, epsilon)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert same_graph(metric.metric_graph(profile, mesh, epsilon), graph_from_edges(mesh, *want))
+
+    @pytest.mark.parametrize("doc", [bench_scenario(), scenarios.builtin_by_name("surface-2d")],
+                             ids=lambda doc: doc["name"])
+    def test_2d_scenarios(self, doc):
+        profile, mesh, epsilons = scenario_geometry(doc)
+        assert 4 * mesh.n * (mesh.n + 1) > 2 * metric.EDGE_BLOCK
+        for epsilon in epsilons:
+            self.assert_same_as_reference(profile, mesh, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_1d_declared_center(self, epsilon):
+        # the center 0 is the midpoint of edge 31, which takes the graded
+        # integral; its neighbors within 8 h take the Gauss rule
+        p = power1d(0.75, domain=(-4.0, 4.0))
+        mesh = build_mesh(1, (-4.0, 4.0), 63)
+        assert p.axis_degeneracies() == [0.0]
+        self.assert_same_as_reference(p, mesh, epsilon)
+
+    @pytest.mark.parametrize("block", [31, 32])
+    def test_refined_edges_across_a_block_boundary(self, block, monkeypatch):
+        # blocks of 31 edges put the 1D center edge (31) first in its block
+        # and blocks of 32 last; refined edges lie on both sides of the
+        # boundary.  The 2D shell's refined band crosses many boundaries
+        p = power1d(0.75, domain=(-4.0, 4.0))
+        mesh = build_mesh(1, (-4.0, 4.0), 63)
+        pts = mesh.points()
+        refined = np.flatnonzero(metric._near_degenerate_edges(p, 0.5 * (pts[:-1] + pts[1:]), mesh.h))
+        assert 31 % block in (0, block - 1)
+        assert refined.min() < 31 and refined.max() > 32
+        monkeypatch.setattr(metric, "EDGE_BLOCK", block)
+        for epsilon in (0.0, 1e-3):
+            self.assert_same_as_reference(p, mesh, epsilon)
+        doc = bench_scenario()
+        doc["mesh"]["n"] = 32
+        profile, mesh, _ = scenario_geometry(doc)
+        self.assert_same_as_reference(profile, mesh, 0.0)
+
+    def test_graph_peak_is_a_few_graphs(self):
+        # tracemalloc sees numpy's buffers.  On the benchmark scenario the
+        # blocked build holds the edge list, one block and the CSR build,
+        # about 5.5 times the graph's bytes here; one pass over every edge
+        # holds about 18 times
+        profile, mesh, _ = scenario_geometry(bench_scenario())
+        graph = metric.metric_graph(profile, mesh, 0.0)
+        size = graph.data.nbytes + graph.indices.nbytes + graph.indptr.nbytes
+        assert traced_peak(lambda: metric.metric_graph(profile, mesh, 0.0)) < 8 * size
+        reference = lambda: graph_from_edges(mesh, *edge_graph_reference(profile, mesh, 0.0))
+        assert traced_peak(reference) > 8 * size
 
 
 class TestBallVolume:
