@@ -48,9 +48,8 @@ once; partial pivoting never crosses a zero coupling, so decoupled blocks
 stay exactly decoupled.  Each solve takes one step of iterative refinement
 against the sparse matrix (_contour_expm_apply).  Every shifted solve (the
 contour's complex shifts and the 1D resolvent's I + r^2 A) calls zgttrf and
-zgttrs through ctypes, from the function pointers that
-scipy.linalg.cython_lapack exports; ctypes releases the GIL for the length
-of a foreign call.
+zgttrs through scipy.linalg.lapack, whose wrappers release the GIL while
+LAPACK runs.
 
 The same rule gives the whole kernel diagonal of a 1D operator without a
 solve: diag e^{-tA} = sum_k Re[w_k e^{t s_k} diag((s_k I + A)^{-1})], and
@@ -97,7 +96,6 @@ scalar error, so u is within FINE_TOL ||phi||_2, and a residual check per
 radius raises SolverError.
 """
 
-import ctypes
 import os
 import threading
 from dataclasses import dataclass
@@ -105,7 +103,8 @@ from functools import partial, reduce
 from math import comb
 
 import numpy as np
-from scipy.linalg import cython_lapack, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zgttrf, zgttrs
 # scipy's CSR product kernels, from its private module: they add B w onto a
 # buffer in place, where the public B @ w allocates and zero-fills a block at
 # every step of the Chebyshev recurrence
@@ -171,32 +170,6 @@ def operator_eig(op: DiscreteOperator):
     if op.mesh.dimension != 1:
         raise ValueError("operator_eig needs a 1D (tridiagonal) operator")
     return eigh_tridiagonal(op.matrix.diagonal(), op.matrix.diagonal(1))
-
-
-def _capsule_pointer(capsule):
-    """Address held by a PyCapsule, read under the capsule's own name."""
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    return get_pointer(capsule, get_name(capsule))
-
-
-_INT = ctypes.POINTER(ctypes.c_int)
-_PTR = ctypes.c_void_p
-# zgttrf(n, dl, d, du, du2, ipiv, info) and
-# zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info) take raw
-# addresses, without the per-call array checks of ndpointer: their one
-# caller passes complex128 buffers it allocated (b F-ordered) and intc
-# pivots.  A CFUNCTYPE call drops the GIL until LAPACK returns
-_LAPACK_ZGTTRF = ctypes.CFUNCTYPE(None, _INT, *[_PTR] * 5, _INT)(
-    _capsule_pointer(cython_lapack.__pyx_capi__["zgttrf"])
-)
-_LAPACK_ZGTTRS = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT, _INT, *[_PTR] * 6, _INT, _INT)(
-    _capsule_pointer(cython_lapack.__pyx_capi__["zgttrs"])
-)
 
 
 def _beside(jobs):
@@ -477,31 +450,26 @@ def _contour_groups(ts, tol):
 def _shifted_tridiagonal_solver(z, d, e):
     """Solver for (z I + T) x = v with T the real symmetric tridiagonal
     (d, e), factored once with partial pivoting (LAPACK zgttrf) and applied
-    to every column of the (n, k) block v (zgttrs); x comes back C-ordered,
-    and a complex F-ordered v is solved in place.  A zero coupling in e stays
-    a zero in the factors: the pivoting never crosses it.  z may be real:
-    every buffer LAPACK writes is complex128."""
+    to every column of the (n, k) block v (zgttrs), both through scipy's
+    wrappers, which release the GIL while LAPACK runs; x comes back
+    C-ordered, and a complex F-ordered v is solved in place.  A zero coupling
+    in e stays a zero in the factors: the pivoting never crosses it.  z may
+    be real: every buffer LAPACK writes is complex128.  The wrappers take at
+    least 3 rows, so a smaller system is padded with decoupled unit rows."""
     n = d.size
-    diag = np.add(d, z, dtype=complex)
-    lower = np.zeros(max(n - 1, 1), dtype=complex)
+    size = max(n, 3)
+    diag = np.ones(size, dtype=complex)
+    np.add(d, z, out=diag[:n])
+    lower = np.zeros(size - 1, dtype=complex)
     lower[: n - 1] = e
-    upper = lower.copy()
-    upper2 = np.empty(max(n - 2, 1), dtype=complex)
-    pivots = np.empty(n, dtype=np.intc)
-    info = ctypes.c_int(0)
-    size = ctypes.c_int(n)
-    factors = (lower, diag, upper, upper2, pivots)
-    _LAPACK_ZGTTRF(size, *[a.ctypes.data for a in factors], info)
-    if info.value != 0:
-        raise SolverError(f"zgttrf failed on N={n}: info={info.value}")
+    *factors, info = zgttrf(lower, diag, lower.copy(), overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise SolverError(f"zgttrf failed on N={n}: info={info}")
 
     def solve(v):
-        x = np.asfortranarray(v, dtype=complex)
-        _LAPACK_ZGTTRS(b"N", size, ctypes.c_int(x.shape[1]), *[a.ctypes.data for a in factors],
-                       x.ctypes.data, size, info)
-        if info.value != 0:
-            raise SolverError(f"zgttrs failed on N={n}: info={info.value}")
-        return np.ascontiguousarray(x)
+        if n < size:
+            v = np.concatenate([v, np.zeros((size - n, v.shape[1]))])
+        return np.ascontiguousarray(zgttrs(*factors, v, overwrite_b=1)[0][:n])
 
     return solve
 

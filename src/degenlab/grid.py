@@ -128,48 +128,55 @@ def assemble(profile: CoefficientProfile, mesh: Mesh, epsilon: float) -> Discret
     Face conductances sample the scalar coefficient at face midpoints (exact
     conductance/integral duality); profiles are scalar (see the coeffs
     module for why).
+
+    The CSR arrays are written directly, one row per node with its columns
+    ascending: the lower neighbours (axis 0, then axis 1), the node, the
+    upper neighbours (axis 1, then axis 0).  A coupling is -g, so a zero
+    conductance is an explicit -0.0, and the diagonal sums the faces where
+    the node is the lower end (axis by axis), then those where it is the
+    upper end, in that order.
     """
     if profile.dimension != mesh.dimension:
         raise ValueError("profile and mesh dimension mismatch")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    h = mesh.h
-    npa = mesh.points_per_axis
-
-    if mesh.dimension == 1:
-        xs = mesh.axis(0)
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        g = (profile.scalar_values(mids) + epsilon) / h**2
-        rows_i = np.arange(mesh.n)
-        rows_j = rows_i + 1
+    n, npa, dim = mesh.n, mesh.points_per_axis, mesh.dimension
+    xs = mesh.axis(0)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    if dim == 1:
+        g = [(profile.scalar_values(mids) + epsilon) / mesh.h**2]
     else:
-        xs, ys = mesh.axis(0), mesh.axis(1)
-        # x-direction faces: (ix, iy) -- (ix+1, iy)
-        IX, IY = np.meshgrid(np.arange(mesh.n), np.arange(npa), indexing="ij")
-        mx = np.column_stack(
-            [0.5 * (xs[IX.ravel()] + xs[IX.ravel() + 1]), ys[IY.ravel()]]
-        )
-        gx = (profile.scalar_values(mx) + epsilon) / h**2
-        ix_i = IX.ravel() * npa + IY.ravel()
-        ix_j = (IX.ravel() + 1) * npa + IY.ravel()
-        # y-direction faces: (ix, iy) -- (ix, iy+1)
-        JX, JY = np.meshgrid(np.arange(npa), np.arange(mesh.n), indexing="ij")
-        my = np.column_stack(
-            [xs[JX.ravel()], 0.5 * (ys[JY.ravel()] + ys[JY.ravel() + 1])]
-        )
-        gy = (profile.scalar_values(my) + epsilon) / h**2
-        iy_i = JX.ravel() * npa + JY.ravel()
-        iy_j = JX.ravel() * npa + JY.ravel() + 1
-        g = np.concatenate([gx, gy])
-        rows_i = np.concatenate([ix_i, iy_i])
-        rows_j = np.concatenate([ix_j, iy_j])
+        ys = mesh.axis(1)
+        # faces (ix, iy) -- (ix+1, iy) as (n, npa), then (ix, iy) -- (ix, iy+1) as (npa, n)
+        mx = np.column_stack([np.repeat(mids, npa), np.tile(ys, n)])
+        my = np.column_stack([np.repeat(xs, n), np.tile(0.5 * (ys[:-1] + ys[1:]), npa)])
+        g = [((profile.scalar_values(m) + epsilon) / mesh.h**2).reshape(shape)
+             for m, shape in ((mx, (n, npa)), (my, (npa, n)))]
+
+    shape = (npa,) * dim
+    slots = 2 * dim + 1  # slot k and 2 dim - k: the lower and upper neighbour on axis k
+    vals = np.zeros(shape + (slots,))
+    present = np.zeros(shape + (slots,), dtype=bool)
+    present[..., dim] = True
+    diag = vals[..., dim]
+    lower = [tuple(slice(0, n) if j == k else slice(None) for j in range(dim)) for k in range(dim)]
+    upper = [tuple(slice(1, None) if j == k else slice(None) for j in range(dim)) for k in range(dim)]
+    # a sum from 0.0 has the bits of one from its first term, as no g is -0.0
+    for k in range(dim):
+        diag[lower[k]] += g[k]
+    for k in range(dim):
+        diag[upper[k]] += g[k]
+        for at in (upper[k] + (k,), lower[k] + (2 * dim - k,)):
+            np.negative(g[k], out=vals[at])
+            present[at] = True
 
     N = mesh.size
-    rows = np.concatenate([rows_i, rows_j, rows_i, rows_j])
-    cols = np.concatenate([rows_i, rows_j, rows_j, rows_i])
-    data = np.concatenate([g, g, -g, -g])
-    A = sp.coo_matrix((data, (rows, cols)), shape=(N, N)).tocsr()
-    A.sum_duplicates()
+    strides = [npa ** (dim - 1 - k) for k in range(dim)]
+    offsets = np.array([-s for s in strides] + [0] + strides[::-1], dtype=np.int32)
+    indices = (np.arange(N, dtype=np.int32)[:, None] + offsets)[present.reshape(N, slots)]
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=-1, dtype=np.int32).ravel(), out=indptr[1:])
+    A = sp.csr_matrix((vals[present], indices, indptr), shape=(N, N))
     return DiscreteOperator(A, mesh, epsilon)
 
 

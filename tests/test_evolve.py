@@ -1459,3 +1459,84 @@ class TestMirrorSplit:
         evolved = heat_evolve(op, phi, ts, backend="contour")
         assert np.all(evolved[:, 32:] == 0.0)
         assert np.array_equal(evolved[:, :32], heat_evolve(half, phi[:32], ts, backend="contour"))
+
+
+class TestShiftedSolver:
+    """evolve._shifted_tridiagonal_solver, the one path of every 1D shifted
+    solve (the contour's shifts and the 1D resolvent), on scipy's LAPACK
+    wrappers zgttrf and zgttrs."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 64])
+    def test_matches_a_dense_solve(self, N, monkeypatch):
+        # the wrappers take at least 3 rows: N = 1 and 2 reach LAPACK padded
+        # with decoupled unit rows, and come back with N rows
+        sizes = []
+        real = evolve_mod.zgttrf
+
+        def recording(dl, d, du, **kwargs):
+            sizes.append(d.size)
+            return real(dl, d, du, **kwargs)
+
+        monkeypatch.setattr(evolve_mod, "zgttrf", recording)
+        rng = np.random.default_rng(400 + N)
+        op = random_operator(N, False, rng)
+        z = 0.3 + 2.0j
+        v = rng.standard_normal((N, 2))
+        x = evolve_mod._shifted_tridiagonal_solver(z, op.matrix.diagonal(), op.matrix.diagonal(1))(v)
+        assert sizes == [max(N, 3)]
+        assert x.shape == (N, 2) and x.dtype == np.complex128 and x.flags.c_contiguous
+        T = z * np.eye(N) + op.matrix.toarray()
+        assert np.linalg.norm(T @ x - v) <= 1e-14 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("N", [1, 2, 64])
+    def test_singular_system_raises_naming_zgttrf(self, N):
+        # a decoupled zero row: at z = 0 its pivot is exactly 0
+        d, e = np.full(N, 3.0), np.full(N - 1, -1.0)
+        d[0] = 0.0
+        e[:1] = 0.0
+        with pytest.raises(SolverError, match="zgttrf"):
+            evolve_mod._shifted_tridiagonal_solver(0.0, d, e)
+
+    def test_solves_release_the_gil(self, monkeypatch):
+        # a thread that counts keeps running while zgttrs solves 2^20 rows
+        # (about 25 ms a call on a 2-vCPU box).  Were the GIL held, it could
+        # run only in the switch intervals (0.1 ms) at either end of a call,
+        # never in the middle 40% of it
+        windows = []
+        real = evolve_mod.zgttrs
+
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            out = real(*args, **kwargs)
+            windows.append((start, time.perf_counter()))
+            return out
+
+        monkeypatch.setattr(evolve_mod, "zgttrs", timed)
+        N = 1 << 20
+        solve = evolve_mod._shifted_tridiagonal_solver(0.5 + 1.0j, np.full(N, 2.0), np.full(N - 1, -1.0))
+        stamps, stop = [], threading.Event()
+
+        def spin():
+            count = 0
+            while not stop.is_set():
+                count += 1
+                if count % 256 == 0:
+                    stamps.append(time.perf_counter())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        spinner = threading.Thread(target=spin)
+        spinner.start()
+        try:
+            for _ in range(4):
+                solve(np.ones((N, 1), dtype=complex))
+        finally:
+            stop.set()
+            spinner.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not spinner.is_alive()
+        stamps = np.array(stamps)
+        assert len(windows) == 4
+        for a, b in windows:
+            lo, hi = a + 0.3 * (b - a), b - 0.3 * (b - a)
+            assert np.any((stamps > lo) & (stamps < hi))

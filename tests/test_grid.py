@@ -1,5 +1,10 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
@@ -17,6 +22,8 @@ from degenlab import (
 )
 from degenlab import metric, scenarios
 from degenlab.errors import ResourceLimitError
+
+BENCH_SCENARIO = Path(__file__).parents[1] / "perfbench" / "scenarios" / "radial-shell-2d-metric.json"
 
 
 def power1d(delta, domain=(-4.0, 4.0)):
@@ -307,3 +314,108 @@ class TestPerAxisGeometry:
             want = numpy_norm(pts - center) < radius
             got = scenarios._euclidean_ball(pts, None, center=list(center), radius=radius)
             assert same_bits(got, want)
+
+
+def assemble_reference(profile, mesh, epsilon):
+    """The CSR matrix of grid.assemble as COO triplets, four per face
+    ((i, i), (j, j), (i, j), (j, i) for the faces i -- j, x faces before y
+    faces), converted by scipy with duplicates summed: each diagonal adds the
+    faces where the node is the lower end and then those where it is the
+    upper end."""
+    h, npa = mesh.h, mesh.points_per_axis
+    if mesh.dimension == 1:
+        xs = mesh.axis(0)
+        g = (profile.scalar_values(0.5 * (xs[:-1] + xs[1:])) + epsilon) / h**2
+        rows_i = np.arange(mesh.n)
+        rows_j = rows_i + 1
+    else:
+        xs, ys = mesh.axis(0), mesh.axis(1)
+        IX, IY = [a.ravel() for a in np.meshgrid(np.arange(mesh.n), np.arange(npa), indexing="ij")]
+        gx = (profile.scalar_values(np.column_stack([0.5 * (xs[IX] + xs[IX + 1]), ys[IY]])) + epsilon) / h**2
+        JX, JY = [a.ravel() for a in np.meshgrid(np.arange(npa), np.arange(mesh.n), indexing="ij")]
+        gy = (profile.scalar_values(np.column_stack([xs[JX], 0.5 * (ys[JY] + ys[JY + 1])])) + epsilon) / h**2
+        g = np.concatenate([gx, gy])
+        rows_i = np.concatenate([IX * npa + IY, JX * npa + JY])
+        rows_j = np.concatenate([(IX + 1) * npa + IY, JX * npa + JY + 1])
+    N = mesh.size
+    rows = np.concatenate([rows_i, rows_j, rows_i, rows_j])
+    cols = np.concatenate([rows_i, rows_j, rows_j, rows_i])
+    A = sp.coo_matrix((np.concatenate([g, g, -g, -g]), (rows, cols)), shape=(N, N)).tocsr()
+    A.sum_duplicates()
+    return A
+
+
+def same_csr(a, b):
+    return a.shape == b.shape and all(
+        same_bits(x, y) for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr))
+    )
+
+
+def scenario_at(doc, n=None):
+    """The profile, mesh and epsilons of a scenario document, at n cells per
+    axis when n is given."""
+    if n is not None:
+        doc["mesh"]["n"] = n
+    ctx = scenarios.ScenarioContext(doc)
+    return ctx.profile, ctx.mesh, ctx.epsilons
+
+
+def bench_scenario():
+    return json.loads(BENCH_SCENARIO.read_text())
+
+
+def explicit_negative_zeros(A):
+    return int(np.count_nonzero(np.signbit(A.data) & (A.data == 0.0)))
+
+
+class TestDirectCsr:
+    """grid.assemble writes the CSR arrays directly, bitwise the COO
+    conversion of assemble_reference: data, int32 indices and indptr."""
+
+    @pytest.mark.parametrize("name, n, cut", [
+        ("laplacian1d", 512, False),
+        ("degenerate1d-d025", 256, False),
+        ("degenerate1d-d05", 256, False),
+        ("degenerate1d-d075-cut", 255, True),
+        ("double-zero", 340, True),
+        ("resolvent-volume", 512, False),
+        ("laplacian1d-largetime", 512, False),
+        ("radial-shell-2d", 48, True),
+        ("surface-2d", 48, False),
+    ])
+    def test_builtins_at_reduced_n(self, name, n, cut):
+        # cut: exact zero conductances, written as explicit -0.0 couplings
+        profile, mesh, epsilons = scenario_at(scenarios.builtin_by_name(name), n)
+        for epsilon in list(epsilons) + [1e-3]:
+            A = assemble(profile, mesh, epsilon).matrix
+            assert same_csr(A, assemble_reference(profile, mesh, epsilon))
+            assert A.indices.dtype == A.indptr.dtype == np.int32 and A.data.dtype == np.float64
+            assert explicit_negative_zeros(A) > 0 if cut and epsilon == 0.0 else explicit_negative_zeros(A) == 0
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_benchmark_scenario(self, epsilon):
+        profile, mesh, _ = scenario_at(bench_scenario())
+        A = assemble(profile, mesh, epsilon).matrix
+        assert same_csr(A, assemble_reference(profile, mesh, epsilon))
+
+    def test_assembly_peak_is_a_few_matrices(self):
+        # tracemalloc sees numpy's buffers.  At n = 256 the direct build
+        # holds the face conductances, an (N, 5) slot array of values, its
+        # mask and columns, and the CSR arrays: about 2.6 times the matrix's
+        # bytes here.  The COO conversion holds about 8 times
+        profile, mesh, _ = scenario_at(bench_scenario(), 256)
+        A = assemble(profile, mesh, 0.0).matrix
+        size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        assert traced_peak(lambda: assemble(profile, mesh, 0.0)) < 4 * size
+        assert traced_peak(lambda: assemble_reference(profile, mesh, 0.0)) > 4 * size
+
+
+def traced_peak(call):
+    """Peak of the memory that tracemalloc traces (numpy's buffers among it)
+    while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
