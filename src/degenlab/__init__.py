@@ -34,7 +34,6 @@ from .evolve import (
     heat_evolve,
     heat_gram,
     kernel_column,
-    operator_eig,
     resolvent_power_apply,
     sup_kernel,
     wave_evolve,
@@ -72,7 +71,6 @@ __all__ = [
     "heat_evolve",
     "heat_gram",
     "kernel_column",
-    "operator_eig",
     "resolvent_power_apply",
     "sup_kernel",
     "wave_evolve",

@@ -24,8 +24,6 @@ def _fmt(v):
         return str(int(v))
     if isinstance(v, float):
         return format(v, ".12g")
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 
@@ -68,18 +66,20 @@ def _apply_override(doc, key, raw):
         raise SchemaError(f"override '{key}': no such path in the scenario ({exc})") from None
 
 
-def run(scenario_path, out_dir=None, threads=1, overrides=(), plots=False, base_dir=None):
-    """Execute one scenario file (or builtin name); returns the exit code."""
-    if os.path.exists(scenario_path):
+def run(scenario_path, out_dir=None, threads=1, overrides=(), plots=False):
+    """Execute one scenario file (or builtin name); returns the exit code.
+    The argument names a file only when a regular file has that path, so a
+    directory named after a builtin (an earlier --out) does not hide it."""
+    if os.path.isfile(scenario_path):
         with open(scenario_path) as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"malformed scenario JSON at line {exc.lineno}: {exc.msg}")
-        base_dir = base_dir or os.path.dirname(os.path.abspath(scenario_path))
+        base_dir = os.path.dirname(os.path.abspath(scenario_path))
     else:
         doc = builtin_by_name(scenario_path)
-        base_dir = base_dir or os.getcwd()
+        base_dir = os.getcwd()
     for ov in overrides:
         if "=" not in ov:
             raise SchemaError(f"override '{ov}' is not key=value")

@@ -57,24 +57,27 @@ the diagonal of each shifted tridiagonal inverse comes from two O(N) pivot
 sweeps, one from each end, run once per shift (_contour_diag).  A 1D call
 holds little beyond what it returns: the diagonal sweep one (N, 2, shifts)
 complex buffer of tails, which also takes each group's weighting operand,
-and an action CONTOUR_CHUNK shift solutions.  heat_evolve returns the
-backend's array itself when every time is > 0.
+and an action CONTOUR_CHUNK shift solutions.
 
-Independent pieces of one call run beside each other through one helper,
-_beside.  It runs the column lanes of a block Chebyshev evolution: at most
-CPUS lanes of whole columns, each one recurrence.  Sparse block products and
-large ufuncs release the GIL, so the lanes use every core the process may
-run on.  The recurrence runs only on the components of the operator's graph
-(DiscreteOperator.components) that the block meets: an exact cut splits the
-graph, and the rows cut off stay exactly 0, bitwise as in a recurrence over
-every row.
+The column lanes of a block Chebyshev evolution run beside each other on a
+concurrent.futures thread pool, as the checks of a scenario do: at most CPUS
+lanes of whole columns, each one recurrence, the first in the calling
+thread.  Sparse block products and large ufuncs release the GIL, so the
+lanes use every core the process may run on.  The recurrence runs only on
+the components of the operator's graph (DiscreteOperator.components) that
+the block meets: an exact cut splits the graph, and the rows cut off stay
+exactly 0, bitwise as in a recurrence over every row.
 
 A 2D call holds its result and little else: each lane's coefficient sums
 and one product buffer as large, built in place (_cheb_sums), B and the one
 negated copy of its values, and the lane's two recurrence buffers.  Each
 lane copies its sums straight into the result, on the component-restricted
-path too, and heat_evolve, wave_evolve and resolvent_power_apply return
-that array itself (_cheb_stack) when every time or radius is > 0.
+path too.
+
+One rule stacks the result of every batched call (_stack): heat_evolve on
+both backends, wave_evolve and the 2D resolvent_power_apply.  A time or
+radius whose scaled value is 0 takes phi itself, and when every value is
+> 0 the call returns its backend's own array, not a copy of it.
 
 heat_evolve, sup_kernel and wave_evolve are the batched entry points: they
 take a block of columns and a sequence of times.  The vectors T_k(M) phi do
@@ -97,7 +100,7 @@ radius raises SolverError.
 """
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 from math import comb
@@ -170,33 +173,6 @@ def operator_eig(op: DiscreteOperator):
     if op.mesh.dimension != 1:
         raise ValueError("operator_eig needs a 1D (tridiagonal) operator")
     return eigh_tridiagonal(op.matrix.diagonal(), op.matrix.diagonal(1))
-
-
-def _beside(jobs):
-    """Run the callables in jobs beside each other: the first in the calling
-    thread, every other one in a short-lived thread.  Every started thread is
-    joined, and then the first exception in job order is re-raised."""
-    errors = [None] * len(jobs)
-
-    def run(i):
-        try:
-            jobs[i]()
-        except BaseException as exc:
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, len(jobs)):
-            th = threading.Thread(target=run, args=(i,))
-            th.start()
-            started.append(th)
-        run(0)
-    finally:
-        for th in started:
-            th.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +312,9 @@ def _cheb_apply(op, cols, coefs):
     summation order.  The recurrence runs on B = 2 M, built once here with
     the pattern of A, and on one negated copy of its values; every lane
     reads both.  The columns are split into at most CPUS lanes of whole
-    columns, which run beside each other; every column sees the same
-    operations in any lane."""
+    columns, which run beside each other, the first in the calling thread;
+    every lane finishes before the call returns or raises the first error
+    in lane order, and every column sees the same operations in any lane."""
     order = sorted(range(len(coefs)), key=lambda i: -len(coefs[i]))
     longest_first = [coefs[i] for i in order]
     count, labels = op.components()
@@ -364,31 +341,26 @@ def _cheb_apply(op, cols, coefs):
 
     lanes = min(CPUS, ncols)
     bounds = [ncols * n // lanes for n in range(lanes + 1)]
-    _beside([partial(lane, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    # one lane starts no thread: a pool starts its threads as jobs arrive
+    with ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
+        helpers = [pool.submit(lane, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        lane(bounds[0], bounds[1])
+    for helper in helpers:
+        helper.result()
     return out
 
 
-def _cheb_stack(op, phi, a, coefficients):
-    """sum_k c[k] T_k(M) phi with c = coefficients(s), stacked over the
-    values s in a, from one _cheb_apply; phi itself where s = 0.  When every
-    s > 0 the result is _cheb_apply's own array, not a copy of it."""
-    cols = phi.reshape(op.size, -1)
-    live = np.flatnonzero(a > 0)
-    if live.size and live.size == a.size:
-        return _cheb_apply(op, cols, [coefficients(s) for s in a]).reshape(a.shape + phi.shape)
+def _stack(phi, a, apply):
+    """apply(values) for the values of the 1D array a, with a leading value
+    axis on phi's shape: phi itself where a value is 0.  When every value is
+    > 0 the result is apply's own array, not a copy of it."""
+    live = a > 0
+    if live.all() and a.size:
+        return apply(a).reshape(a.shape + phi.shape)
     out = np.repeat(phi[None], a.size, axis=0)
-    if live.size:
-        coefs = [coefficients(s) for s in a[live]]
-        out[live] = _cheb_apply(op, cols, coefs).reshape(out[live].shape)
+    if live.any():
+        out[live] = apply(a[live]).reshape(out[live].shape)
     return out
-
-
-def _cheb_expm_apply(op, phi, ts, tol):
-    """p_t(A) phi with p_t ~ exp(-t .) uniformly on [0, lambda_max] within
-    tol, stacked over the times ts (_cheb_stack).  A time with
-    t lambda_max = 0 returns phi."""
-    a = 0.5 * np.asarray(ts) * op.spectral_norm_bound
-    return _cheb_stack(op, phi, a, lambda s: _cheb_coefficients(s, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +591,16 @@ def heat_evolve(
         raise ValueError("t must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)
     if backend == "chebyshev":
-        evolve = lambda s: _cheb_expm_apply(op, phi0, s, tol)
+        cols = phi0.reshape(op.size, -1)
+        coefs = lambda live: [_cheb_coefficients(s, tol) for s in live]
+        a = 0.5 * ts * op.spectral_norm_bound
+        vals = _stack(phi0, a, lambda live: _cheb_apply(op, cols, coefs(live)))
     elif backend == "contour":
         if op.mesh.dimension != 1:
             raise ValueError("the contour backend needs a 1D (tridiagonal) operator")
-        evolve = lambda s: _contour_expm_apply(op, phi0, s, tol)
+        vals = _stack(phi0, ts, lambda s: _contour_expm_apply(op, phi0, s, tol))
     else:
         raise ValueError(f"unknown backend '{backend}'")
-    live = ts > 0
-    if live.all():
-        vals = evolve(ts)  # the backend's own array, not a copy
-    else:
-        vals = np.empty((ts.size,) + phi0.shape)
-        vals[~live] = phi0
-        if live.any():
-            vals[live] = evolve(ts[live])
     return vals[0] if np.ndim(t) == 0 else vals
 
 
@@ -649,13 +616,11 @@ def heat_gram(op: DiscreteOperator, left, right, t) -> np.ndarray:
     contiguous evolved column.  Both backends keep an exact zero coupling
     exact, so sets that no path connects get exactly 0.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0):
-        raise ValueError("t must be >= 0")
     right = np.asarray(right, dtype=float)
+    evolved = heat_evolve(op, right, np.atleast_1d(t), backend=exp_backend(op), tol=FINE_TOL)
     rows = np.ascontiguousarray(np.asarray(left, dtype=float).T)
-    gram = np.empty((ts.size, rows.shape[0], right.shape[1]))
-    for g, block in zip(gram, heat_evolve(op, right, ts, backend=exp_backend(op), tol=FINE_TOL)):
+    gram = np.empty((len(evolved), rows.shape[0], right.shape[1]))
+    for g, block in zip(gram, evolved):
         columns = np.ascontiguousarray(block.T)
         for i in range(rows.shape[0]):
             for j in range(columns.shape[0]):
@@ -759,11 +724,9 @@ def resolvent_power_apply(op: DiscreteOperator, r, m: int, phi) -> np.ndarray:
     A = op.matrix
     lmax = op.spectral_norm_bound
     if op.mesh.dimension != 1:
-        if lmax > 0.0 and rs.size:
-            coefs = [_resolvent_coefficients(0.5 * s * s * lmax, m, FINE_TOL) for s in rs]
-            out = _cheb_apply(op, phi.reshape(op.size, -1), coefs).reshape(rs.shape + phi.shape)
-        else:
-            out = np.repeat(phi[None], rs.size, axis=0)  # the identity when lambda_max = 0
+        cols = phi.reshape(op.size, -1)
+        coefs = lambda live: [_resolvent_coefficients(s, m, FINE_TOL) for s in live]
+        out = _stack(phi, 0.5 * rs * rs * lmax, lambda live: _cheb_apply(op, cols, coefs(live)))
         for radius, u in zip(rs, out):
             v = u
             for _ in range(m):
@@ -804,7 +767,9 @@ def wave_evolve(op: DiscreteOperator, phi0, t) -> WaveField:
         raise ValueError("t must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)
     a = ts * np.sqrt(op.spectral_norm_bound)
-    vals = _cheb_stack(op, phi0, a, lambda s: _wave_coefficients(s, DEFAULT_TOL))
+    cols = phi0.reshape(op.size, -1)
+    coefs = lambda live: [_wave_coefficients(s, DEFAULT_TOL) for s in live]
+    vals = _stack(phi0, a, lambda live: _cheb_apply(op, cols, coefs(live)))
     if np.any(a > 0):
         frozen = op.matrix.diagonal() == 0.0
         vals[:, frozen] = phi0[frozen]

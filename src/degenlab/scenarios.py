@@ -79,7 +79,7 @@ class ScenarioContext:
         """Resolve a region spec into a boolean node mask on the given mesh
         (the scenario mesh by default); a region without a node raises."""
         mesh = self.mesh if mesh is None else mesh
-        kind, fields = _region_fields(spec)
+        kind, fields = _region_fields(spec, mesh.dimension)
         mask = REGIONS[kind](mesh.points(), self.profile, **fields)
         return diagnose.nonempty(mask, f"region {spec}")
 
@@ -109,6 +109,15 @@ class Box:
 
 class Boxes:
     """Annotation of a glue parameter that takes a list of boxes."""
+
+
+class Point:
+    """Annotation of a glue parameter that takes a point: one coordinate per
+    mesh axis, or a bare number in 1D."""
+
+
+class Points:
+    """Annotation of a glue parameter that takes a list of points."""
 
 
 def _halfline(pts, profile, *, x, side):
@@ -149,9 +158,22 @@ def _check_box(box, dimension):
         )
 
 
-def _region_fields(spec, kind=None):
-    """(kind, fields) of a region spec, its fields bound against the kind's
-    resolver.  A ball passes kind="euclidean_ball" and has no "kind" field."""
+def _check_point(point, dimension):
+    """SchemaError unless point is `dimension` finite coordinates; a bare
+    number is one."""
+    try:
+        p = np.array(point, dtype=float)
+    except (TypeError, ValueError):
+        p = np.empty((0, 0))
+    if p.ndim > 1 or p.size != dimension or not np.all(np.isfinite(p)):
+        raise SchemaError(f"a point is {dimension} finite coordinate(s), not {point!r}")
+
+
+def _region_fields(spec, dimension, kind=None):
+    """(kind, fields) of a region spec on a mesh of that dimension, its
+    fields bound against the kind's resolver and a ball's center checked
+    (_check_point).  A ball passes kind="euclidean_ball" and has no "kind"
+    field."""
     if not isinstance(spec, dict):
         raise SchemaError(f"a region spec is an object, not {spec!r}")
     fields = dict(spec)
@@ -164,6 +186,8 @@ def _region_fields(spec, kind=None):
         raise SchemaError(f"{kind}: {exc}") from None
     if kind == "halfline" and fields["side"] not in ("left", "right"):
         raise SchemaError(f"halfline side must be 'left' or 'right', not {fields['side']!r}")
+    if kind == "euclidean_ball":
+        _check_point(fields["center"], dimension)
     return kind, fields
 
 
@@ -219,7 +243,8 @@ def _run_wave_speed(
 
 
 def _run_separation_probe(
-    ctx, seed, *, h_list, box: Box = None, t=1.0, cut=0.0, cut_interval=None, bump=None
+    ctx, seed, *, h_list, box: Box = None, t=1.0, cut=0.0, cut_interval: Box = None,
+    bump: Box = None,
 ):
     return diagnose.separation_probe(
         ctx.profile,
@@ -227,13 +252,13 @@ def _run_separation_probe(
         float(t),
         [float(h) for h in h_list],
         cut=float(cut),
-        cut_interval=cut_interval,
+        cut_interval=None if cut_interval is None else _probe_box(cut_interval, None),
         bump=bump,
     )
 
 
 def _probe_box(box, mesh_box):
-    """(lo, hi) of the probe's 1D box: box, bare or as [[lo, hi]], or by
+    """(lo, hi) of a 1D box of the probe: box, bare or as [[lo, hi]], or by
     default the mesh's axis-0 box."""
     lo, hi = np.atleast_2d(np.asarray(mesh_box if box is None else box, dtype=float))[0]
     return float(lo), float(hi)
@@ -300,7 +325,7 @@ def _run_largetime(
     )
 
 
-def _run_resolvent_volume(ctx, seed, *, origin, r_grid, m=1, epsilon=None):
+def _run_resolvent_volume(ctx, seed, *, origin: Point, r_grid, m=1, epsilon=None):
     op = ctx.operator(epsilon)
     return diagnose.resolvent_volume_scaling(
         op, ctx.metric_graph(op.epsilon), origin, [float(r) for r in r_grid], int(m)
@@ -308,14 +333,15 @@ def _run_resolvent_volume(ctx, seed, *, origin, r_grid, m=1, epsilon=None):
 
 
 def _run_ondiagonal(
-    ctx, seed, *, diameter, centers, t=1.0, mode="uniform", uniformity=1e-3, epsilon=None
+    ctx, seed, *, diameter, centers: Points, t=1.0, mode="uniform", uniformity=1e-3,
+    epsilon=None,
 ):
     return diagnose.ondiagonal_lower_check(
         ctx.operator(epsilon), float(t), float(diameter), centers, mode=mode, uniformity=uniformity
     )
 
 
-def _run_kernel_cut(ctx, seed, *, source, across: Region, t=1.0, tol=0.0, epsilon=None):
+def _run_kernel_cut(ctx, seed, *, source: Point, across: Region, t=1.0, tol=0.0, epsilon=None):
     return diagnose.kernel_cut_check(
         ctx.operator(epsilon), ctx.mesh.nearest_index(source), float(t), ctx.omega_mask(across),
         tol=tol,
@@ -338,9 +364,12 @@ def _run_classify(ctx, seed, *, expect=None):
     )
 
 
-def _run_holder(ctx, seed, *, range, origin=0.0, expect_gamma=None, tol=0.02, epsilon=0.0):
+def _run_holder(
+    ctx, seed, *, range, origin: Point = 0.0, expect_gamma=None, tol=0.02, epsilon=0.0
+):
     fit = holder_fit(
-        ctx.profile, float(origin), (float(range[0]), float(range[1])), epsilon=epsilon
+        ctx.profile, float(np.ravel(origin)[0]), (float(range[0]), float(range[1])),
+        epsilon=epsilon,
     )
     ok = expect_gamma is None or abs(fit.gamma_hat - float(expect_gamma)) <= float(tol)
     return CheckRecord(
@@ -447,9 +476,11 @@ def validate_scenario(doc):
     check on a 2D mesh, a t_grid that names a grid the scenario lacks, a
     list parameter shorter than its LEAST_ITEMS (no check holds on an empty
     grid or a lone set), a time or radius (POSITIVE, each entry of a list and
-    of a named grid) that is not a finite number > 0, a smalltime_decay grid
-    past t = 0.1, and a probe spacing that diagnose.probe_mesh refuses on the
-    probe box (by default the mesh's axis-0 box) and cut."""
+    of a named grid) that is not a finite number > 0, a box (Box, Boxes) or
+    a point (Point, Points, a ball's center) without one finite entry per
+    mesh axis, a smalltime_decay grid past t = 0.1, and a probe spacing
+    that diagnose.probe_mesh refuses on the probe box (by default the mesh's
+    axis-0 box) and cut."""
     parts = [("scenario", _scenario_document, (), doc)]
     if isinstance(doc, dict):
         parts.append(("mesh", _mesh_document, (), doc.get("mesh", {})))
@@ -459,6 +490,7 @@ def validate_scenario(doc):
         parts += [(f"checks[{i}]", _check_entry, (), c) for i, c in enumerate(checks)]
     bind_documents(parts)
     mesh = doc["mesh"]
+    dimension = int(mesh["dimension"])
     for i, chk in enumerate(doc["checks"]):
         name = chk["check"]
         if name not in CHECKS:
@@ -469,13 +501,13 @@ def validate_scenario(doc):
             raise SchemaError(f"checks[{i}].params: {exc}") from None
         bound.apply_defaults()
         args = bound.arguments
-        if name in ONE_D_CHECKS and int(mesh["dimension"]) != 1:
+        if name in ONE_D_CHECKS and dimension != 1:
             raise SchemaError(f"checks[{i}] ({name}): a 1D check, on a {mesh['dimension']}D mesh")
         for key, param in _SIGNATURES[name].parameters.items():
             kind, value, field = param.annotation, args[key], key
-            many = kind in (Balls, Boxes)
+            many = kind in (Balls, Boxes, Points)
             # a set parameter is checked unless it is left at a default of None
-            one = kind in (Box, Region) and (value is not None or param.default is not None)
+            one = kind in (Box, Point, Region) and (value is not None or param.default is not None)
             try:
                 if key in LEAST_ITEMS:
                     items, shown = _check_items(doc, key, value, LEAST_ITEMS[key])
@@ -491,9 +523,11 @@ def validate_scenario(doc):
                 for j, spec in enumerate(value if many else [value] if one else []):
                     field = f"{key}[{j}]" if many else key
                     if kind in (Box, Boxes):
-                        _check_box(spec, int(mesh["dimension"]))
+                        _check_box(spec, dimension)
+                    elif kind in (Point, Points):
+                        _check_point(spec, dimension)
                     else:
-                        _region_fields(spec, "euclidean_ball" if kind is Balls else None)
+                        _region_fields(spec, dimension, "euclidean_ball" if kind is Balls else None)
             except SchemaError as exc:
                 raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
         if name == "separation_probe":
@@ -506,7 +540,7 @@ def validate_scenario(doc):
                     diagnose.probe_mesh(box, float(h), cut)
             except (TypeError, ValueError, ResourceLimitError) as exc:
                 raise SchemaError(f"checks[{i}].params.{field} ({name}): {exc}") from None
-        if name == "resolvent_volume" and 4 * int(args["m"]) <= int(mesh["dimension"]):
+        if name == "resolvent_volume" and 4 * int(args["m"]) <= dimension:
             raise SchemaError(f"checks[{i}].params.m: need 4m > d")
         if name in diagnose.MODES and args["mode"] not in diagnose.MODES[name]:
             raise SchemaError(

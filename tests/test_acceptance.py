@@ -33,14 +33,12 @@ from degenlab.diagnose import (
 from degenlab.metric import metric_graph
 from degenlab.scenarios import ScenarioContext, builtin_scenarios
 
+from conftest import power1d
+
 
 def report(criterion, ok, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-def power1d(delta, centers=((0.0,),), domain=(-4.0, 4.0)):
-    return dl.CoefficientProfile(1, dl.PowerDegenerate(delta, centers), domain)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,5 @@
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from degenlab.scenarios import (
     builtin_scenarios,
     validate_scenario,
 )
+
+from conftest import bench_scenario
 
 
 @pytest.fixture()
@@ -57,6 +58,22 @@ class TestRun:
         assert (out / "report.json").exists()
         assert (out / "report.md").exists()
         assert (out / "run_meta.json").exists()
+
+    def test_builtin_beside_a_directory_of_its_name(self, tmp_path, monkeypatch):
+        # a directory named after the builtin, such as an earlier --out, is
+        # not read as the scenario file
+        args = ["run", "laplacian1d", "--override", "mesh.n=256", "--out"]
+        plain, beside = tmp_path / "plain", tmp_path / "beside"
+        for where in (plain, beside):
+            where.mkdir()
+        (beside / "laplacian1d").mkdir()
+        codes = []
+        for where in (plain, beside):
+            monkeypatch.chdir(where)
+            codes.append(cli.main(args + [str(where / "out")]))
+        assert codes[0] in (0, 2, 3) and codes[1] == codes[0]
+        reports = [(where / "out" / "report.json").read_text() for where in (plain, beside)]
+        assert reports[1] == reports[0]
 
     def test_scenario_file(self, small_scenario, tmp_path):
         out = tmp_path / "out"
@@ -239,9 +256,7 @@ class TestCheckParams:
         assert not (tmp_path / "out").exists()
 
     def test_benchmark_scenario_validates(self):
-        path = Path(__file__).parents[1] / "perfbench" / "scenarios"
-        doc = json.loads((path / "radial-shell-2d-metric.json").read_text())
-        ScenarioContext(validate_scenario(doc))
+        ScenarioContext(validate_scenario(bench_scenario()))
 
     def test_wave_speed_epsilon_matches_shifted_profile(self):
         doc = builtin_by_name("degenerate1d-d05")
@@ -425,6 +440,117 @@ class TestRegionSpecs:
         assert np.array_equal(ball, np.linalg.norm(pts, axis=1) < 1.0)
         right = ctx.omega_mask({"kind": "halfline", "x": 0.0, "side": "right"})
         assert np.array_equal(right, pts[:, 0] > 0.0)
+
+
+class TestPointSpecs:
+    """A point (a ball's center, kernel_cut's source, an origin, each of
+    ondiagonal_lower's centers) has one coordinate per mesh axis, a bare
+    number being one; the probe's bump and cut_interval are 1D boxes.  Each
+    fails validation otherwise, before any check runs."""
+
+    BALL = {"kind": "euclidean_ball", "radius": 0.5}
+
+    @pytest.mark.parametrize(
+        "builtin, check, field",
+        [
+            ("radial-shell-2d",
+             {"check": "invariance", "params": {"omega": dict(BALL, center=[0.5])}}, "omega"),
+            ("radial-shell-2d",
+             {"check": "offdiagonal_gaussian",
+              "params": {"balls": [{"center": [0.0, 0.0], "radius": 0.5},
+                                   {"center": 0.5, "radius": 0.5}]}},
+             r"balls\[1\]"),
+            ("radial-shell-2d",
+             {"check": "kernel_cut",
+              "params": {"source": [0.5], "across": {"kind": "halfline", "x": 0.0, "side": "right"}}},
+             "source"),
+            ("radial-shell-2d",
+             {"check": "resolvent_volume", "params": {"origin": [0.0], "r_grid": [0.1, 0.2, 0.4]}},
+             "origin"),
+            ("radial-shell-2d",
+             {"check": "ondiagonal_lower",
+              "params": {"diameter": 0.5, "centers": [[0.0, 0.0], [0.5]]}},
+             r"centers\[1\]"),
+            ("degenerate1d-d075-cut",
+             {"check": "invariance", "params": {"omega": dict(BALL, center=[0.0, 1.0])}}, "omega"),
+            ("degenerate1d-d075-cut",
+             {"check": "kernel_cut",
+              "params": {"source": [-1.0, 0.0],
+                         "across": {"kind": "halfline", "x": 0.0, "side": "right"}}},
+             "source"),
+            ("degenerate1d-d075-cut",
+             {"check": "kernel_cut",
+              "params": {"source": "left",
+                         "across": {"kind": "halfline", "x": 0.0, "side": "right"}}},
+             "source"),
+            ("degenerate1d-d075-cut",
+             {"check": "ondiagonal_lower", "params": {"diameter": 0.5, "centers": [-1.0, [0.0, 1.0]]}},
+             r"centers\[1\]"),
+            ("degenerate1d-d075-cut",
+             {"check": "resolvent_volume", "params": {"origin": [0.0, 1.0], "r_grid": [0.1, 0.2, 0.4]}},
+             "origin"),
+            ("degenerate1d-d075-cut",
+             {"check": "holder", "params": {"range": [1e-3, 1e-1], "origin": [0.0, 0.0]}}, "origin"),
+            ("degenerate1d-d075-cut",
+             {"check": "separation_probe",
+              "params": {"h_list": [2.0**-6, 2.0**-7], "bump": [-1.0, -2.0]}},
+             "bump"),
+            ("degenerate1d-d075-cut",
+             {"check": "separation_probe",
+              "params": {"h_list": [2.0**-6, 2.0**-7], "cut_interval": [0.5]}},
+             "cut_interval"),
+        ],
+        ids=[
+            "2d-region-center", "2d-ball-center", "2d-source", "2d-origin", "2d-center",
+            "1d-region-center", "1d-source", "1d-source-not-a-number", "1d-center", "1d-origin",
+            "1d-holder-origin", "1d-bump", "1d-cut-interval",
+        ],
+    )
+    def test_bad_point_fails_before_any_check(self, builtin, check, field, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a check ran")
+
+        for name in scenarios.CHECKS:
+            monkeypatch.setitem(scenarios.CHECKS, name, spy)
+        doc = builtin_by_name(builtin)
+        doc["checks"] = [{"check": "structure"}, check]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        name = check["check"]
+        assert re.match(rf"schema error: checks\[1\]\.params\.{field} \({name}\): a (point|box) ", err)
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_either_form_of_a_1d_point_gives_the_same_records(self, tmp_path):
+        # a bare number and a one-entry list are the same point, and a 1D box
+        # bare or as [[lo, hi]] the same box
+        doc = builtin_by_name("degenerate1d-d075-cut")
+        doc["mesh"]["n"] = 255
+        across = {"kind": "halfline", "x": 0.0, "side": "right"}
+        probe = {"h_list": [2.0**-6, 2.0**-7], "box": [-2.0, 2.0]}
+        forms = [
+            ([-1.0], [-1.0, 1.0], [0.0], [-1.5, -0.5], [-0.5, 0.5]),
+            (-1.0, [[-1.0], [1.0]], 0.0, [[-1.5, -0.5]], [[-0.5, 0.5]]),
+        ]
+        reports = []
+        for k, (source, centers, origin, bump, cut_interval) in enumerate(forms):
+            doc["checks"] = [
+                {"check": "kernel_cut", "params": {"source": source, "across": across}},
+                {"check": "ondiagonal_lower", "params": {"diameter": 0.5, "centers": centers}},
+                {"check": "holder", "params": {"range": [1e-3, 1e-1], "origin": origin}},
+                {"check": "separation_probe",
+                 "params": dict(probe, bump=bump, cut_interval=cut_interval)},
+            ]
+            path = tmp_path / f"s{k}.json"
+            path.write_text(json.dumps(doc))
+            cli.run(str(path), out_dir=str(tmp_path / f"out{k}"))
+            reports.append((tmp_path / f"out{k}" / "report.json").read_text())
+        assert reports[1] == reports[0]
 
 
 class TestListParams:

@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from degenlab import (
     CoefficientProfile,
-    PowerDegenerate,
     RadialShell,
     Sampled,
     StronglyElliptic,
@@ -15,9 +14,7 @@ from degenlab import (
 )
 from degenlab.errors import DomainError, SchemaError
 
-
-def power1d(delta, centers=((0.0,),), domain=(-4.0, 4.0), **kw):
-    return CoefficientProfile(1, PowerDegenerate(delta, centers), domain, **kw)
+from conftest import power1d
 
 
 class TestEvalCoefficient:

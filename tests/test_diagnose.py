@@ -6,7 +6,6 @@ import degenlab.evolve as evolve_mod
 from degenlab import (
     CoefficientProfile,
     PowerDegenerate,
-    RadialShell,
     assemble,
     build_mesh,
     cut_conductance,
@@ -33,9 +32,7 @@ from degenlab.diagnose import (
 )
 from degenlab.evolve import exp_backend
 
-
-def power1d(delta, centers=((0.0,),), domain=(-4.0, 4.0)):
-    return CoefficientProfile(1, PowerDegenerate(delta, centers), domain)
+from conftest import power1d, same_bits, shell_op
 
 
 @pytest.fixture(scope="module")
@@ -402,23 +399,11 @@ class TestInvarianceAndForm:
         assert full - split == pytest.approx(cross, rel=1e-12)
 
 
-def shell_op(n=32):
-    """The radial-shell-2d builtin's profile at n: the disc inside the shell,
-    the outer region and singletons on the shell are its components."""
-    p = CoefficientProfile(2, RadialShell(0.75, 1.0, width=0.125), (-2.0, 2.0))
-    return assemble(p, build_mesh(2, (-2.0, 2.0), n), 0.0)
-
-
 def double_zero_op():
     """Zeros at -1 and 1 on face midpoints (n = 4 (2p + 1)): three
     components, left of -1, between, and right of 1."""
     p = power1d(0.75, centers=((-1.0,), (1.0,)))
     return assemble(p, build_mesh(1, (-4.0, 4.0), 4 * 63), 0.0)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def record_calls(monkeypatch, module, name):

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,16 +21,14 @@ from degenlab import (
     heat_evolve,
     heat_gram,
     kernel_column,
-    operator_eig,
     resolvent_power_apply,
     sup_kernel,
     wave_evolve,
 )
 from degenlab.errors import SolverError
+from degenlab.evolve import operator_eig
 
-
-def power1d(delta, domain=(-8.0, 8.0)):
-    return CoefficientProfile(1, PowerDegenerate(delta, ((0.0,),)), domain)
+from conftest import power1d, same_bits, shell_op, traced_peak
 
 
 EXP_BACKENDS_1D = ("chebyshev", "contour")
@@ -158,17 +155,6 @@ def diag_reference(op, ts, tol):
     return out[:, inv]
 
 
-def traced_peak(call):
-    """Peak of the memory that tracemalloc traces (numpy's buffers among it)
-    while call() runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def record_backends(monkeypatch):
     """The backend of every heat_evolve call made inside the evolve module."""
     seen = []
@@ -183,15 +169,24 @@ def record_backends(monkeypatch):
 
 
 def record_lanes(monkeypatch):
-    """The lane count (_beside job count) of every block evolution."""
-    seen = []
-    real = evolve_mod._beside
+    """The lane count of every block evolution: the recurrences (_cheb_sums
+    calls, one a lane) that each _cheb_apply call runs."""
+    seen, lanes = [], []
+    real_apply, real_sums = evolve_mod._cheb_apply, evolve_mod._cheb_sums
 
-    def recording(jobs):
-        seen.append(len(jobs))
-        return real(jobs)
+    def applying(*args):
+        lanes.clear()
+        try:
+            return real_apply(*args)
+        finally:
+            seen.append(len(lanes))
 
-    monkeypatch.setattr(evolve_mod, "_beside", recording)
+    def summing(*args):
+        lanes.append(threading.get_ident())
+        return real_sums(*args)
+
+    monkeypatch.setattr(evolve_mod, "_cheb_apply", applying)
+    monkeypatch.setattr(evolve_mod, "_cheb_sums", summing)
     return seen
 
 
@@ -204,7 +199,7 @@ def dense_eig(op):
 @pytest.fixture(scope="module")
 def laplace_op():
     mesh = build_mesh(1, (-8.0, 8.0), 2048)
-    return assemble(power1d(0.0), mesh, 0.0)
+    return assemble(power1d(0.0, domain=(-8.0, 8.0)), mesh, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -374,23 +369,65 @@ class TestBatchedEvolve:
             heat_evolve(laplace_op, np.ones((laplace_op.size, 7)), [0.01, 0.3])
         assert set(threading.enumerate()) == before
 
-    def test_beside_joins_every_job_and_raises_the_first_error(self):
+    def test_cheb_apply_joins_every_lane_and_raises_the_first_error(self, cut_op, monkeypatch):
+        # three lanes of one column each; column j holds j mod 3 (column 0
+        # holds 3, so that no column is zero), so a lane knows itself from
+        # its block
+        monkeypatch.setattr(evolve_mod, "CPUS", 3)
+        cols = np.tile(np.arange(3.0), (cut_op.size, 1))
+        cols[:, 0] = 3.0
+        coefs = [evolve_mod._cheb_coefficients(1.0, 1e-12)]
+        caller = threading.get_ident()
+        real = evolve_mod._cheb_sums
         done = []
 
-        def slow_failure():
-            time.sleep(0.05)
-            done.append("helper")
-            raise ValueError("second")
+        def failing(fails):
+            lane_2_done = threading.Event()
 
-        def caller_failure():
-            raise KeyError("first")
+            def lanes(B, negated, y, c):
+                lane = int(y[0, 0]) % 3
+                if lane == 1:
+                    lane_2_done.wait(timeout=10)
+                elif lane == 2:
+                    time.sleep(0.05)
+                if lane in fails:
+                    done.append(lane)
+                if lane == 2:
+                    lane_2_done.set()
+                if lane in fails:
+                    raise KeyError(f"lane {lane}")
+                return real(B, negated, y, c)
 
-        with pytest.raises(KeyError, match="first"):
-            evolve_mod._beside([caller_failure, slow_failure])
-        assert done == ["helper"]
-        out = []
-        evolve_mod._beside([lambda: out.append(threading.get_ident())])
-        assert out == [threading.get_ident()]
+            return lanes
+
+        # the calling thread's lane 0 fails first: the helpers still finish
+        monkeypatch.setattr(evolve_mod, "_cheb_sums", failing({0, 1, 2}))
+        with pytest.raises(KeyError, match="lane 0"):
+            evolve_mod._cheb_apply(cut_op, cols, coefs)
+        assert sorted(done) == [0, 1, 2]
+        # both helpers fail, lane 2 first: lane 1's error is raised
+        done.clear()
+        monkeypatch.setattr(evolve_mod, "_cheb_sums", failing({1, 2}))
+        with pytest.raises(KeyError, match="lane 1"):
+            evolve_mod._cheb_apply(cut_op, cols, coefs)
+        assert done == [2, 1]
+        # one lane runs in the calling thread and starts no thread
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        def never(thread):
+            raise AssertionError("a one-lane call started a thread")
+
+        monkeypatch.setattr(evolve_mod, "_cheb_sums", recording)
+        monkeypatch.setattr(evolve_mod, "CPUS", 1)
+        monkeypatch.setattr(threading.Thread, "start", never)
+        one = evolve_mod._cheb_apply(cut_op, cols, coefs)
+        assert threads == [caller]
+        monkeypatch.undo()
+        assert np.array_equal(one, evolve_mod._cheb_apply(cut_op, cols, coefs))
 
     def test_more_lanes_than_cores_under_fast_switching(self, cut_op, monkeypatch):
         # eight lanes of three whole columns write disjoint columns of one
@@ -430,7 +467,7 @@ class TestBatchedEvolve:
 
         monkeypatch.setattr(evolve_mod, "_cheb_apply", counting)
         mesh = build_mesh(1, (-8.0, 8.0), 64)
-        op = assemble(power1d(0.0), mesh, 0.0)
+        op = assemble(power1d(0.0, domain=(-8.0, 8.0)), mesh, 0.0)
         lam, V = dense_eig(op)
         block = np.random.default_rng(22).standard_normal((op.size, 3))
         ts = [2.5e5, 0.05]
@@ -463,14 +500,6 @@ class TestBatchedEvolve:
             assert abs(value - ref) <= evolve_mod.DEFAULT_TOL / mesh.cell_volume
 
 
-def shell_op(n=32):
-    """The radial-shell-2d builtin's profile at n: at n = 32, 1,089 nodes in
-    14 components (the disc inside the shell, the outer region, and
-    singletons on the shell)."""
-    p = CoefficientProfile(2, RadialShell(0.75, 1.0, width=0.125), (-2.0, 2.0))
-    return assemble(p, build_mesh(2, (-2.0, 2.0), n), 0.0)
-
-
 def record_matrices(monkeypatch):
     """The matrix B of every recurrence that _cheb_apply runs, on one lane,
     so one recurrence per call."""
@@ -484,10 +513,6 @@ def record_matrices(monkeypatch):
 
     monkeypatch.setattr(evolve_mod, "_cheb_sums", recording)
     return seen
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestComponents:
@@ -706,7 +731,7 @@ class TestContour:
     def test_conservation_at_large_time(self):
         # the refinement step takes the defect from 8e-10 to the rule's
         # own error at x = 0
-        op = assemble(power1d(0.0), build_mesh(1, (-8.0, 8.0), 4096), 0.0)
+        op = assemble(power1d(0.0, domain=(-8.0, 8.0)), build_mesh(1, (-8.0, 8.0), 4096), 0.0)
         out = heat_evolve(op, np.ones(op.size), 50.0, backend="contour")
         assert np.abs(out - 1.0).max() <= 1e-12
 
@@ -875,7 +900,7 @@ class TestContour:
         # with every time > 0 a call holds one result array: the backend's
         # own, not a copy of it.  Zero, repeated and unsorted times still
         # take phi and the rows of their own times
-        name = {"chebyshev": "_cheb_expm_apply", "contour": "_contour_expm_apply"}[backend]
+        name = {"chebyshev": "_cheb_apply", "contour": "_contour_expm_apply"}[backend]
         real = getattr(evolve_mod, name)
         made = []
         monkeypatch.setattr(evolve_mod, name, lambda *args: made.append(real(*args)) or made[-1])
@@ -1235,7 +1260,7 @@ class TestWaveEvolve:
         assert c.size <= 0.5 * a + 8.0 * a ** (1 / 3) + 20
 
 
-class TestEigCache:
+class TestDenseReference:
     def test_tridiagonal_matches_dense(self):
         # operator_eig, the reference other tests compare against, against a
         # dense eigh of the assembled matrix

@@ -1,7 +1,3 @@
-import json
-import tracemalloc
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,11 +19,7 @@ from degenlab import (
 from degenlab import metric, scenarios
 from degenlab.errors import ResourceLimitError
 
-BENCH_SCENARIO = Path(__file__).parents[1] / "perfbench" / "scenarios" / "radial-shell-2d-metric.json"
-
-
-def power1d(delta, domain=(-4.0, 4.0)):
-    return CoefficientProfile(1, PowerDegenerate(delta, ((0.0,),)), domain)
+from conftest import bench_scenario, power1d, same_bits, traced_peak
 
 
 class TestBuildMesh:
@@ -246,10 +238,6 @@ def rho_reference(profile, pts):
     return np.where(d <= snap, 0.0, d)
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 GEOMETRY_PROFILES = [
     CoefficientProfile(1, PowerDegenerate(0.5, ((0.0,), (1.25,))), (-2.0, 2.0)),
     CoefficientProfile(1, RadialShell(0.75, 1.0), (-2.0, 2.0)),
@@ -360,10 +348,6 @@ def scenario_at(doc, n=None):
     return ctx.profile, ctx.mesh, ctx.epsilons
 
 
-def bench_scenario():
-    return json.loads(BENCH_SCENARIO.read_text())
-
-
 def explicit_negative_zeros(A):
     return int(np.count_nonzero(np.signbit(A.data) & (A.data == 0.0)))
 
@@ -408,14 +392,3 @@ class TestDirectCsr:
         size = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
         assert traced_peak(lambda: assemble(profile, mesh, 0.0)) < 4 * size
         assert traced_peak(lambda: assemble_reference(profile, mesh, 0.0)) > 4 * size
-
-
-def traced_peak(call):
-    """Peak of the memory that tracemalloc traces (numpy's buffers among it)
-    while call() runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()

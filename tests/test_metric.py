@@ -1,8 +1,5 @@
-import json
 import sys
 import threading
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +21,7 @@ from degenlab import (
 from degenlab import cli, diagnose, metric, scenarios
 from degenlab.quadrature import graded_tail
 
-BENCH_SCENARIOS = Path(__file__).parents[1] / "perfbench" / "scenarios"
-
-
-def power1d(delta, domain=(-8.0, 8.0)):
-    return CoefficientProfile(1, PowerDegenerate(delta, ((0.0,),)), domain)
+from conftest import BENCH_SCENARIO, bench_scenario, power1d, same_bits, traced_peak
 
 
 def field_at(profile, mesh, origin, epsilon=0.0):
@@ -43,7 +36,7 @@ def c_delta_inv_sqrt(delta):
 
 class TestDistance1D:
     def test_unit_coefficient(self):
-        p = power1d(0.0)
+        p = power1d(0.0, domain=(-8.0, 8.0))
         assert distance_1d(p, -1.0, 2.5) == pytest.approx(3.5, rel=1e-12)
 
     def test_strict_graded_tail_is_finite_or_divergent(self):
@@ -70,30 +63,30 @@ class TestDistance1D:
 
     def test_small_y_model(self):
         # d(0, y) ~ y^{1-delta}/(1-delta) near the degeneracy
-        p = power1d(0.5)
+        p = power1d(0.5, domain=(-8.0, 8.0))
         d = distance_1d(p, 0.0, 0.01)
         assert d == pytest.approx(2.0 * 0.01**0.5, rel=0.01)
 
     @pytest.mark.parametrize("delta", [0.25, 0.5, 0.75])
     def test_adaptive_quadrature_oracle(self, delta):
         # independent oracle: scipy adaptive rule on the exact integrand
-        p = power1d(delta)
+        p = power1d(delta, domain=(-8.0, 8.0))
         for y in (0.01, 0.3, 1.7):
             oracle, err = quad(c_delta_inv_sqrt(delta), 0.0, y, points=[0.0], limit=400)
             assert distance_1d(p, 0.0, y) == pytest.approx(oracle, rel=1e-7)
 
     def test_symmetry(self):
-        p = power1d(0.6)
+        p = power1d(0.6, domain=(-8.0, 8.0))
         assert distance_1d(p, -0.7, 1.3) == distance_1d(p, 1.3, -0.7)
 
     def test_crossing_the_degeneracy(self):
-        p = power1d(0.5)
+        p = power1d(0.5, domain=(-8.0, 8.0))
         both = distance_1d(p, -1.0, 1.0)
         halves = distance_1d(p, -1.0, 0.0) + distance_1d(p, 0.0, 1.0)
         assert both == pytest.approx(halves, rel=1e-10)
 
     def test_epsilon_monotone_nondecreasing(self):
-        p = power1d(0.75)
+        p = power1d(0.75, domain=(-8.0, 8.0))
         eps = [2.0**-k for k in range(0, 29)]
         vals = [distance_1d(p, -1.0, 1.0, e) for e in eps]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -105,7 +98,7 @@ class TestDistance1D:
 
     @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_finite_for_all_builtin_deltas(self, delta):
-        assert np.isfinite(distance_1d(power1d(delta), -2.0, 2.0))
+        assert np.isfinite(distance_1d(power1d(delta, domain=(-8.0, 8.0)), -2.0, 2.0))
 
     def test_infinite_across_plateau(self):
         # annular plateau in 1D: c vanishes identically on an interval
@@ -114,7 +107,7 @@ class TestDistance1D:
         assert np.isfinite(distance_1d(p, -0.5, 0.5))
 
     def test_lower_euclidean_bound(self):
-        p = power1d(0.75)
+        p = power1d(0.75, domain=(-8.0, 8.0))
         for a, b in ((-2.0, 1.0), (0.5, 3.0)):
             d = distance_1d(p, a, b)
             assert d >= abs(b - a) / np.sqrt(p.norm_bound) - 1e-10
@@ -258,7 +251,7 @@ class TestGraphEngine:
         for module in (scenarios, diagnose):
             monkeypatch.setattr(module, "distance_field", counting_field)
         cli.run(
-            str(BENCH_SCENARIOS / "radial-shell-2d-metric.json"),
+            str(BENCH_SCENARIO),
             out_dir=str(tmp_path / "out"),
             overrides=["mesh.n=32"],
         )
@@ -274,7 +267,7 @@ class TestGraphEngine:
             return real_graph(*args)
 
         monkeypatch.setattr(metric, "_edge_graph", counting_graph)
-        doc = json.loads((BENCH_SCENARIOS / "radial-shell-2d-metric.json").read_text())
+        doc = bench_scenario()
         doc["mesh"]["n"] = 16
         ctx = scenarios.ScenarioContext(doc)
         centers = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 1.0)]
@@ -349,32 +342,13 @@ def graph_from_edges(mesh, heads, tails, weights):
     )
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def same_graph(got, want):
     return all(same_bits(getattr(got, k), getattr(want, k)) for k in ("indptr", "indices", "data"))
-
-
-def traced_peak(call):
-    """Peak of the memory that tracemalloc traces (numpy's buffers among it)
-    while call() runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def scenario_geometry(doc):
     ctx = scenarios.ScenarioContext(doc)
     return ctx.profile, ctx.mesh, ctx.epsilons
-
-
-def bench_scenario():
-    return json.loads((BENCH_SCENARIOS / "radial-shell-2d-metric.json").read_text())
 
 
 class TestEdgeBlocks:
@@ -466,11 +440,11 @@ class TestHolderFit:
         "delta,expect", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25)]
     )
     def test_recovers_comparison_exponent(self, delta, expect):
-        fit = holder_fit(power1d(delta), 0.0, (1e-3, 1e-1))
+        fit = holder_fit(power1d(delta, domain=(-8.0, 8.0)), 0.0, (1e-3, 1e-1))
         tol = 0.01 if delta == 0.0 else 0.02
         assert abs(fit.gamma_hat - expect) <= tol
 
     def test_prefactor_for_half(self):
         # d ~ y^{1/2} / (1/2) = 2 sqrt(y)
-        fit = holder_fit(power1d(0.5), 0.0, (1e-3, 1e-2))
+        fit = holder_fit(power1d(0.5, domain=(-8.0, 8.0)), 0.0, (1e-3, 1e-2))
         assert fit.a_hat == pytest.approx(2.0, rel=0.02)
